@@ -11,8 +11,8 @@ import numpy as np
 
 from .cones import DiagnosticSeries
 from .errors import DomainError
-from .grid import Field, State, radial_distance, spectral_gradient
-from .norms import critical_exponent, energy, sobolev_norm
+from .grid import Field, State, displacement, radial_distance, spectral_gradient
+from .norms import critical_exponent, energy, gradient_square, sobolev_norm
 from .solver import Trajectory
 
 __all__ = [
@@ -112,7 +112,7 @@ def mass_diagnostics(traj: Trajectory) -> MassSeries:
         u, v = s.u.values, s.v.values
         p, m = s.exponent, s.mass_param
         cell = g.cell_volume
-        grad_sq = float(np.sum(sum(gr.values**2 for gr in spectral_gradient(s.u)))) * cell
+        grad_sq = float(np.sum(gradient_square(s.u))) * cell
         E = energy(s, nl)
         times.append(s.time)
         M.append(float(np.sum(u**2)) * cell)
@@ -215,12 +215,10 @@ def truncated_mass(traj: Trajectory, R: float, center=None) -> MassSeries:
     g = traj.snapshots[0].grid
     center = np.full(g.d, 0.5 * g.box_length) if center is None else np.asarray(center)
     t_max = traj.snapshots[-1].time
-    if 2.0 * (R + t_max) > 0.5 * g.box_length - 3.0 * g.spacing:
+    if 2.0 * (R + t_max) > g.max_fit_radius:
         raise DomainError("cutoff support 2(R + t_max) does not fit the box with margin")
     nl = traj.nl_coeff
     dist = radial_distance(g, center)
-    from .grid import displacement
-
     disp = displacement(g, center)
 
     times, M, Mp, rhs_list = [], [], [], []
@@ -299,10 +297,10 @@ def lower_bound_check(traj: Trajectory, t_star: float, x0) -> DiagnosticSeries:
     times, vals = [], []
     for s in traj.snapshots:
         rad = t_star - s.time
-        if rad <= 2.0 * g.spacing or rad > 0.5 * g.box_length - 3.0 * g.spacing:
+        if rad <= 2.0 * g.spacing or rad > g.max_fit_radius:
             continue
         mask = dist <= rad
-        grad_sq = sum(gr.values**2 for gr in spectral_gradient(s.u))
+        grad_sq = gradient_square(s.u)
         integ = float(np.sum(s.u.values[mask] ** 2
                              + rad**2 * (s.v.values[mask] ** 2 + grad_sq[mask])))
         integ *= g.cell_volume

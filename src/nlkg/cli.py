@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import os
 import sys
@@ -104,47 +105,29 @@ def _manifest(out: Path, status: str, extra: dict | None = None) -> None:
     snapshots.write_json(out / "MANIFEST.json", payload)
 
 
-def _echo_config(cfg: ScenarioConfig, out: Path) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    snapshots.write_json(out / "config.json", cfg.raw)
-
-
-def _standard_monitors(cfg: ScenarioConfig) -> dict:
+def cmd_simulate(cfg: ScenarioConfig) -> dict:
     nl = cfg.solver.nonlinearity
-    return {
+    monitors = {
         "energy": lambda s: energy(s, nl),
         "l2_norm": lambda s: lebesgue_norm(s.u, 2.0),
     }
-
-
-def cmd_simulate(cfg: ScenarioConfig) -> int:
-    out = cfg.out_dir
-    _echo_config(cfg, out)
-    _manifest(out, "incomplete")
-    traj = evolve(cfg.initial_state(), cfg.solver, _standard_monitors(cfg))
+    traj = evolve(cfg.initial_state(), cfg.solver, monitors)
     for name in traj.scalar_series:
         t, v = traj.series(name)
-        snapshots.write_series_csv(out / f"{name}.csv", {"time": t, "value": v},
+        snapshots.write_series_csv(cfg.out_dir / f"{name}.csv", {"time": t, "value": v},
                                    sidecar={"series": name, "config": cfg.raw,
                                             "termination": traj.termination})
-    snapshots.write_trajectory(out / "trajectory", traj)
-    _manifest(out, "complete", {"termination": traj.termination,
-                                "snapshots": len(traj.snapshots)})
-    return 0
+    snapshots.write_trajectory(cfg.out_dir / "trajectory", traj)
+    return {"termination": traj.termination, "snapshots": len(traj.snapshots)}
 
 
 def _tensor_window(cfg: ScenarioConfig, scale: int):
     """Evolve at (h, dt) refined by 2^scale and cut a 3-snapshot window."""
     grid = GridSpec(cfg.grid.d, cfg.grid.n * 2**scale, cfg.grid.box_length)
     state = initial_data(grid, cfg.data_kind, cfg.m, cfg.p, **cfg.data_params)
-    sol = cfg.solver
-    refined = SolverConfig(
-        dt_init=sol.dt_init / 2**scale, t_max=sol.t_max, dt_min=sol.dt_min,
-        cfl_safety=sol.cfl_safety, adapt_theta=None,
-        blowup_threshold=sol.blowup_threshold,
-        snapshot_stride=sol.snapshot_stride * 2**scale,
-        dealias_pad=sol.dealias_pad, nonlinearity=sol.nonlinearity,
-    )
+    refined = dataclasses.replace(cfg.solver, dt_init=cfg.solver.dt_init / 2**scale,
+                                  adapt_theta=None,
+                                  snapshot_stride=cfg.solver.snapshot_stride * 2**scale)
     traj = evolve(state, refined, {})
     if len(traj.snapshots) < 3:
         raise DomainError(
@@ -154,10 +137,7 @@ def _tensor_window(cfg: ScenarioConfig, scale: int):
     return traj, (traj.snapshots[k - 1], traj.snapshots[k], traj.snapshots[k + 1])
 
 
-def cmd_audit_tensors(cfg: ScenarioConfig) -> int:
-    out = cfg.out_dir
-    _echo_config(cfg, out)
-    _manifest(out, "incomplete")
+def cmd_audit_tensors(cfg: ScenarioConfig) -> dict:
     audit_cfg = cfg.audits.get("tensors", {})
     levels = int(audit_cfg.get("levels", 2))
     if levels < 1:
@@ -195,20 +175,17 @@ def cmd_audit_tensors(cfg: ScenarioConfig) -> int:
         slab.append({"t0": float(ts[0]), "t1": float(ts[-1]), "lhs": res.lhs,
                      "rhs": res.rhs, "gap": res.gap,
                      "avg_kinetic": res.avg_kinetic, "avg_potential": res.avg_potential})
-    snapshots.write_json(out / "tensor_audit.json",
+    snapshots.write_json(cfg.out_dir / "tensor_audit.json",
                          {"tensors": report, "slab_identities": slab, "config": cfg.raw})
-    _manifest(out, "complete")
-    return 0
+    return {}
 
 
-def cmd_cones(cfg: ScenarioConfig) -> int:
+def cmd_cones(cfg: ScenarioConfig) -> dict:
     out = cfg.out_dir
-    _echo_config(cfg, out)
-    _manifest(out, "incomplete")
     cone_cfg = cfg.audits.get("cones")
     if cone_cfg is None:
         raise DomainError("config precondition violated: missing audits.cones")
-    traj = evolve(cfg.initial_state(), cfg.solver, _standard_monitors(cfg))
+    traj = evolve(cfg.initial_state(), cfg.solver)
     vertex = cone_cfg.get("vertex", [0.5 * cfg.grid.box_length] * cfg.grid.d)
     cone = cones_mod.ConeSpec(vertex=tuple(vertex), top_time=float(cone_cfg["top_time"]))
     params = critical_exponent(cfg.grid.d, cfg.p)
@@ -232,18 +209,15 @@ def cmd_cones(cfg: ScenarioConfig) -> int:
         lhs, rhs, gap = cones_mod.energy_flux_check(traj, cone, usable[0], usable[-1])
         flux = {"t0": usable[0], "t1": usable[-1], "lhs": lhs, "rhs": rhs, "gap": gap}
     snapshots.write_json(out / "flux_identity.json", {"flux": flux, "config": cfg.raw})
-    _manifest(out, "complete", {"termination": traj.termination})
-    return 0
+    return {"termination": traj.termination}
 
 
-def cmd_fit(cfg: ScenarioConfig, trajectory_dir=None) -> int:
+def cmd_fit(cfg: ScenarioConfig, trajectory_dir=None) -> dict:
     out = cfg.out_dir
-    _echo_config(cfg, out)
-    _manifest(out, "incomplete")
     if trajectory_dir is not None:
         traj = snapshots.read_trajectory(trajectory_dir)
     else:
-        traj = evolve(cfg.initial_state(), cfg.solver, _standard_monitors(cfg))
+        traj = evolve(cfg.initial_state(), cfg.solver)
     fit_cfg = cfg.audits.get("blowup", {})
     report = blowup_mod.detect_and_fit(traj, k_fit=int(fit_cfg.get("k_fit", 20)))
     mass = blowup_mod.mass_diagnostics(traj)
@@ -265,8 +239,7 @@ def cmd_fit(cfg: ScenarioConfig, trajectory_dir=None) -> int:
                                {"time": mass.times, "M": mass.M,
                                 "M_prime": mass.M_prime, "M_dprime": mass.M_dprime},
                                sidecar={"config": cfg.raw})
-    _manifest(out, "complete", {"detected": report.detected})
-    return 0
+    return {"detected": report.detected}
 
 
 def _synthetic_family(cfg: ScenarioConfig, spec: dict) -> profiles.FunctionFamily:
@@ -290,10 +263,7 @@ def _synthetic_family(cfg: ScenarioConfig, spec: dict) -> profiles.FunctionFamil
     return profiles.FunctionFamily(tuple(members))
 
 
-def cmd_decompose(cfg: ScenarioConfig) -> int:
-    out = cfg.out_dir
-    _echo_config(cfg, out)
-    _manifest(out, "incomplete")
+def cmd_decompose(cfg: ScenarioConfig) -> dict:
     prof_cfg = cfg.audits.get("profiles")
     if prof_cfg is None:
         raise DomainError("config precondition violated: missing audits.profiles")
@@ -308,7 +278,7 @@ def cmd_decompose(cfg: ScenarioConfig) -> int:
                                     j_max=int(prof_cfg.get("j_max", 8)),
                                     tol=float(prof_cfg.get("tol", 1e-3)))
     gaps = profiles.decoupling_audit(dec, family, params)
-    arch = out / "decomposition"
+    arch = cfg.out_dir / "decomposition"
     arch.mkdir(parents=True, exist_ok=True)
     manifest = {"n_bubbles": dec.n_bubbles, "eps_history": dec.eps_history,
                 "sobolev_history": dec.sobolev_history, "gaps": gaps, "centers": {}}
@@ -317,14 +287,37 @@ def cmd_decompose(cfg: ScenarioConfig) -> int:
                                        0.0, cfg.m, cfg.p)
         manifest["centers"][f"profile{j}"] = centers.tolist()
     snapshots.write_json(arch / "manifest.json", manifest)
-    _manifest(out, "complete", {"n_bubbles": dec.n_bubbles})
+    return {"n_bubbles": dec.n_bubbles}
+
+
+COMMANDS = {
+    "simulate": cmd_simulate,
+    "audit-tensors": cmd_audit_tensors,
+    "cones": cmd_cones,
+    "fit": cmd_fit,
+    "decompose": cmd_decompose,
+}
+
+
+def run(cfg: ScenarioConfig, command: str, **options) -> int:
+    """Run one subcommand on a validated config.
+
+    Echoes the config and marks MANIFEST.json incomplete before any
+    compute; once the command's outputs are written, the manifest is
+    marked complete with the extras the command returns.
+    """
+    out = cfg.out_dir
+    out.mkdir(parents=True, exist_ok=True)
+    snapshots.write_json(out / "config.json", cfg.raw)
+    _manifest(out, "incomplete")
+    _manifest(out, "complete", COMMANDS[command](cfg, **options))
     return 0
 
 
 def _sweep_one(args) -> tuple:
     raw, index = args
     cfg = ScenarioConfig(raw)
-    code = cmd_simulate(cfg)
+    code = run(cfg, "simulate")
     params = critical_exponent(cfg.grid.d, cfg.p)
     return index, code, params.regime
 
@@ -369,7 +362,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="nlkg",
                                      description="NLKG simulator and diagnostics")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "audit-tensors", "cones", "fit", "decompose", "sweep"):
+    for name in (*COMMANDS, "sweep"):
         sp = sub.add_parser(name)
         sp.add_argument("config", help="path to a JSON scenario config")
         if name == "fit":
@@ -379,21 +372,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "sweep":
             return cmd_sweep(args.config)
-        cfg = load_config(args.config)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "audit-tensors":
-            return cmd_audit_tensors(cfg)
-        if args.command == "cones":
-            return cmd_cones(cfg)
-        if args.command == "fit":
-            return cmd_fit(cfg, args.trajectory)
-        if args.command == "decompose":
-            return cmd_decompose(cfg)
+        options = {"trajectory_dir": args.trajectory} if args.command == "fit" else {}
+        return run(load_config(args.config), args.command, **options)
     except DomainError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

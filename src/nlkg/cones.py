@@ -16,8 +16,8 @@ import numpy as np
 
 from .conslaws import TensorKind, tensor_density, tensor_kind
 from .errors import DomainError
-from .grid import Field, GridSpec, State, radial_distance, spectral_gradient
-from .norms import critical_exponent
+from .grid import Field, GridSpec, State, displacement, radial_distance, spectral_gradient
+from .norms import critical_exponent, gradient_square
 from .solver import Trajectory
 
 __all__ = [
@@ -49,7 +49,7 @@ class ConeSpec:
         """The audited slice (radius = time, or the full cone) must fit the box
         with margin >= 3h."""
         r = self.top_time if time is None else time
-        if r > 0.5 * grid.box_length - 3.0 * grid.spacing:
+        if r > grid.max_fit_radius:
             raise DomainError(
                 f"cone slice radius {r} does not fit in box of side {grid.box_length} "
                 f"with a 3h margin"
@@ -88,8 +88,6 @@ def radial_angular_split(gradient: list[Field], vertex) -> tuple[Field, list[Fie
     angular remainder; u_r^2 + |angular|^2 = |grad u|^2 pointwise.
     """
     grid = gradient[0].grid
-    from .grid import displacement
-
     disp = displacement(grid, vertex)
     r = radial_distance(grid, vertex)
     safe_r = np.where(r == 0.0, 1.0, r)
@@ -239,8 +237,7 @@ def averaged_gradient_bound(traj: Trajectory, cone: ConeSpec, t0: float,
         lim = s.time if subc else alpha * s.time
         inside = r < lim
         gap = s.time - r[inside]
-        grad_sq = sum(gr.values[inside] ** 2 for gr in spectral_gradient(s.u))
-        full_grad = s.v.values[inside] ** 2 + grad_sq
+        full_grad = s.v.values[inside] ** 2 + gradient_square(s.u)[inside]
         return float(np.sum(gap**w_grad * full_grad
                             + gap**w_mass * s.u.values[inside] ** 2)) * g.cell_volume
 
@@ -284,8 +281,7 @@ def cone_monitor(traj: Trajectory, cone: ConeSpec) -> dict:
         half = r < 0.5 * t
         full = r < t
         u, v = s.u.values, s.v.values
-        grad_sq = sum(gr.values**2 for gr in spectral_gradient(s.u))
-        full_grad = v**2 + grad_sq
+        full_grad = v**2 + gradient_square(s.u)
         cell = g.cell_volume
         mass = float(np.sum(u[half] ** 2)) * cell
         grad_half = float(np.sum(full_grad[half])) * cell

@@ -115,74 +115,94 @@ class _Pieces:
         return self.v**2 - self.grad_sq - self.m**2 * self.u**2 + self.nl * self.pot
 
 
-def _dilation(pc: _Pieces):
-    W = pc.dilation_multiplier(0.5 * (pc.d - 1))
-    dens = pc.t * pc.lagrangian_density + W * pc.v
-    flux = [xi * pc.lagrangian_density - W * gi for xi, gi in zip(pc.x, pc.grad)]
-    return dens, flux, pc.dilation_source
+def _pieces(state: State, kind: TensorKind, apex, nl_coeff: float) -> _Pieces:
+    if kind.tag in _TIME_WEIGHTED and state.time <= 0.0:
+        raise DomainError(f"{kind.tag} tensor requires evaluation time > 0")
+    return _Pieces(state, apex, nl_coeff)
 
 
-def _mod_dilation(pc: _Pieces):
-    d_dens, d_flux, source = _dilation(pc)
-    c = (pc.d - 1) / 4.0
-    # density correction is the pointwise divergence of (x/t) u^2
-    dens = d_dens + (c / pc.t) * (pc.d * pc.u**2 + 2.0 * pc.u * pc.S)
-    dt_xu2_over_t = 2.0 * pc.u * pc.v / pc.t - pc.u**2 / pc.t**2
-    flux = [fi - c * xi * dt_xu2_over_t for fi, xi in zip(d_flux, pc.x)]
-    # closed "completed squares" form, kept as a self-check on the algebra
-    W = pc.dilation_multiplier(0.5 * (pc.d - 1))
-    closed = (W**2 / (2.0 * pc.t)
-              + 0.5 * pc.t * pc.grad_sq - pc.S**2 / (2.0 * pc.t)
-              - pc.nl * pc.t / (pc.p + 2.0) * pc.pot
-              + (pc.d**2 - 1.0) / (8.0 * pc.t) * pc.u**2
-              + 0.5 * pc.t * pc.m**2 * pc.u**2)
-    scale = np.max(np.abs(closed)) + np.max(np.abs(dens)) + 1e-300
-    if np.max(np.abs(closed - dens)) > 1e-10 * scale:
-        raise RuntimeError("modified-dilation density forms disagree beyond tolerance")
-    return closed, flux, source
+def _density(pc: _Pieces, kind: TensorKind):
+    """The density z0 of one tensor; the single form of each of the six.
 
-
-def _charge(pc: _Pieces):
-    dens = pc.u * pc.v
-    flux = [-pc.u * gi for gi in pc.grad]
-    return dens, flux, pc.charge_source
-
-
-def _conf_energy(pc: _Pieces):
-    t, q = pc.t, pc.r_sq
-    e0 = pc.energy_density
-    dens = (t**2 + q) * e0 + 2.0 * t * pc.v * pc.S + (pc.d - 1) * t * pc.u * pc.v \
-        - 0.5 * (pc.d - 1) * pc.u**2
-    bracket = (t**2 + q) * pc.v + 2.0 * t * pc.S + (pc.d - 1) * t * pc.u
-    anti_lag = (0.5 * pc.v**2 - 0.5 * pc.grad_sq - 0.5 * pc.m**2 * pc.u**2
-                + pc.nl / (pc.p + 2.0) * pc.pot)
-    flux = [-bracket * gi - 2.0 * xi * t * anti_lag for gi, xi in zip(pc.grad, pc.x)]
-    src = (t * pc.nl * (pc.p * (pc.d - 1) - 4.0) / (pc.p + 2.0) * pc.pot
-           + 2.0 * t * pc.m**2 * pc.u**2)
-    return dens, flux, src
-
-
-def _combined(pc: _Pieces, alpha: float):
+    The modified-dilation and combined densities are the closed
+    "completed squares" forms; :func:`_check_second_form` holds them
+    against their definitions.
+    """
+    tag = kind.tag
+    if tag == "energy":
+        return pc.energy_density
+    if tag == "charge":
+        return pc.u * pc.v
+    if tag == "dilation":
+        return pc.t * pc.lagrangian_density + pc.dilation_multiplier(0.5 * (pc.d - 1)) * pc.v
+    if tag == "mod_dilation":
+        W = pc.dilation_multiplier(0.5 * (pc.d - 1))
+        return (W**2 / (2.0 * pc.t)
+                + 0.5 * pc.t * pc.grad_sq - pc.S**2 / (2.0 * pc.t)
+                - pc.nl * pc.t / (pc.p + 2.0) * pc.pot
+                + (pc.d**2 - 1.0) / (8.0 * pc.t) * pc.u**2
+                + 0.5 * pc.t * pc.m**2 * pc.u**2)
+    if tag == "conf_energy":
+        t = pc.t
+        return ((t**2 + pc.r_sq) * pc.energy_density + 2.0 * t * pc.v * pc.S
+                + (pc.d - 1) * t * pc.u * pc.v - 0.5 * (pc.d - 1) * pc.u**2)
     t, p = pc.t, pc.p
     W2 = pc.dilation_multiplier(2.0 / p)
-    dens = (W2**2 / (2.0 * t)
+    return (W2**2 / (2.0 * t)
             + 0.5 * t * pc.grad_sq - pc.S**2 / (2.0 * t)
             - pc.nl * t / (p + 2.0) * pc.pot
             + (0.5 * pc.m**2 * t + (p + 2.0) / (p**2 * t)) * pc.u**2)
-    # cross-check against the definition as dilation + alpha*charge + gauge terms
-    d_dens, d_flux, d_src = _dilation(pc)
-    alt = d_dens + alpha * pc.u * pc.v \
-        + (1.0 / (p * t)) * (pc.d * pc.u**2 + 2.0 * pc.u * pc.S) \
-        + (2.0 * alpha / p) * pc.u**2 / t
+
+
+def _check_second_form(pc: _Pieces, kind: TensorKind, dens) -> None:
+    """Self-check of the closed forms against their definitions: the
+    dilation density plus the gauge terms (the pointwise divergence of
+    (x/t) u^2 for mod_dilation; alpha times charge as well for combined)."""
+    if kind.tag == "mod_dilation":
+        c = (pc.d - 1) / 4.0
+        alt = (_density(pc, TensorKind("dilation"))
+               + (c / pc.t) * (pc.d * pc.u**2 + 2.0 * pc.u * pc.S))
+    elif kind.tag == "combined":
+        t, p, alpha = pc.t, pc.p, kind.alpha
+        alt = _density(pc, TensorKind("dilation")) + alpha * pc.u * pc.v \
+            + (1.0 / (p * t)) * (pc.d * pc.u**2 + 2.0 * pc.u * pc.S) \
+            + (2.0 * alpha / p) * pc.u**2 / t
+    else:
+        return
     scale = np.max(np.abs(dens)) + np.max(np.abs(alt)) + 1e-300
     if np.max(np.abs(dens - alt)) > 1e-10 * scale:
-        raise RuntimeError("combined-tensor density forms disagree beyond tolerance")
-    dt_xu2_over_t = 2.0 * pc.u * pc.v / t - pc.u**2 / t**2
+        raise RuntimeError(f"{kind.tag} density forms disagree beyond tolerance")
+
+
+def _flux_and_source(pc: _Pieces, kind: TensorKind):
+    tag = kind.tag
+    if tag == "energy":
+        return [-pc.v * g for g in pc.grad], np.zeros(pc.grid.shape)
+    if tag == "charge":
+        return [-pc.u * gi for gi in pc.grad], pc.charge_source
+    if tag == "conf_energy":
+        t, q = pc.t, pc.r_sq
+        bracket = (t**2 + q) * pc.v + 2.0 * t * pc.S + (pc.d - 1) * t * pc.u
+        anti_lag = (0.5 * pc.v**2 - 0.5 * pc.grad_sq - 0.5 * pc.m**2 * pc.u**2
+                    + pc.nl / (pc.p + 2.0) * pc.pot)
+        flux = [-bracket * gi - 2.0 * xi * t * anti_lag for gi, xi in zip(pc.grad, pc.x)]
+        src = (t * pc.nl * (pc.p * (pc.d - 1) - 4.0) / (pc.p + 2.0) * pc.pot
+               + 2.0 * t * pc.m**2 * pc.u**2)
+        return flux, src
+    # the dilation family: modified dilation and combined add gauge terms
+    W = pc.dilation_multiplier(0.5 * (pc.d - 1))
+    flux = [xi * pc.lagrangian_density - W * gi for xi, gi in zip(pc.x, pc.grad)]
+    src = pc.dilation_source
+    if tag == "dilation":
+        return flux, src
+    dt_xu2_over_t = 2.0 * pc.u * pc.v / pc.t - pc.u**2 / pc.t**2
+    if tag == "mod_dilation":
+        c = (pc.d - 1) / 4.0
+        return [fi - c * xi * dt_xu2_over_t for fi, xi in zip(flux, pc.x)], src
+    alpha, p = kind.alpha, pc.p
     flux = [fi - alpha * pc.u * gi - (xi / p) * dt_xu2_over_t
-            for fi, xi, gi in zip(d_flux, pc.x, pc.grad)]
-    dt_g = 2.0 * pc.u * pc.v / t - pc.u**2 / t**2
-    src = d_src + alpha * pc.charge_source + (2.0 * alpha / p) * dt_g
-    return dens, flux, src
+            for fi, xi, gi in zip(flux, pc.x, pc.grad)]
+    return flux, src + alpha * pc.charge_source + (2.0 * alpha / p) * dt_xu2_over_t
 
 
 def eval_tensor(state: State, kind: TensorKind, apex, nl_coeff: float = 1.0) -> TensorSample:
@@ -192,21 +212,10 @@ def eval_tensor(state: State, kind: TensorKind, apex, nl_coeff: float = 1.0) -> 
     independent algebraic forms and must agree pointwise to 1e-10
     relative.
     """
-    if kind.tag in _TIME_WEIGHTED and state.time <= 0.0:
-        raise DomainError(f"{kind.tag} tensor requires evaluation time > 0")
-    pc = _Pieces(state, apex, nl_coeff)
-    if kind.tag == "energy":
-        dens, flux, src = pc.energy_density, [-pc.v * g for g in pc.grad], np.zeros(pc.grid.shape)
-    elif kind.tag == "dilation":
-        dens, flux, src = _dilation(pc)
-    elif kind.tag == "mod_dilation":
-        dens, flux, src = _mod_dilation(pc)
-    elif kind.tag == "charge":
-        dens, flux, src = _charge(pc)
-    elif kind.tag == "conf_energy":
-        dens, flux, src = _conf_energy(pc)
-    else:
-        dens, flux, src = _combined(pc, kind.alpha)
+    pc = _pieces(state, kind, apex, nl_coeff)
+    dens = _density(pc, kind)
+    _check_second_form(pc, kind, dens)
+    flux, src = _flux_and_source(pc, kind)
     grid = state.grid
     return TensorSample(
         kind=kind,
@@ -220,31 +229,7 @@ def eval_tensor(state: State, kind: TensorKind, apex, nl_coeff: float = 1.0) -> 
 
 def tensor_density(state: State, kind: TensorKind, apex, nl_coeff: float = 1.0) -> Field:
     """Density z0 only (skips the flux/source work of :func:`eval_tensor`)."""
-    if kind.tag in _TIME_WEIGHTED and state.time <= 0.0:
-        raise DomainError(f"{kind.tag} tensor requires evaluation time > 0")
-    pc = _Pieces(state, apex, nl_coeff)
-    if kind.tag == "energy":
-        dens = pc.energy_density
-    elif kind.tag == "charge":
-        dens = pc.u * pc.v
-    elif kind.tag == "dilation":
-        dens = pc.t * pc.lagrangian_density + pc.dilation_multiplier(0.5 * (pc.d - 1)) * pc.v
-    elif kind.tag == "mod_dilation":
-        W = pc.dilation_multiplier(0.5 * (pc.d - 1))
-        dens = (W**2 / (2.0 * pc.t)
-                + 0.5 * pc.t * pc.grad_sq - pc.S**2 / (2.0 * pc.t)
-                - pc.nl * pc.t / (pc.p + 2.0) * pc.pot
-                + (pc.d**2 - 1.0) / (8.0 * pc.t) * pc.u**2
-                + 0.5 * pc.t * pc.m**2 * pc.u**2)
-    elif kind.tag == "conf_energy":
-        dens = _conf_energy(pc)[0]
-    else:
-        t, p = pc.t, pc.p
-        W2 = pc.dilation_multiplier(2.0 / p)
-        dens = (W2**2 / (2.0 * t)
-                + 0.5 * t * pc.grad_sq - pc.S**2 / (2.0 * t)
-                - pc.nl * t / (p + 2.0) * pc.pot
-                + (0.5 * pc.m**2 * t + (p + 2.0) / (p**2 * t)) * pc.u**2)
+    dens = _density(_pieces(state, kind, apex, nl_coeff), kind)
     return Field(state.grid, np.ascontiguousarray(np.broadcast_to(dens, state.grid.shape)))
 
 
@@ -322,14 +307,12 @@ def charge_slab_identity(traj: Trajectory, t0: float, t1: float) -> SlabIdentity
     rhs: int u u_t dx evaluated at t1 minus at t0.  Also reports the two
     virial time-averages (kinetic, and gradient + mass - potential).
     """
-    times = traj.times
     sel = [s for s in traj.snapshots if t0 - 1e-12 <= s.time <= t1 + 1e-12]
     if len(sel) < 3:
         raise DomainError(f"need at least 3 snapshots in [{t0}, {t1}], found {len(sel)}")
     if abs(sel[0].time - t0) > 1e-9 or abs(sel[-1].time - t1) > 1e-9:
         raise DomainError("t0 and t1 must be snapshot times")
     nl = traj.nl_coeff
-    del times
 
     cell = sel[0].grid.cell_volume
     integrand = []

@@ -88,6 +88,12 @@ class GridSpec:
         """Largest resolved wavenumber per axis (Nyquist), pi*n/L."""
         return np.pi * self.n / self.box_length
 
+    @property
+    def max_fit_radius(self) -> float:
+        """Largest audited radius, L/2 - 3h: a ball about any point stays
+        clear of its own periodic images by a margin of three cells."""
+        return 0.5 * self.box_length - 3.0 * self.spacing
+
 
 def _check_finite(values: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(values)):
@@ -189,16 +195,27 @@ def wavenumber_magnitude(grid: GridSpec) -> np.ndarray:
     return np.sqrt(mag_sq)
 
 
+def _forward_array(values: np.ndarray) -> np.ndarray:
+    """Unnormalized forward DFT of a real array, without validation.  With
+    :func:`_inverse_array`, the one transform pair every kernel goes through."""
+    return np.fft.fftn(values)
+
+
+def _inverse_array(coefficients: np.ndarray) -> np.ndarray:
+    """Inverse DFT to a C-contiguous real array, without validation; the
+    imaginary residue of a Hermitian input is discarded."""
+    return np.ascontiguousarray(np.fft.ifftn(coefficients).real)
+
+
 def forward_transform(f: Field) -> SpectralField:
     """Discrete Fourier transform of a real field (unnormalized forward)."""
     _check_finite(f.values, "forward_transform input")
-    return SpectralField(f.grid, np.fft.fftn(f.values))
+    return SpectralField(f.grid, _forward_array(f.values))
 
 
 def inverse_transform(F: SpectralField) -> Field:
     """Inverse DFT; the imaginary residue of a Hermitian input is discarded."""
-    vals = np.fft.ifftn(F.coefficients)
-    return Field(F.grid, np.ascontiguousarray(vals.real))
+    return Field(F.grid, _inverse_array(F.coefficients))
 
 
 def spectral_norm_factor(grid: GridSpec) -> float:
@@ -320,8 +337,8 @@ def spectral_divergence(components: list[Field]) -> Field:
     mesh = wavenumber_mesh(grid)
     acc = np.zeros(grid.shape, dtype=np.complex128)
     for comp, k in zip(components, mesh):
-        acc += np.fft.fftn(comp.values) * (1j * k)
-    return Field(grid, np.ascontiguousarray(np.fft.ifftn(acc).real))
+        acc += _forward_array(comp.values) * (1j * k)
+    return Field(grid, _inverse_array(acc))
 
 
 @lru_cache(maxsize=32)

@@ -61,7 +61,7 @@ class Region:
 
     def validate_against(self, grid: GridSpec) -> None:
         """The region (plus a 3h margin) must fit inside the periodic box."""
-        limit = 0.5 * grid.box_length - 3.0 * grid.spacing
+        limit = grid.max_fit_radius
         r = {"ball": self.radius, "annulus": self.r_outer, "half_cone_slice": self.radius}.get(
             self.kind, 0.0
         )

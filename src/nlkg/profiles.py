@@ -16,7 +16,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import DomainError, StagnationError
-from .grid import Field, GridSpec, lp_bump, dyadic_range, radial_distance, wavenumber_magnitude
+from .grid import (Field, GridSpec, _forward_array, _inverse_array, _lp_multiplier,
+                   dyadic_range, lp_bump, radial_distance)
 from .norms import CriticalParams, lebesgue_norm, sobolev_norm
 
 __all__ = [
@@ -136,20 +137,16 @@ def inverse_gn_extract(family: FunctionFamily, params: CriticalParams,
     if band.size == 0:
         band = dyadic_range(g)
 
-    mag = wavenumber_magnitude(g)
     cell = g.cell_volume
     picks = []
-    spectra = [np.fft.fftn(f.values) for f in family.members]
-    band_fields = {}
-    for i, F in enumerate(spectra):
+    spectra = [_forward_array(f.values) for f in family.members]
+    for F in spectra:
         best_val, best_N = -1.0, band[0]
         for N in band:
-            mult = lp_bump(mag / N) - lp_bump(2.0 * mag / N)
-            proj = np.fft.ifftn(F * mult).real
+            proj = _inverse_array(F * _lp_multiplier(g, N, "band"))
             val = float(np.sum(np.abs(proj) ** p2)) * cell
             if val > best_val:
                 best_val, best_N = val, N
-                band_fields[i] = proj
         picks.append(best_N)
     # modal band over members, ties resolved toward the higher frequency
     uniq, counts = np.unique(picks, return_counts=True)
@@ -158,8 +155,7 @@ def inverse_gn_extract(family: FunctionFamily, params: CriticalParams,
     centers = np.zeros((family.n_count, g.d))
     recentered = []
     for i, F in enumerate(spectra):
-        mult = lp_bump(mag / N_sel) - lp_bump(2.0 * mag / N_sel)
-        proj = np.fft.ifftn(F * mult).real
+        proj = _inverse_array(F * _lp_multiplier(g, N_sel, "band"))
         idx = np.unravel_index(np.argmax(np.abs(proj)), g.shape)
         centers[i] = np.array(idx) * g.spacing
         recentered.append(_roll_to_center(family.members[i].values, idx, g))

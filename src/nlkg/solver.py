@@ -4,14 +4,15 @@ initial-data library."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
 
 from .errors import CorruptionError, DomainError
-from .grid import Field, GridSpec, State, bessel_symbol, radial_distance, wavenumber_magnitude
+from .grid import (Field, GridSpec, State, _forward_array, _inverse_array, axis_coordinates,
+                   bessel_symbol, radial_distance, wavenumber_magnitude)
 from .norms import energy
 
 __all__ = [
@@ -106,11 +107,9 @@ def _propagator_tables(grid: GridSpec, m: float, dt: float):
 
 def _linear_step_arrays(u, v, grid: GridSpec, m: float, dt: float):
     c, sinc, wsin = _propagator_tables(grid, m, dt)
-    U = np.fft.fftn(u)
-    V = np.fft.fftn(v)
-    u_new = np.fft.ifftn(c * U + sinc * V).real
-    v_new = np.fft.ifftn(-wsin * U + c * V).real
-    return np.ascontiguousarray(u_new), np.ascontiguousarray(v_new)
+    U = _forward_array(u)
+    V = _forward_array(v)
+    return _inverse_array(c * U + sinc * V), _inverse_array(-wsin * U + c * V)
 
 
 def linear_propagator(state: State, dt: float) -> State:
@@ -130,22 +129,27 @@ def linear_propagator(state: State, dt: float) -> State:
 
 
 def _nonlinear_source(u: np.ndarray, p: float, dealias_pad: str) -> np.ndarray:
-    """|u|^p u, optionally through a 2x zero-padded product for even integer p."""
-    even_int = p == int(p) and int(p) % 2 == 0 and p > 0
-    if dealias_pad == "pad2x" and even_int:
+    """|u|^p u, optionally through a 2x zero-padded product for even integer p.
+
+    The padded product is exact only when |u|^p u is a polynomial, so
+    "pad2x" with any other p is an error rather than an aliased fallback.
+    """
+    if dealias_pad == "pad2x":
+        if not (p == int(p) and int(p) % 2 == 0 and p > 0):
+            raise DomainError(f"dealias_pad='pad2x' needs an even integer p, got p={p}")
         n = u.shape[0]
         d = u.ndim
-        U = np.fft.fftn(u)
+        U = _forward_array(u)
         big = np.zeros((2 * n,) * d, dtype=np.complex128)
         sl = tuple(np.r_[0 : n // 2, 2 * n - n // 2 : 2 * n] for _ in range(d))
         big[np.ix_(*sl)] = U[np.ix_(*(np.r_[0 : n // 2, n - n // 2 : n] for _ in range(d)))]
-        u_big = np.fft.ifftn(big).real * (2**d)
+        u_big = _inverse_array(big) * (2**d)
         w_big = u_big ** (int(p) + 1)
-        W = np.fft.fftn(w_big)
+        W = _forward_array(w_big)
         small = W[np.ix_(*sl)] / (2**d)
         out = np.zeros(u.shape, dtype=np.complex128)
         out[np.ix_(*(np.r_[0 : n // 2, n - n // 2 : n] for _ in range(d)))] = small
-        return np.ascontiguousarray(np.fft.ifftn(out).real)
+        return _inverse_array(out)
     with np.errstate(over="raise"):
         try:
             return np.abs(u) ** p * u
@@ -163,13 +167,31 @@ def nonlinear_kick(state: State, dt: float, nl_coeff: float = 1.0,
     return State(state.u, Field(state.grid, v), state.time, state.mass_param, state.exponent)
 
 
+def _strang_arrays(u, v, grid: GridSpec, m: float, p: float, dt: float,
+                   nl: float, dealias_pad: str):
+    """Half kick, exact linear flow, half kick on raw (u, v) arrays.
+
+    No validation: :func:`evolve` inspects the result itself, so that a
+    non-finite field ends the run as 'corruption'.  Overflow in |u|^p u
+    raises CorruptionError.
+    """
+    if nl != 0.0:
+        v = v + (0.5 * dt * nl) * _nonlinear_source(u, p, dealias_pad)
+    u, v = _linear_step_arrays(u, v, grid, m, dt)
+    if nl != 0.0:
+        v = v + (0.5 * dt * nl) * _nonlinear_source(u, p, dealias_pad)
+    return u, v
+
+
 def strang_step(state: State, dt: float, nl_coeff: float = 1.0,
                 dealias_pad: str = "none") -> State:
     """Second-order split step: half kick, exact linear flow, half kick."""
-    s = nonlinear_kick(state, 0.5 * dt, nl_coeff, dealias_pad)
-    s = linear_propagator(s, dt)
-    s = nonlinear_kick(s, 0.5 * dt, nl_coeff, dealias_pad)
-    return s
+    if not np.isfinite(dt):
+        raise DomainError("dt must be finite")
+    u, v = _strang_arrays(state.u.values, state.v.values, state.grid, state.mass_param,
+                          state.exponent, dt, nl_coeff, dealias_pad)
+    return State(Field(state.grid, u), Field(state.grid, v), state.time + dt,
+                  state.mass_param, state.exponent)
 
 
 def _choose_dt(config: SolverConfig, amp: float, h: float, p: float, t_left: float) -> float:
@@ -235,13 +257,7 @@ def evolve(state: State, config: SolverConfig, monitors: dict | None = None) -> 
             termination = "dt_underflow"
             break
         try:
-            if nl != 0.0:
-                v_half = v + (0.5 * dt * nl) * _nonlinear_source(u, p, config.dealias_pad)
-            else:
-                v_half = v
-            u_new, v_new = _linear_step_arrays(u, v_half, grid, m, dt)
-            if nl != 0.0:
-                v_new = v_new + (0.5 * dt * nl) * _nonlinear_source(u_new, p, config.dealias_pad)
+            u_new, v_new = _strang_arrays(u, v, grid, m, p, dt, nl, config.dealias_pad)
         except CorruptionError:
             # overflow in |u|^p u means the amplitude left the floating range
             # entirely: a blowup candidate, with the last good state kept
@@ -367,8 +383,6 @@ def initial_data(grid: GridSpec, kind: str, m: float, p: float, **params) -> Sta
         amplitude = float(params.get("amplitude", 1.0))
         traveling = bool(params.get("traveling", True))
         k = 2.0 * np.pi / grid.box_length * k_int
-        from .grid import axis_coordinates
-
         phase = np.zeros(grid.shape)
         for ax, x in enumerate(axis_coordinates(grid)):
             phase = phase + k[ax] * x

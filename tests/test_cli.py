@@ -140,6 +140,13 @@ class TestDecompose:
         assert (out / "decomposition" / "profile0.snap").exists()
 
 
+class TestModule:
+    def test_star_import_names_exist(self):
+        namespace = {}
+        exec("from nlkg.cli import *", namespace)
+        assert callable(namespace["run"])
+
+
 class TestSweep:
     def test_regime_tagged_cases(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NLKG_WORKERS", "1")

@@ -78,6 +78,13 @@ class TestEvalTensor:
             + t * m**2 * A**2 / 2.0
         assert np.allclose(dens.values, expected, rtol=1e-12)
 
+    @pytest.mark.parametrize("tag", TENSOR_TAGS)
+    def test_density_only_path_equals_full_evaluation(self, grid2d, tag):
+        st = gaussian_state(grid2d, t=0.7, p=2.0)  # sub-conformal: alpha = 1/2
+        kind = tensor_kind(tag, st)
+        dens = tensor_density(st, kind, APEX2).values
+        assert dens.tobytes() == eval_tensor(st, kind, APEX2).density.values.tobytes()
+
     @pytest.mark.parametrize("tag", ["dilation", "mod_dilation", "conf_energy", "combined"])
     def test_time_weighted_reject_t_zero(self, grid2d, tag):
         st = zero_state(grid2d, t=0.0)

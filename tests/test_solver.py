@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nlkg.solver as solver_mod
 from nlkg.errors import DomainError
 from nlkg.grid import Field, GridSpec, State, radial_distance
 from nlkg.norms import energy, lebesgue_norm
@@ -98,6 +99,16 @@ class TestNonlinearKick:
         b = nonlinear_kick(st, 1.0, dealias_pad="pad2x")
         assert np.max(np.abs(a.v.values - b.v.values)) < 1e-11
 
+    @pytest.mark.parametrize("p", [1.8, 3.0])
+    def test_pad2x_rejects_non_even_integer_p(self, grid2d, rng, p):
+        f = random_field(grid2d, rng, band_limit_frac=0.2)
+        st = State(f, Field(grid2d, np.zeros(grid2d.shape)), 0.0, 0.0, p)
+        with pytest.raises(DomainError):
+            nonlinear_kick(st, 1.0, dealias_pad="pad2x")
+        cfg = SolverConfig(dt_init=1e-3, t_max=1e-2, dealias_pad="pad2x")
+        with pytest.raises(DomainError):
+            evolve(st, cfg)
+
 
 class TestStrangStep:
     def test_zero_stays_zero(self, grid2d):
@@ -177,6 +188,30 @@ class TestEvolve:
         a = evolve(st, cfg)
         b = evolve(st, cfg)
         assert np.array_equal(a.snapshots[-1].u.values, b.snapshots[-1].u.values)
+
+    @pytest.mark.parametrize("d,n,p,A", [(2, 64, 2.0, 1.5), (3, 16, 1.8, 2.0)])
+    def test_snapshots_equal_iterated_strang_step(self, monkeypatch, d, n, p, A):
+        # evolve and strang_step share one step: replaying evolve's own
+        # (adaptive) dt sequence through strang_step gives the same bits
+        grid = GridSpec(d, n, 8.0)
+        st = initial_data(grid, "gaussian", m=0.3, p=p, A=A, w=0.8)
+        dts = []
+        choose = solver_mod._choose_dt
+
+        def recording(*args):
+            dts.append(choose(*args))
+            return dts[-1]
+
+        monkeypatch.setattr(solver_mod, "_choose_dt", recording)
+        traj = evolve(st, SolverConfig(dt_init=5e-3, t_max=0.1, adapt_theta=0.5))
+        assert len(set(dts)) > 2  # the amplitude rule really varied dt
+        assert len(traj.snapshots) == len(dts) + 1
+        cur = st
+        for snap, dt in zip(traj.snapshots[1:], dts):
+            cur = strang_step(cur, dt)
+            assert snap.time == cur.time
+            assert snap.u.values.tobytes() == cur.u.values.tobytes()
+            assert snap.v.values.tobytes() == cur.v.values.tobytes()
 
     def test_dt_underflow_termination(self, grid1d):
         st = initial_data(grid1d, "constant", m=0.0, p=2.0, A=1.0)

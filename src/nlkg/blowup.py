@@ -12,7 +12,7 @@ import numpy as np
 from .cones import DiagnosticSeries
 from .errors import DomainError
 from .grid import Field, State, displacement, radial_distance, spectral_gradient
-from .norms import critical_exponent, energy, gradient_square, sobolev_norm
+from .norms import _energy_with, critical_exponent, gradient_square, sobolev_norm
 from .solver import Trajectory
 
 __all__ = [
@@ -112,8 +112,9 @@ def mass_diagnostics(traj: Trajectory) -> MassSeries:
         u, v = s.u.values, s.v.values
         p, m = s.exponent, s.mass_param
         cell = g.cell_volume
-        grad_sq = float(np.sum(gradient_square(s.u))) * cell
-        E = energy(s, nl)
+        grad_sq_field = gradient_square(s.u)
+        grad_sq = float(np.sum(grad_sq_field)) * cell
+        E = _energy_with(s, grad_sq_field, nl)
         times.append(s.time)
         M.append(float(np.sum(u**2)) * cell)
         Mp.append(2.0 * float(np.sum(u * v)) * cell)
@@ -244,7 +245,7 @@ def truncated_mass(traj: Trajectory, R: float, center=None) -> MassSeries:
         M.append(float(np.sum(phi * u**2)) * cell)
         # M' = int -x/(R+t)^2 . grad(phi)(y) u^2 + 2 phi u u_t
         Mp.append(float(np.sum(-(dist / rad**2) * dphi * u**2 + 2.0 * phi * u * v)) * cell)
-        E = energy(s, nl)
+        E = _energy_with(s, grad_sq, nl)
         bulk = (-2.0 * (p + 2.0) * E
                 + float(np.sum(4.0 * phi * v**2 + p * grad_tx_sq + p * m**2 * u**2)) * cell
                 + float(np.sum(2.0 * phi_c * (grad_tx_sq + m**2 * u**2 - nl * pot))) * cell)

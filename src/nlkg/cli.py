@@ -71,6 +71,7 @@ class ScenarioConfig:
             dealias_pad=s.get("dealias_pad", "none"),
             nonlinearity=float(s.get("nonlinearity", 1.0)),
         )
+        self.solver.check_exponent(self.p)
         self.data_kind = raw["data"]["kind"]
         self.data_params = dict(raw["data"].get("params", {}))
         self.audits = dict(raw.get("audits", {}))

@@ -2,10 +2,12 @@
 dyadic (Littlewood-Paley style) frequency projections.
 
 All fields live on a d-dimensional periodic box [0, L)^d sampled on n
-points per axis (n a power of two).  Real fields are represented in
-physical space as float64 arrays and in spectral space as the full
-complex FFT coefficient array, which is Hermitian-symmetric for real
-input.
+points per axis (n a power of two), as float64 arrays in physical space.
+Every kernel works on the real half-spectrum: the ``scipy.fft.rfftn``
+coefficients, which keep only the wavenumbers 0..n/2 of the last axis
+because the rest follow from Hermitian symmetry.  The public
+:class:`SpectralField` and its transforms keep the full complex
+coefficient array (fftfreq layout on every axis) for callers.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import fft as sfft
 
 from .errors import CorruptionError, DomainError
 
@@ -172,50 +175,85 @@ class State:
 
 
 @lru_cache(maxsize=32)
-def _axis_wavenumbers(grid: GridSpec) -> np.ndarray:
-    return 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
-
-
-@lru_cache(maxsize=32)
-def wavenumber_mesh(grid: GridSpec) -> tuple:
-    """Per-axis wavenumber arrays broadcastable to the grid shape."""
-    k = _axis_wavenumbers(grid)
+def _wavenumber_mesh(grid: GridSpec, half: bool) -> tuple:
+    """Per-axis wavenumbers broadcastable to the coefficient shape: the full
+    fftfreq layout, or the half-spectrum layout (rfftfreq on the last axis)."""
+    k = 2.0 * np.pi * sfft.fftfreq(grid.n, d=grid.spacing)
+    axes = [k] * grid.d
+    if half:
+        axes[-1] = 2.0 * np.pi * sfft.rfftfreq(grid.n, d=grid.spacing)
     return tuple(
-        k.reshape((1,) * ax + (grid.n,) + (1,) * (grid.d - ax - 1)) for ax in range(grid.d)
+        kk.reshape((1,) * ax + (kk.size,) + (1,) * (grid.d - ax - 1))
+        for ax, kk in enumerate(axes)
     )
 
 
 @lru_cache(maxsize=32)
+def _magnitude(grid: GridSpec, half: bool) -> np.ndarray:
+    """|xi| on the full or the half-spectrum coefficient grid."""
+    return np.sqrt(sum(k**2 for k in _wavenumber_mesh(grid, half)))
+
+
 def wavenumber_magnitude(grid: GridSpec) -> np.ndarray:
     """|xi| on the full coefficient grid."""
-    mesh = wavenumber_mesh(grid)
-    mag_sq = np.zeros(grid.shape)
-    for k in mesh:
-        mag_sq = mag_sq + k**2
-    return np.sqrt(mag_sq)
+    return _magnitude(grid, False)
+
+
+@lru_cache(maxsize=32)
+def _derivative_symbols(grid: GridSpec) -> tuple:
+    """i xi_ax per axis on the half-spectrum, 0 at that axis's Nyquist
+    wavenumber: there i xi is not Hermitian, and the derivative of a real
+    field keeps no Nyquist part (the real part of the full inverse drops it)."""
+    out = []
+    for k in _wavenumber_mesh(grid, True):
+        k = k.copy()
+        k.flat[grid.n // 2] = 0.0
+        out.append(1j * k)
+    return tuple(out)
+
+
+@lru_cache(maxsize=32)
+def _half_multiplicity(grid: GridSpec) -> np.ndarray:
+    """Full-spectrum modes each half-spectrum coefficient stands for, along
+    the last axis: 1 on its zero and Nyquist planes, 2 in between."""
+    w = np.full(grid.n // 2 + 1, 2.0)
+    w[0] = w[-1] = 1.0
+    return w
 
 
 def _forward_array(values: np.ndarray) -> np.ndarray:
-    """Unnormalized forward DFT of a real array, without validation.  With
-    :func:`_inverse_array`, the one transform pair every kernel goes through."""
-    return np.fft.fftn(values)
+    """Unnormalized real-input DFT (the half-spectrum), without validation.
+    With :func:`_inverse_array`, the one transform pair every kernel uses."""
+    return sfft.rfftn(values)
 
 
-def _inverse_array(coefficients: np.ndarray) -> np.ndarray:
-    """Inverse DFT to a C-contiguous real array, without validation; the
-    imaginary residue of a Hermitian input is discarded."""
-    return np.ascontiguousarray(np.fft.ifftn(coefficients).real)
+def _inverse_array(coefficients: np.ndarray, shape: tuple) -> np.ndarray:
+    """The real array of `shape` with half-spectrum `coefficients`, without
+    validation.  Only the Hermitian part of the last axis's zero and Nyquist
+    planes is read."""
+    return sfft.irfftn(coefficients, s=shape)
+
+
+def _filter(values: np.ndarray, grid: GridSpec, weights: np.ndarray) -> np.ndarray:
+    """Apply half-spectrum multiplier weights to a real array."""
+    return _inverse_array(_forward_array(values) * weights, grid.shape)
 
 
 def forward_transform(f: Field) -> SpectralField:
-    """Discrete Fourier transform of a real field (unnormalized forward)."""
+    """Discrete Fourier transform of a real field (unnormalized forward),
+    as the full coefficient array."""
     _check_finite(f.values, "forward_transform input")
-    return SpectralField(f.grid, _forward_array(f.values))
+    half = _forward_array(f.values)
+    n = f.grid.n
+    # the other half of the last axis by Hermitian symmetry, F(-xi) = conj F(xi)
+    mirror = [-np.arange(n) % n] * (f.grid.d - 1) + [n - np.arange(n // 2 + 1, n)]
+    rest = np.conj(half[np.ix_(*mirror)])
+    return SpectralField(f.grid, np.concatenate([half, rest], axis=-1))
 
 
 def inverse_transform(F: SpectralField) -> Field:
-    """Inverse DFT; the imaginary residue of a Hermitian input is discarded."""
-    return Field(F.grid, _inverse_array(F.coefficients))
+    """Inverse DFT of Hermitian coefficients; only their half-spectrum is read."""
+    return Field(F.grid, _inverse_array(F.coefficients[..., : F.grid.n // 2 + 1], F.grid.shape))
 
 
 def spectral_norm_factor(grid: GridSpec) -> float:
@@ -228,17 +266,12 @@ def bessel_symbol(xi_mag, m: float):
     return np.hypot(np.asarray(xi_mag, dtype=np.float64), m)
 
 
-def apply_multiplier(F: SpectralField, symbol, zero_mode: float | None = None) -> SpectralField:
-    """Multiply coefficients by a radial real symbol evaluated at |xi|.
-
-    `symbol` maps an array of |xi| to real weights.  If it is not finite at
-    xi = 0 the caller must pass `zero_mode` with the value to use there; a
-    non-finite value at any nonzero grid mode is an error.
-    """
-    mag = wavenumber_magnitude(F.grid)
+def _symbol_weights(mag: np.ndarray, symbol, zero_mode: float | None) -> np.ndarray:
+    """Real weights symbol(|xi|), with `zero_mode` standing in at xi = 0
+    when the symbol is not finite there."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         weights = np.asarray(symbol(mag), dtype=np.float64)
-    zero_idx = (0,) * F.grid.d
+    zero_idx = (0,) * mag.ndim
     if not np.isfinite(weights[zero_idx]):
         if zero_mode is None:
             raise DomainError("symbol is singular at xi=0 and no zero_mode value was supplied")
@@ -246,6 +279,17 @@ def apply_multiplier(F: SpectralField, symbol, zero_mode: float | None = None) -
         weights[zero_idx] = zero_mode
     if not np.all(np.isfinite(weights)):
         raise DomainError("symbol is not finite at a nonzero grid wavenumber")
+    return weights
+
+
+def apply_multiplier(F: SpectralField, symbol, zero_mode: float | None = None) -> SpectralField:
+    """Multiply coefficients by a radial real symbol evaluated at |xi|.
+
+    `symbol` maps an array of |xi| to real weights.  If it is not finite at
+    xi = 0 the caller must pass `zero_mode` with the value to use there; a
+    non-finite value at any nonzero grid mode is an error.
+    """
+    weights = _symbol_weights(wavenumber_magnitude(F.grid), symbol, zero_mode)
     return SpectralField(F.grid, F.coefficients * weights)
 
 
@@ -262,7 +306,8 @@ def lp_bump(r):
 
 
 def _lp_multiplier(grid: GridSpec, n_dyadic: float, mode: str) -> np.ndarray:
-    mag = wavenumber_magnitude(grid)
+    """Half-spectrum weights of the dyadic projection `mode` at N = n_dyadic."""
+    mag = _magnitude(grid, half=True)
     if n_dyadic <= 0:
         raise DomainError("dyadic frequency must be positive")
     if mode == "leq":
@@ -281,9 +326,7 @@ def lp_project(f: Field, n_dyadic: float, mode: str = "band") -> Field:
     telescope: summing bands above N up to the grid's top dyadic
     reproduces P_{>N} on the finite grid.
     """
-    F = forward_transform(f)
-    weights = _lp_multiplier(f.grid, n_dyadic, mode)
-    return inverse_transform(SpectralField(f.grid, F.coefficients * weights))
+    return Field(f.grid, _filter(f.values, f.grid, _lp_multiplier(f.grid, n_dyadic, mode)))
 
 
 def dyadic_range(grid: GridSpec, lo: float | None = None, hi: float | None = None) -> np.ndarray:
@@ -297,12 +340,17 @@ def dyadic_range(grid: GridSpec, lo: float | None = None, hi: float | None = Non
     return 2.0 ** np.arange(j_lo, j_hi + 1, dtype=np.float64)
 
 
+def _radial_filter(f: Field, symbol) -> Field:
+    """f through the radial symbol, whose zero mode is annihilated if singular."""
+    weights = _symbol_weights(_magnitude(f.grid, half=True), symbol, zero_mode=0.0)
+    return Field(f.grid, _filter(f.values, f.grid, weights))
+
+
 def fractional_derivative(f: Field, s: float) -> Field:
     """|nabla|^s via the multiplier |xi|^s; the zero mode is annihilated for s <= 0."""
     if s == 0.0:
         return f
-    F = forward_transform(f)
-    return inverse_transform(apply_multiplier(F, lambda mag: mag**s, zero_mode=0.0))
+    return _radial_filter(f, lambda mag: mag**s)
 
 
 def bessel_derivative(f: Field, s: float, m: float = 1.0) -> Field:
@@ -313,20 +361,14 @@ def bessel_derivative(f: Field, s: float, m: float = 1.0) -> Field:
     """
     if s == 0.0:
         return f
-    F = forward_transform(f)
-    return inverse_transform(
-        apply_multiplier(F, lambda mag: bessel_symbol(mag, m) ** s, zero_mode=0.0)
-    )
+    return _radial_filter(f, lambda mag: bessel_symbol(mag, m) ** s)
 
 
 def spectral_gradient(f: Field) -> list[Field]:
     """All first partial derivatives of f, computed spectrally."""
-    F = forward_transform(f)
-    mesh = wavenumber_mesh(f.grid)
-    out = []
-    for k in mesh:
-        out.append(inverse_transform(SpectralField(f.grid, F.coefficients * (1j * k))))
-    return out
+    F = _forward_array(f.values)
+    return [Field(f.grid, _inverse_array(F * ik, f.grid.shape))
+            for ik in _derivative_symbols(f.grid)]
 
 
 def spectral_divergence(components: list[Field]) -> Field:
@@ -334,11 +376,45 @@ def spectral_divergence(components: list[Field]) -> Field:
     grid = components[0].grid
     if len(components) != grid.d:
         raise DomainError(f"expected {grid.d} components, got {len(components)}")
-    mesh = wavenumber_mesh(grid)
-    acc = np.zeros(grid.shape, dtype=np.complex128)
-    for comp, k in zip(components, mesh):
-        acc += _forward_array(comp.values) * (1j * k)
-    return Field(grid, _inverse_array(acc))
+    acc = sum(_forward_array(comp.values) * ik
+              for comp, ik in zip(components, _derivative_symbols(grid)))
+    return Field(grid, _inverse_array(acc, grid.shape))
+
+
+def _pad2x_power(u: np.ndarray, q: int) -> np.ndarray:
+    """u**q evaluated on the grid refined 2x by zero padding, then truncated
+    back to the modes of u.
+
+    This is the full-layout recipe (pad the n^d coefficients into a (2n)^d
+    array, keep the real part of each inverse) on the half-spectrum.  That
+    real part splits the Nyquist coefficient between -n/2 and +n/2: a mode
+    whose Nyquist components all sit at -n/2, or all at +n/2, carries half
+    of it, and a mixed one none.  `neg` and `pos` index those two copies.
+    """
+    n, d = u.shape[0], u.ndim
+    h = n // 2
+    neg = np.r_[0:h, 2 * n - h : 2 * n]  # small index -> big index, Nyquist at -n/2
+    pos = neg.copy()
+    pos[h] = h  # Nyquist at +n/2
+    last = np.arange(h + 1)
+    at_neg = np.ix_(*[neg] * (d - 1), last)
+    at_pos = np.ix_(*[pos] * (d - 1), last)
+    # the half layout has no -n/2 slot on the last axis: weight 0 on the
+    # -n/2 copy there; irfftn takes the Hermitian part of that plane, so
+    # doubling the +n/2 copy on the way back stands for the pair
+    no_last_nyquist = np.ones(h + 1)
+    no_last_nyquist[h] = 0.0
+    twice_last_nyquist = np.ones(h + 1)
+    twice_last_nyquist[h] = 2.0
+
+    U = _forward_array(u)
+    big = np.zeros((2 * n,) * (d - 1) + (n + 1,), dtype=np.complex128)
+    big[at_neg] += 0.5 * no_last_nyquist * U
+    big[at_pos] += 0.5 * U
+    u_big = _inverse_array(big, (2 * n,) * d) * (2**d)
+    W = _forward_array(u_big**q)
+    small = (W[at_neg] * no_last_nyquist + W[at_pos] * twice_last_nyquist) / 2 ** (d + 1)
+    return _inverse_array(small, u.shape)
 
 
 @lru_cache(maxsize=32)

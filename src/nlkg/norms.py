@@ -12,12 +12,14 @@ from .grid import (
     Field,
     GridSpec,
     State,
+    _forward_array,
+    _half_multiplicity,
+    _magnitude,
+    _symbol_weights,
     bessel_symbol,
-    forward_transform,
     radial_distance,
     spectral_gradient,
     spectral_norm_factor,
-    wavenumber_magnitude,
 )
 
 __all__ = [
@@ -147,16 +149,11 @@ def sobolev_norm(f: Field, s: float, homogeneous: bool = True, m: float = 1.0) -
     Homogeneous uses |xi|^s (the zero mode is dropped for s <= 0);
     inhomogeneous uses (m^2 + |xi|^2)^{s/2} with m = 1 by default.
     """
-    F = forward_transform(f)
-    mag = wavenumber_magnitude(f.grid)
-    with np.errstate(divide="ignore"):
-        weights = mag**s if homogeneous else bessel_symbol(mag, m) ** s
-    zero_idx = (0,) * f.grid.d
-    if not np.isfinite(weights[zero_idx]):
-        weights = weights.copy()
-        weights[zero_idx] = 0.0
-    power = np.sum((weights * np.abs(F.coefficients)) ** 2) * spectral_norm_factor(f.grid)
-    return float(np.sqrt(power))
+    g = f.grid
+    symbol = (lambda mag: mag**s) if homogeneous else (lambda mag: bessel_symbol(mag, m) ** s)
+    weights = _symbol_weights(_magnitude(g, half=True), symbol, zero_mode=0.0)
+    modes = _half_multiplicity(g) * (weights * np.abs(_forward_array(f.values))) ** 2
+    return float(np.sqrt(np.sum(modes) * spectral_norm_factor(g)))
 
 
 def gradient_square(u: Field) -> np.ndarray:
@@ -174,9 +171,14 @@ def energy(state: State, nl_coeff: float = 1.0) -> float:
     energy, which is what trajectories with the nonlinearity disabled
     conserve.
     """
+    return _energy_with(state, gradient_square(state.u), nl_coeff)
+
+
+def _energy_with(state: State, grad_sq: np.ndarray, nl_coeff: float) -> float:
+    """:func:`energy` with |grad u|^2 supplied by a caller that has it already."""
     u, v = state.u.values, state.v.values
     p, m = state.exponent, state.mass_param
-    dens = 0.5 * v**2 + 0.5 * gradient_square(state.u) + 0.5 * m**2 * u**2
+    dens = 0.5 * v**2 + 0.5 * grad_sq + 0.5 * m**2 * u**2
     if nl_coeff != 0.0:
         dens = dens - (nl_coeff / (p + 2.0)) * np.abs(u) ** (p + 2.0)
     return float(np.sum(dens)) * state.grid.cell_volume

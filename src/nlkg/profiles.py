@@ -143,7 +143,7 @@ def inverse_gn_extract(family: FunctionFamily, params: CriticalParams,
     for F in spectra:
         best_val, best_N = -1.0, band[0]
         for N in band:
-            proj = _inverse_array(F * _lp_multiplier(g, N, "band"))
+            proj = _inverse_array(F * _lp_multiplier(g, N, "band"), g.shape)
             val = float(np.sum(np.abs(proj) ** p2)) * cell
             if val > best_val:
                 best_val, best_N = val, N
@@ -155,7 +155,7 @@ def inverse_gn_extract(family: FunctionFamily, params: CriticalParams,
     centers = np.zeros((family.n_count, g.d))
     recentered = []
     for i, F in enumerate(spectra):
-        proj = _inverse_array(F * _lp_multiplier(g, N_sel, "band"))
+        proj = _inverse_array(F * _lp_multiplier(g, N_sel, "band"), g.shape)
         idx = np.unravel_index(np.argmax(np.abs(proj)), g.shape)
         centers[i] = np.array(idx) * g.spacing
         recentered.append(_roll_to_center(family.members[i].values, idx, g))

@@ -11,9 +11,9 @@ import numpy as np
 from scipy import integrate
 
 from .errors import CorruptionError, DomainError
-from .grid import (Field, GridSpec, State, _forward_array, _inverse_array, axis_coordinates,
-                   bessel_symbol, radial_distance, wavenumber_magnitude)
-from .norms import energy
+from .grid import (Field, GridSpec, State, _forward_array, _inverse_array, _magnitude,
+                   _pad2x_power, axis_coordinates, bessel_symbol, radial_distance)
+from .norms import energy, gradient_square
 
 __all__ = [
     "SolverConfig",
@@ -62,6 +62,10 @@ class SolverConfig:
         if self.snapshot_stride < 1:
             raise DomainError("snapshot_stride must be >= 1")
 
+    def check_exponent(self, p: float) -> None:
+        """Raise DomainError if this config cannot step exponent p."""
+        _check_dealias(self.dealias_pad, p)
+
 
 @dataclass
 class Trajectory:
@@ -95,21 +99,33 @@ class Trajectory:
 
 
 @lru_cache(maxsize=8)
+def _omega(grid: GridSpec, m: float):
+    """The distinct values of w = sqrt(m^2 + |xi|^2) on the half-spectrum,
+    and where each coefficient's value sits among them.  |xi|^2 takes few
+    distinct values on a grid (641 of 17,408 half-spectrum points at 32^3)."""
+    w = bessel_symbol(_magnitude(grid, half=True), m)
+    values, at = np.unique(w, return_inverse=True)
+    return values, at.reshape(w.shape)
+
+
+@lru_cache(maxsize=8)
 def _propagator_tables(grid: GridSpec, m: float, dt: float):
-    """cos(dt w), sin(dt w)/w with the w->0 limit dt, and w sin(dt w)."""
-    w = bessel_symbol(wavenumber_magnitude(grid), m)
+    """cos(dt w), sin(dt w)/w with the w->0 limit dt, and w sin(dt w), on
+    the half-spectrum.  Cached for fixed-dt runs; an adaptive step, whose dt
+    changes every time, evaluates cos and sin on the distinct w alone."""
+    w, at = _omega(grid, m)
     c = np.cos(dt * w)
     s = np.sin(dt * w)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sinc = np.where(w == 0.0, dt, s / np.where(w == 0.0, 1.0, w))
-    return c, sinc, w * s
+    sinc = np.divide(s, w, out=np.full(w.shape, dt), where=w != 0.0)
+    return c[at], sinc[at], (w * s)[at]
 
 
 def _linear_step_arrays(u, v, grid: GridSpec, m: float, dt: float):
     c, sinc, wsin = _propagator_tables(grid, m, dt)
     U = _forward_array(u)
     V = _forward_array(v)
-    return _inverse_array(c * U + sinc * V), _inverse_array(-wsin * U + c * V)
+    return (_inverse_array(c * U + sinc * V, grid.shape),
+            _inverse_array(c * V - wsin * U, grid.shape))
 
 
 def linear_propagator(state: State, dt: float) -> State:
@@ -128,31 +144,35 @@ def linear_propagator(state: State, dt: float) -> State:
                  state.mass_param, state.exponent)
 
 
+def _even_integer(p: float) -> bool:
+    """p = 2, 4, ...: then |u|^p u is the polynomial u^{p+1}."""
+    return p > 0 and p == int(p) and int(p) % 2 == 0
+
+
+def _check_dealias(dealias_pad: str, p: float) -> None:
+    """The padded product is exact only when |u|^p u is a polynomial, so
+    "pad2x" with any other p is an error rather than an aliased fallback."""
+    if dealias_pad == "pad2x" and not _even_integer(p):
+        raise DomainError(f"dealias_pad='pad2x' needs an even integer p, got p={p}")
+
+
 def _nonlinear_source(u: np.ndarray, p: float, dealias_pad: str) -> np.ndarray:
     """|u|^p u, optionally through a 2x zero-padded product for even integer p.
 
-    The padded product is exact only when |u|^p u is a polynomial, so
-    "pad2x" with any other p is an error rather than an aliased fallback.
+    For even integer p the source is a product of copies of u; overflow
+    raises CorruptionError.
     """
+    _check_dealias(dealias_pad, p)
     if dealias_pad == "pad2x":
-        if not (p == int(p) and int(p) % 2 == 0 and p > 0):
-            raise DomainError(f"dealias_pad='pad2x' needs an even integer p, got p={p}")
-        n = u.shape[0]
-        d = u.ndim
-        U = _forward_array(u)
-        big = np.zeros((2 * n,) * d, dtype=np.complex128)
-        sl = tuple(np.r_[0 : n // 2, 2 * n - n // 2 : 2 * n] for _ in range(d))
-        big[np.ix_(*sl)] = U[np.ix_(*(np.r_[0 : n // 2, n - n // 2 : n] for _ in range(d)))]
-        u_big = _inverse_array(big) * (2**d)
-        w_big = u_big ** (int(p) + 1)
-        W = _forward_array(w_big)
-        small = W[np.ix_(*sl)] / (2**d)
-        out = np.zeros(u.shape, dtype=np.complex128)
-        out[np.ix_(*(np.r_[0 : n // 2, n - n // 2 : n] for _ in range(d)))] = small
-        return _inverse_array(out)
+        return _pad2x_power(u, int(p) + 1)
     with np.errstate(over="raise"):
         try:
-            return np.abs(u) ** p * u
+            if not _even_integer(p):
+                return np.abs(u) ** p * u
+            u2, src = u * u, u
+            for _ in range(int(p) // 2):
+                src = src * u2
+            return src
         except FloatingPointError as exc:
             raise CorruptionError("overflow while evaluating |u|^p u") from exc
 
@@ -168,19 +188,27 @@ def nonlinear_kick(state: State, dt: float, nl_coeff: float = 1.0,
 
 
 def _strang_arrays(u, v, grid: GridSpec, m: float, p: float, dt: float,
-                   nl: float, dealias_pad: str):
+                   nl: float, dealias_pad: str, src=None):
     """Half kick, exact linear flow, half kick on raw (u, v) arrays.
+
+    Returns (u, v, src) with src = |u|^p u at the new u (None when nl = 0).
+    It is also the next step's leading kick, so passing it back as `src`
+    saves evaluating it again (first same as last); the two half kicks
+    stay separate additions.
 
     No validation: :func:`evolve` inspects the result itself, so that a
     non-finite field ends the run as 'corruption'.  Overflow in |u|^p u
     raises CorruptionError.
     """
     if nl != 0.0:
-        v = v + (0.5 * dt * nl) * _nonlinear_source(u, p, dealias_pad)
+        if src is None:
+            src = _nonlinear_source(u, p, dealias_pad)
+        v = v + (0.5 * dt * nl) * src
     u, v = _linear_step_arrays(u, v, grid, m, dt)
     if nl != 0.0:
-        v = v + (0.5 * dt * nl) * _nonlinear_source(u, p, dealias_pad)
-    return u, v
+        src = _nonlinear_source(u, p, dealias_pad)
+        v = v + (0.5 * dt * nl) * src
+    return u, v, src
 
 
 def strang_step(state: State, dt: float, nl_coeff: float = 1.0,
@@ -188,8 +216,8 @@ def strang_step(state: State, dt: float, nl_coeff: float = 1.0,
     """Second-order split step: half kick, exact linear flow, half kick."""
     if not np.isfinite(dt):
         raise DomainError("dt must be finite")
-    u, v = _strang_arrays(state.u.values, state.v.values, state.grid, state.mass_param,
-                          state.exponent, dt, nl_coeff, dealias_pad)
+    u, v, _ = _strang_arrays(state.u.values, state.v.values, state.grid, state.mass_param,
+                             state.exponent, dt, nl_coeff, dealias_pad)
     return State(Field(state.grid, u), Field(state.grid, v), state.time + dt,
                   state.mass_param, state.exponent)
 
@@ -243,6 +271,7 @@ def evolve(state: State, config: SolverConfig, monitors: dict | None = None) -> 
     record(current_state())
     termination = "reached_t_max"
     steps = 0
+    src = None
     while True:
         amp = float(np.max(np.abs(u)))
         if amp > config.blowup_threshold:
@@ -257,7 +286,8 @@ def evolve(state: State, config: SolverConfig, monitors: dict | None = None) -> 
             termination = "dt_underflow"
             break
         try:
-            u_new, v_new = _strang_arrays(u, v, grid, m, p, dt, nl, config.dealias_pad)
+            u_new, v_new, src_new = _strang_arrays(u, v, grid, m, p, dt, nl,
+                                                   config.dealias_pad, src)
         except CorruptionError:
             # overflow in |u|^p u means the amplitude left the floating range
             # entirely: a blowup candidate, with the last good state kept
@@ -266,7 +296,7 @@ def evolve(state: State, config: SolverConfig, monitors: dict | None = None) -> 
         if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
             termination = "corruption"
             break
-        u, v = u_new, v_new
+        u, v, src = u_new, v_new, src_new
         t += dt
         steps += 1
         if steps % config.snapshot_stride == 0:
@@ -412,9 +442,13 @@ def initial_data(grid: GridSpec, kind: str, m: float, p: float, **params) -> Sta
         margin = float(params.get("margin", 0.5))
         cap = float(params.get("amplitude_cap", 1e6))
         base = initial_data(grid, "gaussian", m, p, A=1.0, w=w, center=center)
+        # with u_t = 0 the energy of amp * u0 is quadratic * amp^2 - potential * amp^(p+2)
+        u0 = base.u.values
+        quadratic = 0.5 * float(np.sum(gradient_square(base.u)) + m**2 * np.sum(u0**2))
+        potential = float(np.sum(np.abs(u0) ** (p + 2.0))) / (p + 2.0)
 
         def e_of(amp: float) -> float:
-            return energy(State(amp * base.u, base.v, 0.0, m, p))
+            return (quadratic * amp**2 - potential * amp ** (p + 2.0)) * grid.cell_volume
 
         lo, hi = 0.0, max(A, 1e-6)
         while e_of(hi) >= 0.0:

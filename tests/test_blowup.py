@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import nlkg.blowup as blowup_mod
+import nlkg.grid as grid_mod
+import nlkg.norms as norms_mod
 from nlkg.blowup import (
     blowup_surface_estimate,
     concavity_check,
@@ -181,6 +184,40 @@ class TestTruncatedMass:
                           scalar_series={"sup_norm": (np.array([0, 0.1]), np.zeros(2))})
         with pytest.raises(DomainError):
             truncated_mass(traj, R=3.0)
+
+
+class TestOneGradientPerSnapshot:
+    # |grad u|^2 is computed once per snapshot and shared with the energy
+    @pytest.fixture(scope="class")
+    def traj(self):
+        g = GridSpec(2, 32, 8.0)
+        st = initial_data(g, "gaussian", m=0.5, p=2.0, A=0.9, w=0.6)
+        cfg = SolverConfig(dt_init=5e-3, t_max=0.1, adapt_theta=None, snapshot_stride=4)
+        return evolve(st, cfg)
+
+    DIAGNOSTICS = {"mass": mass_diagnostics, "truncated": lambda tr: truncated_mass(tr, R=0.5)}
+
+    @pytest.mark.parametrize("name", DIAGNOSTICS)
+    def test_one_spectral_gradient_per_snapshot(self, traj, monkeypatch, name):
+        calls = []
+
+        def counting(f):
+            calls.append(f)
+            return grid_mod.spectral_gradient(f)
+
+        for mod in (norms_mod, blowup_mod):
+            monkeypatch.setattr(mod, "spectral_gradient", counting)
+        self.DIAGNOSTICS[name](traj)
+        assert len(calls) == len(traj.snapshots)
+
+    @pytest.mark.parametrize("name", DIAGNOSTICS)
+    def test_matches_separate_energy(self, traj, monkeypatch, name):
+        shared = self.DIAGNOSTICS[name](traj)
+        monkeypatch.setattr(blowup_mod, "_energy_with", lambda s, grad_sq, nl: energy(s, nl))
+        separate = self.DIAGNOSTICS[name](traj)
+        for a, b in ((shared.M, separate.M), (shared.M_prime, separate.M_prime),
+                     (shared.M_dprime, separate.M_dprime)):
+            assert np.allclose(a, b, rtol=1e-12, atol=0.0)
 
 
 class TestCriticalNormSeries:

@@ -39,6 +39,14 @@ class TestValidation:
         assert code == 2
         assert "physics.p" in capsys.readouterr().err
 
+    def test_pad2x_needs_even_p_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = base_config(out, physics={"p": 1.8}, solver={"dealias_pad": "pad2x"})
+        code = main(["simulate", str(write_cfg(tmp_path, cfg))])
+        assert code == 2
+        assert "pad2x" in capsys.readouterr().err
+        assert not (out / "MANIFEST.json").exists()
+
     def test_cone_box_rule(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "out", audits={"cones": {"top_time": 1.5}})
         code = main(["cones", str(write_cfg(tmp_path, cfg))])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import nlkg.solver as solver_mod
-from nlkg.errors import DomainError
+from nlkg.errors import CorruptionError, DomainError
 from nlkg.grid import Field, GridSpec, State, radial_distance
 from nlkg.norms import energy, lebesgue_norm
 from nlkg.solver import (
@@ -98,6 +98,20 @@ class TestNonlinearKick:
         a = nonlinear_kick(st, 1.0, dealias_pad="none")
         b = nonlinear_kick(st, 1.0, dealias_pad="pad2x")
         assert np.max(np.abs(a.v.values - b.v.values)) < 1e-11
+
+    @pytest.mark.parametrize("p", [2.0, 4.0, 6.0])
+    def test_even_p_source_by_products(self, grid2d, rng, p):
+        st = State(random_field(grid2d, rng), Field(grid2d, np.zeros(grid2d.shape)), 0.0, 0.0, p)
+        u = st.u.values
+        kicked = nonlinear_kick(st, 1.0)
+        assert np.allclose(kicked.v.values, np.abs(u) ** p * u, rtol=1e-14, atol=1e-300)
+
+    @pytest.mark.parametrize("p", [1.8, 2.0, 4.0])
+    def test_source_overflow_is_corruption(self, grid2d, p):
+        st = State(Field(grid2d, np.full(grid2d.shape, 1e160)),
+                   Field(grid2d, np.zeros(grid2d.shape)), 0.0, 0.0, p)
+        with pytest.raises(CorruptionError):
+            nonlinear_kick(st, 1.0)
 
     @pytest.mark.parametrize("p", [1.8, 3.0])
     def test_pad2x_rejects_non_even_integer_p(self, grid2d, rng, p):
@@ -266,6 +280,27 @@ class TestInitialData:
     def test_negative_energy_is_negative(self, grid2d):
         st = initial_data(grid2d, "negative_energy", m=0.0, p=2.0, A=1.0, w=0.6)
         assert energy(st) < 0.0
+
+    def test_negative_energy_bisection_matches_energy(self, grid2d, monkeypatch):
+        # the bisection scales three integrals of the unit profile; replaying
+        # it on the energy functional itself lands on the same amplitude
+        m, p, margin = 0.5, 2.0, 0.5
+        calls = []
+        real_energy = solver_mod.energy
+        monkeypatch.setattr(solver_mod, "energy", lambda *a: calls.append(a) or real_energy(*a))
+        st = initial_data(grid2d, "negative_energy", m=m, p=p, A=1.0, w=0.6, margin=margin)
+        assert len(calls) == 1  # the final self-check only
+        base = initial_data(grid2d, "gaussian", m=m, p=p, A=1.0, w=0.6)
+        lo, hi = 0.0, 1.0
+        while real_energy(State(hi * base.u, base.v, 0.0, m, p)) >= 0.0:
+            hi *= 2.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if real_energy(State(mid * base.u, base.v, 0.0, m, p)) < 0.0:
+                hi = mid
+            else:
+                lo = mid
+        assert np.allclose(st.u.values, hi * (1.0 + margin) * base.u.values, rtol=1e-12, atol=0.0)
 
     def test_negative_energy_unreachable_cap(self, grid2d):
         with pytest.raises(DomainError):

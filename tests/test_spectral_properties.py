@@ -1,0 +1,132 @@
+"""Property tests of the half-spectrum kernels on random fields, d = 1, 2, 3.
+
+Each kernel is held against a full-spectrum ``numpy.fft`` reference (the
+complex-coefficient recipe, real part taken after each inverse), and the
+linear flow and the dyadic projections against their algebraic identities.
+The fields are white noise, so every Nyquist plane carries weight.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from nlkg.grid import (Field, GridSpec, State, _pad2x_power, lp_bump, lp_project,
+                       spectral_divergence, spectral_gradient, wavenumber_magnitude)
+from nlkg.solver import linear_propagator
+
+RTOL = 1e-12
+
+grids = st.builds(GridSpec, d=st.sampled_from([1, 2, 3]), n=st.sampled_from([8, 16]),
+                  box_length=st.floats(2.0, 20.0))
+seeds = st.integers(0, 2**32 - 1)
+masses = st.floats(0.0, 1.0)
+steps = st.floats(-1.0, 1.0)
+examples = settings(max_examples=30, deadline=None)
+
+
+def noise(grid: GridSpec, seed: int, count: int = 1) -> list:
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal(grid.shape) for _ in range(count)]
+
+
+def full_mesh(grid: GridSpec) -> list:
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
+    return [k.reshape((1,) * ax + (grid.n,) + (1,) * (grid.d - ax - 1)) for ax in range(grid.d)]
+
+
+def full_filter(values: np.ndarray, weights) -> np.ndarray:
+    return np.fft.ifftn(np.fft.fftn(values) * weights).real
+
+
+def rel_err(got: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+def full_pad2x_power(u: np.ndarray, q: int) -> np.ndarray:
+    """u**q through a zero-padded (2n)^d grid on full complex coefficients."""
+    n, d = u.shape[0], u.ndim
+    low = np.ix_(*[np.r_[0 : n // 2, 2 * n - n // 2 : 2 * n]] * d)  # wavenumbers -n/2..n/2-1
+    big = np.zeros((2 * n,) * d, dtype=np.complex128)
+    big[low] = np.fft.fftn(u)
+    W = np.fft.fftn((np.fft.ifftn(big).real * 2**d) ** q)
+    return np.fft.ifftn(W[low] / 2**d).real
+
+
+@examples
+@given(grids, seeds)
+def test_gradient_matches_full_spectrum(grid, seed):
+    (u,) = noise(grid, seed)
+    for got, k in zip(spectral_gradient(Field(grid, u)), full_mesh(grid)):
+        assert rel_err(got.values, full_filter(u, 1j * k)) < RTOL
+
+
+@examples
+@given(grids, seeds)
+def test_divergence_matches_full_spectrum(grid, seed):
+    comps = noise(grid, seed, grid.d)
+    ref = np.fft.ifftn(sum(np.fft.fftn(c) * (1j * k) for c, k in zip(comps, full_mesh(grid)))).real
+    got = spectral_divergence([Field(grid, c) for c in comps]).values
+    assert rel_err(got, ref) < RTOL
+
+
+@examples
+@given(grids, seeds, st.sampled_from(["leq", "gt", "band"]), st.floats(0.5, 40.0))
+def test_lp_project_matches_full_spectrum(grid, seed, mode, N):
+    (u,) = noise(grid, seed)
+    mag = wavenumber_magnitude(grid)
+    weights = {"leq": lp_bump(mag / N), "gt": 1.0 - lp_bump(mag / N),
+               "band": lp_bump(mag / N) - lp_bump(2.0 * mag / N)}[mode]
+    ref = full_filter(u, weights)
+    got = lp_project(Field(grid, u), N, mode).values
+    assert np.max(np.abs(got - ref)) <= RTOL * max(np.max(np.abs(ref)), np.max(np.abs(u)))
+
+
+@examples
+@given(grids, seeds, masses, steps)
+def test_linear_propagator_matches_full_spectrum(grid, seed, m, dt):
+    u, v = noise(grid, seed, 2)
+    w = np.hypot(wavenumber_magnitude(grid), m)
+    c, s = np.cos(dt * w), np.sin(dt * w)
+    sinc = np.where(w == 0.0, dt, s / np.where(w == 0.0, 1.0, w))
+    U, V = np.fft.fftn(u), np.fft.fftn(v)
+    out = linear_propagator(State(Field(grid, u), Field(grid, v), 0.0, m, 2.0), dt)
+    assert rel_err(out.u.values, np.fft.ifftn(c * U + sinc * V).real) < RTOL
+    assert rel_err(out.v.values, np.fft.ifftn(-w * s * U + c * V).real) < RTOL
+
+
+@examples
+@given(grids, seeds, st.sampled_from([3, 5]))
+def test_pad2x_matches_full_spectrum(grid, seed, q):
+    (u,) = noise(grid, seed)
+    assert rel_err(_pad2x_power(u, q), full_pad2x_power(u, q)) < RTOL
+
+
+def _state(grid, seed, m):
+    u, v = noise(grid, seed, 2)
+    return State(Field(grid, u), Field(grid, v), 0.0, m, 2.0)
+
+
+def _close(a: State, b: State) -> bool:
+    return rel_err(a.u.values, b.u.values) < RTOL and rel_err(a.v.values, b.v.values) < RTOL
+
+
+@examples
+@given(grids, seeds, masses, steps, steps)
+def test_propagator_composes(grid, seed, m, a, b):
+    st0 = _state(grid, seed, m)
+    assert _close(linear_propagator(linear_propagator(st0, b), a), linear_propagator(st0, a + b))
+
+
+@examples
+@given(grids, seeds, masses, steps)
+def test_propagator_time_reversal(grid, seed, m, dt):
+    st0 = _state(grid, seed, m)
+    assert _close(linear_propagator(linear_propagator(st0, dt), -dt), st0)
+
+
+@examples
+@given(grids, seeds, st.floats(0.5, 40.0))
+def test_low_plus_high_projection_is_identity(grid, seed, N):
+    (u,) = noise(grid, seed)
+    f = Field(grid, u)
+    total = lp_project(f, N, "leq").values + lp_project(f, N, "gt").values
+    assert rel_err(total, u) < RTOL

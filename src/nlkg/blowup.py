@@ -9,10 +9,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .cones import DiagnosticSeries
+from .cones import DiagnosticSeries, _radial_derivative
 from .errors import DomainError
-from .grid import Field, State, displacement, radial_distance, spectral_gradient
-from .norms import _energy_with, critical_exponent, gradient_square, sobolev_norm
+from .grid import Field, radial_distance, spectral_gradient
+from .norms import _energy_with, ball_integral, critical_exponent, gradient_square, sobolev_norm
 from .solver import Trajectory
 
 __all__ = [
@@ -162,46 +162,35 @@ def concavity_check(series: MassSeries, tol_scale: float = 1e-6) -> ConcavityRep
     bound = 4.0 / (p + 4.0) * M * Mpp
     cs_bad = int(np.count_nonzero(Mp**2 > bound * (1.0 + tol_scale) + 1e-300))
 
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f = M ** (-0.25 * p)
-    cc_bad = 0
-    checked = 0
-    for k in range(1, len(f) - 1):
-        if not (np.isfinite(f[k - 1]) and np.isfinite(f[k]) and np.isfinite(f[k + 1])):
-            continue
-        h1, h2 = t[k] - t[k - 1], t[k + 1] - t[k]
-        sec = 2.0 * (h1 * f[k + 1] - (h1 + h2) * f[k] + h2 * f[k - 1]) / (h1 * h2 * (h1 + h2))
-        checked += 1
-        if sec > 4.0 * abs(f[k]) * tol_scale / (h1 * h2):
-            cc_bad += 1
-    return ConcavityReport(i0, cs_bad, cc_bad, checked)
+        h1, h2, sec = _second_differences(t, f)
+        ok = np.isfinite(f[:-2]) & np.isfinite(f[1:-1]) & np.isfinite(f[2:])
+        bad = ok & (sec > 4.0 * np.abs(f[1:-1]) * tol_scale / (h1 * h2))
+    return ConcavityReport(i0, cs_bad, int(np.count_nonzero(bad)), int(np.count_nonzero(ok)))
 
 
-def _phi_cutoff(r: np.ndarray) -> np.ndarray:
-    """Radial cutoff: 1, then 1-2(r-1)^2, then 2(2-r)^2, then 0 on [0,1,3/2,2,inf)."""
-    out = np.ones_like(r)
+def _second_differences(t: np.ndarray, f: np.ndarray) -> tuple:
+    """(h1, h2, f'') at the interior samples of f(t): the three-point,
+    nonuniform-spacing stencil."""
+    h1, h2 = t[1:-1] - t[:-2], t[2:] - t[1:-1]
+    return h1, h2, 2.0 * (h1 * f[2:] - (h1 + h2) * f[1:-1] + h2 * f[:-2]) / (h1 * h2 * (h1 + h2))
+
+
+def _phi_cutoff(r: np.ndarray) -> tuple:
+    """Radial cutoff phi and its first two derivatives; phi is 1, then
+    1-2(r-1)^2, then 2(2-r)^2, then 0 on [0,1,3/2,2,inf)."""
     mid1 = (r >= 1.0) & (r < 1.5)
     mid2 = (r >= 1.5) & (r < 2.0)
-    out[mid1] = 1.0 - 2.0 * (r[mid1] - 1.0) ** 2
-    out[mid2] = 2.0 * (2.0 - r[mid2]) ** 2
-    out[r >= 2.0] = 0.0
-    return out
-
-
-def _phi_cutoff_prime(r: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(r)
-    mid1 = (r >= 1.0) & (r < 1.5)
-    mid2 = (r >= 1.5) & (r < 2.0)
-    out[mid1] = -4.0 * (r[mid1] - 1.0)
-    out[mid2] = -4.0 * (2.0 - r[mid2])
-    return out
-
-
-def _phi_cutoff_second(r: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(r)
-    out[(r >= 1.0) & (r < 1.5)] = -4.0
-    out[(r >= 1.5) & (r < 2.0)] = 4.0
-    return out
+    phi, dphi, ddphi = np.ones_like(r), np.zeros_like(r), np.zeros_like(r)
+    phi[mid1] = 1.0 - 2.0 * (r[mid1] - 1.0) ** 2
+    phi[mid2] = 2.0 * (2.0 - r[mid2]) ** 2
+    phi[r >= 2.0] = 0.0
+    dphi[mid1] = -4.0 * (r[mid1] - 1.0)
+    dphi[mid2] = -4.0 * (2.0 - r[mid2])
+    ddphi[mid1] = -4.0
+    ddphi[mid2] = 4.0
+    return phi, dphi, ddphi
 
 
 def truncated_mass(traj: Trajectory, R: float, center=None) -> MassSeries:
@@ -220,17 +209,13 @@ def truncated_mass(traj: Trajectory, R: float, center=None) -> MassSeries:
         raise DomainError("cutoff support 2(R + t_max) does not fit the box with margin")
     nl = traj.nl_coeff
     dist = radial_distance(g, center)
-    disp = displacement(g, center)
 
     times, M, Mp, rhs_list = [], [], [], []
     for s in traj.snapshots:
         t = s.time
         rad = R + abs(t)
         y = dist / rad
-        phi = _phi_cutoff(y)
-        phi_c = 1.0 - phi
-        dphi = _phi_cutoff_prime(y)
-        ddphi = _phi_cutoff_second(y)
+        phi, dphi, ddphi = _phi_cutoff(y)
         u, v = s.u.values, s.v.values
         p, m = s.exponent, s.mass_param
         cell = g.cell_volume
@@ -238,8 +223,7 @@ def truncated_mass(traj: Trajectory, R: float, center=None) -> MassSeries:
         grad_sq = sum(gr**2 for gr in grad)
         grad_tx_sq = v**2 + grad_sq
         pot = np.abs(u) ** (p + 2.0)
-        u_r = sum(dx * gr for dx, gr in zip(disp, grad)) / np.where(dist == 0.0, 1.0, dist)
-        u_r = np.where(dist == 0.0, 0.0, u_r)
+        u_r = _radial_derivative(grad, g, center)
 
         times.append(t)
         M.append(float(np.sum(phi * u**2)) * cell)
@@ -248,23 +232,16 @@ def truncated_mass(traj: Trajectory, R: float, center=None) -> MassSeries:
         E = _energy_with(s, grad_sq, nl)
         bulk = (-2.0 * (p + 2.0) * E
                 + float(np.sum(4.0 * phi * v**2 + p * grad_tx_sq + p * m**2 * u**2)) * cell
-                + float(np.sum(2.0 * phi_c * (grad_tx_sq + m**2 * u**2 - nl * pot))) * cell)
+                + float(np.sum(2.0 * (1.0 - phi) * (grad_tx_sq + m**2 * u**2 - nl * pot))) * cell)
         cutoff_u2 = float(np.sum((2.0 * dist / rad**3 * dphi
                                   + dist**2 / rad**4 * ddphi) * u**2)) * cell
         mixed = -float(np.sum(2.0 / rad * dphi * (2.0 * dist / rad * v + u_r) * u)) * cell
         rhs_list.append(bulk + cutoff_u2 + mixed)
 
-    times = np.array(times)
-    M = np.array(M)
-    rhs = np.array(rhs_list)
-
-    gaps = []
-    for k in range(1, len(times) - 1):
-        h1, h2 = times[k] - times[k - 1], times[k + 1] - times[k]
-        sec = 2.0 * (h1 * M[k + 1] - (h1 + h2) * M[k] + h2 * M[k - 1]) / (h1 * h2 * (h1 + h2))
-        gaps.append(abs(sec - rhs[k]))
+    times, M, rhs = np.array(times), np.array(M), np.array(rhs_list)
+    gaps = np.abs(_second_differences(times, M)[2] - rhs[1:-1])
     scale = float(np.max(np.abs(rhs))) + 1e-300
-    m2_gap = float(np.max(gaps)) / scale if gaps else np.nan
+    m2_gap = float(np.max(gaps)) / scale if gaps.size else np.nan
     return MassSeries(times, M, np.array(Mp), rhs,
                       extra={"m2_gap": m2_gap, "R": R, "p": traj.snapshots[0].exponent})
 
@@ -285,7 +262,7 @@ def critical_norm_series(traj: Trajectory) -> DiagnosticSeries:
 
 
 def lower_bound_check(traj: Trajectory, t_star: float, x0) -> DiagnosticSeries:
-    """(T*-t)^{-2 s_c} int_{|x-x0| <= T*-t} u^2 + (T*-t)^2 |grad_{t,x} u|^2 dx.
+    """(T*-t)^{-2 s_c} int_{|x-x0| < T*-t} u^2 + (T*-t)^2 |grad_{t,x} u|^2 dx.
 
     Sampled at snapshots where the shrinking ball is resolved (radius of at
     least two cells) and fits the box; the monitored claim is a positive
@@ -294,17 +271,14 @@ def lower_bound_check(traj: Trajectory, t_star: float, x0) -> DiagnosticSeries:
     s0 = traj.snapshots[0]
     g = s0.grid
     params = critical_exponent(g.d, s0.exponent)
-    dist = radial_distance(g, x0)
     times, vals = [], []
     for s in traj.snapshots:
         rad = t_star - s.time
         if rad <= 2.0 * g.spacing or rad > g.max_fit_radius:
             continue
-        mask = dist <= rad
-        grad_sq = gradient_square(s.u)
-        integ = float(np.sum(s.u.values[mask] ** 2
-                             + rad**2 * (s.v.values[mask] ** 2 + grad_sq[mask])))
-        integ *= g.cell_volume
+        u, v, grad_sq = s.u.values, s.v.values, gradient_square(s.u)
+        integ = ball_integral(lambda at: at(u) ** 2 + rad**2 * (at(v) ** 2 + at(grad_sq)),
+                              g, x0, rad)
         times.append(s.time)
         vals.append(rad ** (-2.0 * params.s_c) * integ)
     return DiagnosticSeries("local_lower_bound", np.array(times), np.array(vals),

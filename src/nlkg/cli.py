@@ -305,22 +305,34 @@ def run(cfg: ScenarioConfig, command: str, **options) -> int:
 
     Echoes the config and marks MANIFEST.json incomplete before any
     compute; once the command's outputs are written, the manifest is
-    marked complete with the extras the command returns.
+    marked complete with the extras the command returns, or failed with
+    the error if the command raises (the error propagates).
     """
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     snapshots.write_json(out / "config.json", cfg.raw)
     _manifest(out, "incomplete")
-    _manifest(out, "complete", COMMANDS[command](cfg, **options))
+    try:
+        extras = COMMANDS[command](cfg, **options)
+    except Exception as exc:
+        _manifest(out, "failed", {"error": repr(exc)})
+        raise
+    _manifest(out, "complete", extras)
     return 0
 
 
-def _sweep_one(args) -> tuple:
+def _sweep_one(args) -> dict:
+    """Simulate one sweep case, recording a failure (exit 2 for DomainError, else 1)."""
     raw, index = args
     cfg = ScenarioConfig(raw)
-    code = run(cfg, "simulate")
-    params = critical_exponent(cfg.grid.d, cfg.p)
-    return index, code, params.regime
+    case = {"index": index, "exit": 0, "regime": critical_exponent(cfg.grid.d, cfg.p).regime,
+            "error": None}
+    try:
+        run(cfg, "simulate")
+    except Exception as exc:
+        case.update(exit=2 if isinstance(exc, DomainError) else 1, error=repr(exc))
+        print(f"sweep case{index:03d} failed: {case['error']}", file=sys.stderr)
+    return case
 
 
 def cmd_sweep(cfg_path) -> int:
@@ -345,18 +357,15 @@ def cmd_sweep(cfg_path) -> int:
         ScenarioConfig(merged)  # validate before any compute
         jobs.append((merged, i))
     workers = int(os.environ.get("NLKG_WORKERS", "2"))
-    results = []
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = sorted(pool.map(_sweep_one, jobs))
+            cases = list(pool.map(_sweep_one, jobs))
     else:
-        results = [_sweep_one(j) for j in jobs]
+        cases = [_sweep_one(j) for j in jobs]
     root = Path(raw.get("output", {}).get("directory", "nlkg_out"))
     root.mkdir(parents=True, exist_ok=True)
-    snapshots.write_json(root / "sweep_report.json",
-                         {"cases": [{"index": i, "exit": c, "regime": r}
-                                    for i, c, r in results]})
-    return max((c for _, c, _ in results), default=0)
+    snapshots.write_json(root / "sweep_report.json", {"cases": cases})
+    return max(case["exit"] for case in cases)
 
 
 def main(argv=None) -> int:

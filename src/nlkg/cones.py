@@ -17,7 +17,7 @@ import numpy as np
 from .conslaws import TensorKind, tensor_density, tensor_kind
 from .errors import DomainError
 from .grid import Field, GridSpec, State, displacement, radial_distance, spectral_gradient
-from .norms import critical_exponent, gradient_square
+from .norms import _energy_density, ball_integral, critical_exponent, gradient_square
 from .solver import Trajectory
 
 __all__ = [
@@ -88,26 +88,19 @@ def radial_angular_split(gradient: list[Field], vertex) -> tuple[Field, list[Fie
     angular remainder; u_r^2 + |angular|^2 = |grad u|^2 pointwise.
     """
     grid = gradient[0].grid
-    disp = displacement(grid, vertex)
+    u_r = _radial_derivative([g.values for g in gradient], grid, vertex)
     r = radial_distance(grid, vertex)
     safe_r = np.where(r == 0.0, 1.0, r)
-    u_r = np.zeros(grid.shape)
-    for dx, g in zip(disp, gradient):
-        u_r += dx * g.values
-    u_r = np.where(r == 0.0, 0.0, u_r / safe_r)
-    angular = []
-    for dx, g in zip(disp, gradient):
-        unit = np.where(r == 0.0, 0.0, dx / safe_r)
-        angular.append(Field(grid, g.values - unit * u_r))
+    angular = [Field(grid, g.values - np.where(r == 0.0, 0.0, dx / safe_r) * u_r)
+               for dx, g in zip(displacement(grid, vertex), gradient)]
     return Field(grid, u_r), angular
 
 
-def _ball_integral(values: np.ndarray, grid: GridSpec, vertex, radius: float,
-                   weight: np.ndarray | None = None) -> float:
+def _radial_derivative(gradient: list[np.ndarray], grid: GridSpec, vertex) -> np.ndarray:
+    """u_r = (x/|x|) . grad u about a vertex, 0 at the vertex point."""
     r = radial_distance(grid, vertex)
-    mask = r < radius
-    w = values[mask] if weight is None else values[mask] * weight[mask]
-    return float(np.sum(w)) * grid.cell_volume
+    u_r = sum(dx * g for dx, g in zip(displacement(grid, vertex), gradient))
+    return np.where(r == 0.0, 0.0, u_r / np.where(r == 0.0, 1.0, r))
 
 
 def L_functional(state: State, cone: ConeSpec, nl_coeff: float = 1.0) -> float:
@@ -121,7 +114,7 @@ def L_functional(state: State, cone: ConeSpec, nl_coeff: float = 1.0) -> float:
         raise DomainError(f"state time {t} outside the cone's (0, {cone.top_time}]")
     cone.validate_against(state.grid, t)
     dens = tensor_density(state, TensorKind("mod_dilation"), cone.vertex, nl_coeff)
-    return _ball_integral(dens.values, state.grid, cone.vertex, t)
+    return ball_integral(dens.values, state.grid, cone.vertex, t)
 
 
 def Z_functional(state: State, cone: ConeSpec, nl_coeff: float = 1.0) -> float:
@@ -136,11 +129,8 @@ def Z_functional(state: State, cone: ConeSpec, nl_coeff: float = 1.0) -> float:
     cone.validate_against(state.grid, t)
     kind = tensor_kind("combined", state)
     dens = tensor_density(state, kind, cone.vertex, nl_coeff)
-    r = radial_distance(state.grid, cone.vertex)
-    weight = np.zeros(state.grid.shape)
-    inside = r < t
-    weight[inside] = (t**2 - r[inside] ** 2) ** kind.alpha
-    return float(np.sum(dens.values * weight)) * state.grid.cell_volume
+    return ball_integral(dens.values, state.grid, cone.vertex, t,
+                         lambda r: (t**2 - r**2) ** kind.alpha)
 
 
 def lyapunov_series(traj: Trajectory, cone: ConeSpec, which: str = "L",
@@ -176,29 +166,22 @@ def energy_flux_check(traj: Trajectory, cone: ConeSpec, t0: float, t1: float):
 
     def boundary(s: State) -> float:
         dens = tensor_density(s, TensorKind("energy"), cone.vertex, nl)
-        r = radial_distance(s.grid, cone.vertex)
-        w = np.zeros(s.grid.shape)
-        inside = r < s.time
-        w[inside] = (s.time**2 - r[inside] ** 2) / s.time
-        return float(np.sum(dens.values * w)) * s.grid.cell_volume
+        t = s.time
+        return ball_integral(dens.values, s.grid, cone.vertex, t, lambda r: (t**2 - r**2) / t)
 
     def bulk(s: State) -> float:
         g = s.grid
         t, m, p = s.time, s.mass_param, s.exponent
-        grad = spectral_gradient(s.u)
-        u_r, angular = radial_angular_split(grad, cone.vertex)
+        u_r, angular = radial_angular_split(spectral_gradient(s.u), cone.vertex)
         ang_sq = sum(a.values**2 for a in angular)
-        r = radial_distance(g, cone.vertex)
-        inside = r < t
-        rho = r[inside] / t
-        v = s.v.values[inside]
-        ur = u_r.values[inside]
-        u = s.u.values[inside]
-        dens = (0.25 * (1.0 + rho) ** 2 * (v + ur) ** 2
-                + 0.25 * (1.0 - rho) ** 2 * (v - ur) ** 2
-                + (1.0 + rho**2) * (0.5 * ang_sq[inside] + 0.5 * m**2 * u**2
-                                    - nl / (p + 2.0) * np.abs(u) ** (p + 2.0)))
-        return float(np.sum(dens)) * g.cell_volume
+        v, ur, u = s.v.values, u_r.values, s.u.values
+        # the last term is the energy density at rest (u_t = 0) with the angular gradient
+        return (ball_integral(lambda at: (at(v) + at(ur)) ** 2, g, cone.vertex, t,
+                              lambda r: 0.25 * (1.0 + r / t) ** 2)
+                + ball_integral(lambda at: (at(v) - at(ur)) ** 2, g, cone.vertex, t,
+                                lambda r: 0.25 * (1.0 - r / t) ** 2)
+                + ball_integral(lambda at: _energy_density(at(u), 0.0, at(ang_sq), m, p, nl),
+                                g, cone.vertex, t, lambda r: 1.0 + (r / t) ** 2))
 
     lhs = boundary(sel[-1]) - boundary(sel[0])
     ts = np.array([s.time for s in sel])
@@ -233,13 +216,13 @@ def averaged_gradient_bound(traj: Trajectory, cone: ConeSpec, t0: float,
     w_mass = d - 2.0 * params.s_c if subc else d - 1.0
 
     def slice_value(s: State) -> float:
-        r = radial_distance(g, cone.vertex)
-        lim = s.time if subc else alpha * s.time
-        inside = r < lim
-        gap = s.time - r[inside]
-        full_grad = s.v.values[inside] ** 2 + gradient_square(s.u)[inside]
-        return float(np.sum(gap**w_grad * full_grad
-                            + gap**w_mass * s.u.values[inside] ** 2)) * g.cell_volume
+        t = s.time
+        lim = t if subc else alpha * t
+        v, u, grad_sq = s.v.values, s.u.values, gradient_square(s.u)
+        return (ball_integral(lambda at: at(v) ** 2 + at(grad_sq), g, cone.vertex, lim,
+                              lambda r: (t - r) ** w_grad)
+                + ball_integral(lambda at: at(u) ** 2, g, cone.vertex, lim,
+                                lambda r: (t - r) ** w_mass))
 
     ts = np.array([s.time for s in sel])
     total = float(np.trapezoid([slice_value(s) for s in sel], ts))
@@ -273,32 +256,29 @@ def cone_monitor(traj: Trajectory, cone: ConeSpec) -> dict:
         return out
     cone.validate_against(g, sel[-1].time)
 
-    r = radial_distance(g, cone.vertex)
-    times, mass_n, grad_n, pth_n = [], [], [], []
-    grad_cone_weighted, grad_cone_plain = [], []
+    x0 = cone.vertex
+    times, mass_n, grad_n, pth_n, grad_cone_weighted, grad_cone_plain = [], [], [], [], [], []
     for s in sel:
         t = s.time
-        half = r < 0.5 * t
-        full = r < t
-        u, v = s.u.values, s.v.values
-        full_grad = v**2 + gradient_square(s.u)
-        cell = g.cell_volume
-        mass = float(np.sum(u[half] ** 2)) * cell
-        grad_half = float(np.sum(full_grad[half])) * cell
-        pth = float(np.sum(np.abs(u[full]) ** (0.5 * (s.exponent + 4.0)))) * cell
+        u = s.u.values
+        full_grad = s.v.values**2 + gradient_square(s.u)
         times.append(t)
+        mass = ball_integral(lambda at: at(u) ** 2, g, x0, 0.5 * t)
         mass_n.append(mass / (t ** (params.p * g.d / (params.p + 4.0)) if superc
                               else t ** (2.0 * params.s_c)))
-        grad_n.append(grad_half * t ** (2.0 * (1.0 - params.s_c)))
+        pth = ball_integral(lambda at: np.abs(at(u)) ** (0.5 * (s.exponent + 4.0)), g, x0, t)
         pth_n.append(pth if superc else pth / t ** (2.0 * params.s_c - 1.0))
-        grad_cone_weighted.append(float(np.sum((1.0 - r[full] / t) ** 2 * full_grad[full])) * cell)
-        grad_cone_plain.append(float(np.sum(full_grad[full])) * cell)
+        if superc:
+            grad_cone_weighted.append(
+                ball_integral(full_grad, g, x0, t, lambda r: (1.0 - r / t) ** 2))
+        else:
+            grad_n.append(ball_integral(full_grad, g, x0, 0.5 * t)
+                          * t ** (2.0 * (1.0 - params.s_c)))
+        grad_cone_plain.append(ball_integral(full_grad, g, x0, t))
     times = np.array(times)
-    grad_cone_raw = grad_cone_weighted
     if superc:
-        grad_series = np.concatenate([[0.0], np.cumsum(
-            0.5 * (np.array(grad_cone_raw)[1:] + np.array(grad_cone_raw)[:-1]) * np.diff(times)
-        )]) if len(times) > 1 else np.zeros_like(times)
+        w = np.array(grad_cone_weighted)
+        grad_series = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(times))])
     else:
         grad_series = np.array(grad_n)
     out["mass_half_cone"] = DiagnosticSeries("mass_half_cone", times, np.array(mass_n),

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .grid import Field, State, displacement, spectral_divergence, spectral_gradient
+from .norms import _energy_density
 from .solver import Trajectory
 
 __all__ = [
@@ -93,8 +94,7 @@ class _Pieces:
 
     @property
     def energy_density(self):
-        return (0.5 * self.v**2 + 0.5 * self.grad_sq + 0.5 * self.m**2 * self.u**2
-                - self.nl / (self.p + 2.0) * self.pot)
+        return _energy_density(self.u, self.v, self.grad_sq, self.m, self.p, self.nl, self.pot)
 
     @property
     def lagrangian_density(self):

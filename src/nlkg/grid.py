@@ -427,22 +427,29 @@ def axis_coordinates(grid: GridSpec) -> tuple:
 
 
 def displacement(grid: GridSpec, center) -> list[np.ndarray]:
-    """Minimal-image displacement x - center per axis (each in [-L/2, L/2))."""
-    center = np.atleast_1d(np.asarray(center, dtype=np.float64))
-    if center.shape != (grid.d,):
-        raise DomainError(f"center must have {grid.d} components")
-    L = grid.box_length
-    out = []
-    for ax, x in enumerate(axis_coordinates(grid)):
-        dx = np.mod(x - center[ax] + 0.5 * L, L) - 0.5 * L
-        out.append(dx)
-    return out
+    """Minimal-image displacement x - center per axis (each in [-L/2, L/2)); read-only."""
+    return list(_distance_table(grid, _center_key(grid, center))[0])
 
 
 def radial_distance(grid: GridSpec, center) -> np.ndarray:
-    """Periodic distance |x - center| on the full grid."""
-    disp = displacement(grid, center)
-    dist_sq = np.zeros(grid.shape)
-    for dx in disp:
-        dist_sq = dist_sq + dx**2
-    return np.sqrt(dist_sq)
+    """Periodic distance |x - center| on the full grid; read-only."""
+    return _distance_table(grid, _center_key(grid, center))[1]
+
+
+def _center_key(grid: GridSpec, center) -> tuple:
+    center = np.atleast_1d(np.asarray(center, dtype=np.float64))
+    if center.shape != (grid.d,):
+        raise DomainError(f"center must have {grid.d} components")
+    return tuple(center.tolist())
+
+
+@lru_cache(maxsize=4)
+def _distance_table(grid: GridSpec, center: tuple) -> tuple:
+    """The displacement and distance arrays of one (grid, center), built once."""
+    L = grid.box_length
+    disp = tuple(np.mod(x - c + 0.5 * L, L) - 0.5 * L
+                 for x, c in zip(axis_coordinates(grid), center))
+    dist = np.sqrt(sum(dx**2 for dx in disp))
+    for a in (*disp, dist):
+        a.flags.writeable = False
+    return disp, dist

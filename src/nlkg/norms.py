@@ -1,5 +1,6 @@
-"""Lebesgue and fractional Sobolev norms, region-restricted quadrature,
-the energy functional, and Gagliardo-Nirenberg ratios."""
+"""Lebesgue and fractional Sobolev norms, the one ball quadrature (every
+region or cone integral: a sum over the open ball |x - c| < R on the cached
+minimal-image distance), the energy functional, and Gagliardo-Nirenberg ratios."""
 
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ __all__ = [
     "Region",
     "CriticalParams",
     "critical_exponent",
-    "region_mask",
+    "ball_integral",
     "region_weight",
     "lebesgue_norm",
     "sobolev_norm",
@@ -70,27 +71,45 @@ class Region:
         if r > limit:
             raise DomainError(f"region radius {r} does not fit in the box (limit {limit})")
 
+    def ball(self) -> tuple:
+        """(R, w): the region as the open ball |x-c| < R weighted by w(|x-c|) (None: 1)."""
+        if self.kind == "ball":
+            return self.radius, None
+        if self.kind == "annulus":
+            return self.r_outer, lambda r: (r >= self.r_inner).astype(np.float64)
+        return 0.5 * self.radius, lambda r: (1.0 - r / self.radius) ** self.weight_exponent
 
-def region_mask(region: Region, grid: GridSpec) -> np.ndarray:
-    """Boolean indicator of the region on the grid (sharp, no smoothing)."""
-    if region.kind == "whole_box":
-        return np.ones(grid.shape, dtype=bool)
-    dist = radial_distance(grid, region.center)
-    if region.kind == "ball":
-        return dist < region.radius
-    if region.kind == "annulus":
-        return (dist >= region.r_inner) & (dist < region.r_outer)
-    return dist < 0.5 * region.radius
+
+def _inside(grid: GridSpec, center, radius: float) -> tuple:
+    """Indicator of the open ball |x - center| < radius, and the distance table."""
+    r = radial_distance(grid, center)
+    return r < radius, r
+
+
+def ball_integral(values, grid: GridSpec, center, radius: float, weight=None) -> float:
+    """h^d sum_{|x-c| < R} f(x) w(|x-c|): the one ball quadrature.
+
+    `values` is f on the grid, or a function that builds f inside the ball
+    from `at` (a grid array -> its values inside), so that a costly
+    integrand is evaluated only there.  `weight` is a function of the
+    distance (None for 1), evaluated only inside the ball.
+    """
+    inside, r = _inside(grid, center, radius)
+    f = values(lambda a: a[inside]) if callable(values) else values[inside]
+    if weight is not None:
+        f = f * weight(r[inside])
+    return float(np.sum(f)) * grid.cell_volume
 
 
 def region_weight(region: Region, grid: GridSpec) -> np.ndarray:
-    """Pointwise quadrature weight: indicator, times the cone taper if any."""
-    mask = region_mask(region, grid).astype(np.float64)
-    if region.kind == "half_cone_slice" and region.weight_exponent != 0.0:
-        dist = radial_distance(grid, region.center)
-        taper = np.clip(1.0 - dist / region.radius, 0.0, None) ** region.weight_exponent
-        return mask * taper
-    return mask
+    """Pointwise quadrature weight: the region's radial weight on its ball, 0 outside."""
+    if region.kind == "whole_box":
+        return np.ones(grid.shape)
+    radius, weight = region.ball()
+    inside, r = _inside(grid, region.center, radius)
+    out = np.zeros(grid.shape)
+    out[inside] = 1.0 if weight is None else weight(r[inside])
+    return out
 
 
 @dataclass(frozen=True)
@@ -134,12 +153,13 @@ def lebesgue_norm(f: Field, q: float, region: Region = _WHOLE) -> float:
     """L^q norm over a region: (h^d sum_region w |f|^q)^{1/q}; q=inf is the grid max."""
     if q < 1.0:
         raise DomainError(f"Lebesgue exponent must be >= 1, got {q}")
-    w = region_weight(region, f.grid)
-    if not np.any(w > 0.0):
-        return 0.0
     if np.isinf(q):
-        return float(np.max(np.abs(f.values)[w > 0.0]))
-    total = float(np.sum(w * np.abs(f.values) ** q)) * f.grid.cell_volume
+        return float(np.max(np.abs(f.values)[region_weight(region, f.grid) > 0.0], initial=0.0))
+    if region.kind == "whole_box":
+        total = float(np.sum(np.abs(f.values) ** q)) * f.grid.cell_volume
+    else:
+        total = ball_integral(lambda at: np.abs(at(f.values)) ** q, f.grid, region.center,
+                              *region.ball())
     return total ** (1.0 / q)
 
 
@@ -176,12 +196,18 @@ def energy(state: State, nl_coeff: float = 1.0) -> float:
 
 def _energy_with(state: State, grad_sq: np.ndarray, nl_coeff: float) -> float:
     """:func:`energy` with |grad u|^2 supplied by a caller that has it already."""
-    u, v = state.u.values, state.v.values
-    p, m = state.exponent, state.mass_param
+    dens = _energy_density(state.u.values, state.v.values, grad_sq, state.mass_param,
+                           state.exponent, nl_coeff)
+    return float(np.sum(dens)) * state.grid.cell_volume
+
+
+def _energy_density(u, v, grad_sq, m: float, p: float, nl_coeff: float, pot=None):
+    """Pointwise 1/2 u_t^2 + 1/2 |grad u|^2 + m^2/2 u^2 - nl/(p+2) |u|^{p+2};
+    `pot` is |u|^{p+2} if the caller has it, and nl = 0 skips that term."""
     dens = 0.5 * v**2 + 0.5 * grad_sq + 0.5 * m**2 * u**2
     if nl_coeff != 0.0:
-        dens = dens - (nl_coeff / (p + 2.0)) * np.abs(u) ** (p + 2.0)
-    return float(np.sum(dens)) * state.grid.cell_volume
+        dens = dens - nl_coeff / (p + 2.0) * (np.abs(u) ** (p + 2.0) if pot is None else pot)
+    return dens
 
 
 def gn_ratio(f: Field, params: CriticalParams) -> float:

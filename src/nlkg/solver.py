@@ -80,6 +80,8 @@ class Trajectory:
     def __post_init__(self):
         if self.termination not in TERMINATIONS:
             raise DomainError(f"unknown termination {self.termination!r}")
+        if not self.snapshots:
+            raise DomainError("trajectory needs at least one snapshot")
         times = self.times
         if np.any(np.diff(times) <= 0.0):
             raise DomainError("snapshot times must be strictly increasing")

@@ -1,0 +1,81 @@
+"""Property tests of the one ball quadrature, d = 1, 2, 3.
+
+``norms.ball_integral`` is held against an explicit masked sum for random
+fields, centres (some within the radius of the box edge, so the ball
+wraps) and radii up to the box-fit limit, with and without a radial
+weight.  The distance table it reads is held against the distance to the
+nearest periodic image, computed here.  The ball is open, and the cached
+tables are read-only.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nlkg.grid import GridSpec, axis_coordinates, displacement, radial_distance
+from nlkg.norms import ball_integral
+
+RTOL = 1e-12
+
+grids = st.builds(GridSpec, d=st.sampled_from([1, 2, 3]), n=st.sampled_from([8, 16]),
+                  box_length=st.floats(2.0, 20.0))
+# a fraction of the box per axis; the two edge bands put the ball across the seam
+fractions = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 0.05),
+                      st.floats(0.95, 1.0, exclude_max=True))
+seeds = st.integers(0, 2**32 - 1)
+examples = settings(max_examples=40, deadline=None)
+
+
+def image_distance(grid: GridSpec, center) -> np.ndarray:
+    """|x - c| minimized over the periodic images c + k L, k in {-1, 0, 1}^d."""
+    L = grid.box_length
+    sq = np.zeros(grid.shape)
+    for x, c in zip(axis_coordinates(grid), center):
+        sq = sq + np.min([(x - c + k * L) ** 2 for k in (-1.0, 0.0, 1.0)], axis=0)
+    return np.sqrt(sq)
+
+
+@examples
+@given(grids, st.lists(fractions, min_size=3, max_size=3), st.floats(0.0, 1.0),
+       st.sampled_from([None, 0.0, 1.0, 2.5]), seeds)
+def test_matches_explicit_masked_sum(grid, frac, radius_frac, exponent, seed):
+    L = grid.box_length
+    center = tuple(f * L for f in frac[: grid.d])
+    R = radius_frac * grid.max_fit_radius
+    f = np.random.default_rng(seed).standard_normal(grid.shape)
+    dist = radial_distance(grid, center)
+    assert np.max(np.abs(dist - image_distance(grid, center))) <= 1e-14 * L
+    mask = dist < R
+    if exponent is None:
+        weight, w = None, np.ones(grid.shape)
+    else:
+        weight, w = (lambda r: (1.0 + r) ** exponent), (1.0 + dist) ** exponent
+    ref = np.sum(f[mask] * w[mask]) * grid.spacing**grid.d
+    scale = np.sum(np.abs(f[mask] * w[mask])) * grid.spacing**grid.d
+    got = ball_integral(f, grid, center, R, weight)
+    assert abs(got - ref) <= RTOL * scale
+    # the integrand built inside the ball is the same quadrature
+    assert ball_integral(lambda at: at(f), grid, center, R, weight) == got
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_lattice_point_at_the_radius_is_excluded(d):
+    g = GridSpec(d, 16, 8.0)  # h = 1/2: lattice distances are exact
+    center = (g.spacing,) * d  # near the edge, so the ball wraps
+    R = 3.0 * g.spacing
+    f = np.zeros(g.shape)
+    f[(4,) + (1,) * (d - 1)] = 1.0  # three cells from the centre along axis 0
+    f[(-2,) + (1,) * (d - 1)] = 1.0  # three cells the other way, across the seam
+    assert ball_integral(f, g, center, R) == 0.0
+    assert ball_integral(f, g, center, R + 0.5 * g.spacing) == 2.0 * g.cell_volume
+
+
+def test_cached_tables_are_read_only():
+    g = GridSpec(2, 16, 8.0)
+    r = radial_distance(g, (1.0, 2.0))
+    assert radial_distance(g, np.array([1.0, 2.0])) is r
+    with pytest.raises(ValueError):
+        r[0, 0] = 1.0
+    disp = displacement(g, [1.0, 2.0])
+    with pytest.raises(ValueError):
+        disp[0][0] = 1.0

@@ -170,3 +170,22 @@ class TestSweep:
         assert regimes == ["sub_conformal", "conformal", "super_conformal"]
         for i in range(3):
             assert (out / f"case{i:03d}" / "MANIFEST.json").exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failed_case_is_reported_and_others_finish(self, tmp_path, monkeypatch, workers):
+        monkeypatch.setenv("NLKG_WORKERS", workers)
+        out = tmp_path / "sweep"
+        cfg = base_config(out, grid={"d": 1, "n": 32, "box_length": 8.0},
+                          solver={"dt_init": 5e-3, "t_max": 0.02, "adapt_theta": None,
+                                  "snapshot_stride": 1})
+        cfg["sweep"] = [{}, {"data": {"params": {"A": 0.4, "w": 5.0}}}, {}]
+        assert main(["sweep", str(write_cfg(tmp_path, cfg))]) == 2
+        cases = json.loads((out / "sweep_report.json").read_text())["cases"]
+        assert [c["index"] for c in cases] == [0, 1, 2]
+        assert [c["exit"] for c in cases] == [0, 2, 0]
+        assert cases[0]["error"] is None and cases[2]["error"] is None
+        assert "gaussian width" in cases[1]["error"]
+        assert {c["regime"] for c in cases} == {"sub_conformal"}
+        status = [json.loads((out / f"case{i:03d}" / "MANIFEST.json").read_text())["status"]
+                  for i in range(3)]
+        assert status == ["complete", "failed", "complete"]

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from nlkg.errors import CorruptionError
+from nlkg.errors import CorruptionError, DomainError
 from nlkg.grid import Field, GridSpec, State
 from nlkg.snapshots import (
     read_field_snapshot,
@@ -72,6 +72,18 @@ class TestTrajectoryStore:
         t0, v0 = traj.series("sup_norm")
         t1, v1 = back.series("sup_norm")
         assert np.array_equal(t0, t1) and np.array_equal(v0, v1)
+
+    def test_zero_count_is_domain_error(self, tmp_path):
+        g = GridSpec(1, 16, 4.0)
+        traj = evolve(initial_data(g, "gaussian", m=0.0, p=2.0, A=0.4, w=0.4),
+                      SolverConfig(dt_init=1e-2, t_max=0.02))
+        write_trajectory(tmp_path / "traj", traj)
+        meta_path = tmp_path / "traj" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["count"] = 0
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(DomainError, match="at least one snapshot"):
+            read_trajectory(tmp_path / "traj")
 
 
 class TestCsvJson:

@@ -7,6 +7,7 @@ from nlkg.grid import Field, GridSpec, State, radial_distance
 from nlkg.norms import energy, lebesgue_norm
 from nlkg.solver import (
     SolverConfig,
+    Trajectory,
     evolve,
     initial_data,
     lifespan_upper,
@@ -233,6 +234,10 @@ class TestEvolve:
                            blowup_threshold=1e12)
         traj = evolve(st, cfg)
         assert traj.termination == "dt_underflow"
+
+    def test_empty_trajectory_is_domain_error(self):
+        with pytest.raises(DomainError, match="at least one snapshot"):
+            Trajectory(snapshots=[], termination="reached_t_max", scalar_series={})
 
 
 class TestOdeOracle:

@@ -22,6 +22,7 @@ from .cones import (
     L_functional,
     Z_functional,
     averaged_gradient_bound,
+    cone_audit,
     cone_monitor,
     energy_flux_check,
     lyapunov_series,

@@ -9,7 +9,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .cones import DiagnosticSeries, _radial_derivative
+from .cones import DiagnosticSeries
+from .conslaws import _Pieces
 from .errors import DomainError
 from .grid import Field, radial_distance, spectral_gradient
 from .norms import _energy_with, ball_integral, critical_exponent, gradient_square, sobolev_norm
@@ -65,8 +66,7 @@ def detect_and_fit(traj: Trajectory, k_fit: int = 20, fit_series: tuple = ()) ->
         return failed(f"trajectory ended with {traj.termination!r}, not blowup_detected")
     if len(times) < max(k_fit, 4):
         return failed(f"only {len(times)} samples, need {max(k_fit, 4)}")
-    t_tail = times[-k_fit:]
-    s_tail = sup[-k_fit:]
+    t_tail, s_tail = times[-k_fit:], sup[-k_fit:]
     if np.any(np.diff(s_tail) <= 0.0):
         return failed("sup-norm tail is not strictly increasing; no blowup signature")
 
@@ -108,10 +108,9 @@ def mass_diagnostics(traj: Trajectory) -> MassSeries:
     nl = traj.nl_coeff
     times, M, Mp, Mpp, Es, grads = [], [], [], [], [], []
     for s in traj.snapshots:
-        g = s.grid
         u, v = s.u.values, s.v.values
         p, m = s.exponent, s.mass_param
-        cell = g.cell_volume
+        cell = s.grid.cell_volume
         grad_sq_field = gradient_square(s.u)
         grad_sq = float(np.sum(grad_sq_field)) * cell
         E = _energy_with(s, grad_sq_field, nl)
@@ -210,32 +209,27 @@ def truncated_mass(traj: Trajectory, R: float, center=None) -> MassSeries:
     nl = traj.nl_coeff
     dist = radial_distance(g, center)
 
+    cell = g.cell_volume
     times, M, Mp, rhs_list = [], [], [], []
     for s in traj.snapshots:
         t = s.time
         rad = R + abs(t)
-        y = dist / rad
-        phi, dphi, ddphi = _phi_cutoff(y)
-        u, v = s.u.values, s.v.values
-        p, m = s.exponent, s.mass_param
-        cell = g.cell_volume
-        grad = [gr.values for gr in spectral_gradient(s.u)]
-        grad_sq = sum(gr**2 for gr in grad)
-        grad_tx_sq = v**2 + grad_sq
-        pot = np.abs(u) ** (p + 2.0)
-        u_r = _radial_derivative(grad, g, center)
+        phi, dphi, ddphi = _phi_cutoff(dist / rad)
+        pc = _Pieces(s, center, nl, spectral_gradient(s.u))
+        u, v, p, m, pot = pc.u, pc.v, pc.p, pc.m, pc.pot
+        grad_tx_sq = v**2 + pc.grad_sq
 
         times.append(t)
         M.append(float(np.sum(phi * u**2)) * cell)
         # M' = int -x/(R+t)^2 . grad(phi)(y) u^2 + 2 phi u u_t
         Mp.append(float(np.sum(-(dist / rad**2) * dphi * u**2 + 2.0 * phi * u * v)) * cell)
-        E = _energy_with(s, grad_sq, nl)
+        E = _energy_with(s, pc.grad_sq, nl)
         bulk = (-2.0 * (p + 2.0) * E
                 + float(np.sum(4.0 * phi * v**2 + p * grad_tx_sq + p * m**2 * u**2)) * cell
                 + float(np.sum(2.0 * (1.0 - phi) * (grad_tx_sq + m**2 * u**2 - nl * pot))) * cell)
         cutoff_u2 = float(np.sum((2.0 * dist / rad**3 * dphi
                                   + dist**2 / rad**4 * ddphi) * u**2)) * cell
-        mixed = -float(np.sum(2.0 / rad * dphi * (2.0 * dist / rad * v + u_r) * u)) * cell
+        mixed = -float(np.sum(2.0 / rad * dphi * (2.0 * dist / rad * v + pc.u_r) * u)) * cell
         rhs_list.append(bulk + cutoff_u2 + mixed)
 
     times, M, rhs = np.array(times), np.array(M), np.array(rhs_list)
@@ -251,13 +245,10 @@ def critical_norm_series(traj: Trajectory) -> DiagnosticSeries:
     along the trajectory."""
     s0 = traj.snapshots[0]
     params = critical_exponent(s0.grid.d, s0.exponent)
-    times, vals = [], []
-    for s in traj.snapshots:
-        val = sobolev_norm(s.u, params.s_c, homogeneous=True) \
+    vals = [sobolev_norm(s.u, params.s_c, homogeneous=True)
             + sobolev_norm(s.v, params.s_c - 1.0, homogeneous=False, m=1.0)
-        times.append(s.time)
-        vals.append(val)
-    return DiagnosticSeries("critical_norm", np.array(times), np.array(vals),
+            for s in traj.snapshots]
+    return DiagnosticSeries("critical_norm", traj.times, np.array(vals),
                             regime=params.regime, metadata={"s_c": params.s_c})
 
 

@@ -26,11 +26,16 @@ from . import blowup as blowup_mod
 from . import cones as cones_mod
 from . import conslaws, profiles, snapshots
 from .errors import DomainError
-from .grid import Field, GridSpec, radial_distance
+from .grid import Field, GridSpec, _transient_distance
 from .norms import critical_exponent, energy, lebesgue_norm
 from .solver import SolverConfig, evolve, initial_data
 
 __all__ = ["ScenarioConfig", "load_config", "run", "main"]
+
+
+# how each solver key is read (float unless listed); the defaults are SolverConfig's
+_SOLVER_TYPES = {"snapshot_stride": int, "dealias_pad": str,
+                 "adapt_theta": lambda x: None if x is None else float(x)}
 
 
 class ScenarioConfig:
@@ -60,17 +65,16 @@ class ScenarioConfig:
             raise DomainError("config precondition violated: physics.m must lie in [0, 1]")
         critical_exponent(self.grid.d, self.p)  # range check, names p on failure
         s = dict(raw["solver"])
-        self.solver = SolverConfig(
-            dt_init=float(s["dt_init"]),
-            t_max=float(s["t_max"]),
-            dt_min=float(s.get("dt_min", 1e-12)),
-            cfl_safety=float(s.get("cfl_safety", 1.0)),
-            adapt_theta=s.get("adapt_theta", 1.0),
-            blowup_threshold=float(s.get("blowup_threshold", 1e8)),
-            snapshot_stride=int(s.get("snapshot_stride", 1)),
-            dealias_pad=s.get("dealias_pad", "none"),
-            nonlinearity=float(s.get("nonlinearity", 1.0)),
-        )
+        unknown = sorted(set(s) - {f.name for f in dataclasses.fields(SolverConfig)})
+        if unknown:
+            raise DomainError(f"config precondition violated: unknown solver keys {unknown}")
+        for key, val in s.items():
+            try:
+                s[key] = _SOLVER_TYPES.get(key, float)(val)
+            except (TypeError, ValueError):
+                raise DomainError(f"config precondition violated: solver.{key} = {val!r} "
+                                  "is not a number") from None
+        self.solver = SolverConfig(**s)
         self.solver.check_exponent(self.p)
         self.data_kind = raw["data"]["kind"]
         self.data_params = dict(raw["data"].get("params", {}))
@@ -101,9 +105,7 @@ def load_config(path) -> ScenarioConfig:
 
 
 def _manifest(out: Path, status: str, extra: dict | None = None) -> None:
-    payload = {"status": status}
-    payload.update(extra or {})
-    snapshots.write_json(out / "MANIFEST.json", payload)
+    snapshots.write_json(out / "MANIFEST.json", {"status": status, **(extra or {})})
 
 
 def cmd_simulate(cfg: ScenarioConfig) -> dict:
@@ -162,9 +164,7 @@ def cmd_audit_tensors(cfg: ScenarioConfig) -> dict:
             l2, linf = conslaws.residual_norms(res)
             per_level[tag].append((window[1].time, l2, linf))
     for tag in tags:
-        times = [row[0] for row in per_level[tag]]
-        l2s = [row[1] for row in per_level[tag]]
-        linfs = [row[2] for row in per_level[tag]]
+        times, l2s, linfs = (list(col) for col in zip(*per_level[tag]))
         orders = conslaws.refinement_orders(linfs) if len(linfs) > 1 else []
         report.append({"kind": tag, "times": times, "residual_l2": l2s,
                        "residual_linf": linfs, "refinement_orders": orders})
@@ -189,36 +189,21 @@ def cmd_cones(cfg: ScenarioConfig) -> dict:
     traj = evolve(cfg.initial_state(), cfg.solver)
     vertex = cone_cfg.get("vertex", [0.5 * cfg.grid.box_length] * cfg.grid.d)
     cone = cones_mod.ConeSpec(vertex=tuple(vertex), top_time=float(cone_cfg["top_time"]))
-    params = critical_exponent(cfg.grid.d, cfg.p)
     t_floor = float(cone_cfg.get("t_floor", 10.0 * cfg.solver.dt_init))
-
-    which = "Z" if params.regime == "sub_conformal" else "L"
-    series = cones_mod.lyapunov_series(traj, cone, which=which, t_floor=t_floor)
-    snapshots.write_series_csv(out / f"{which}_functional.csv",
-                               {"time": series.times, "value": series.values},
-                               sidecar={"series": series.name, "regime": series.regime,
-                                        "metadata": series.metadata, "config": cfg.raw})
-    monitors = cones_mod.cone_monitor(traj, cone)
-    for name, s in monitors.items():
-        snapshots.write_series_csv(out / f"{name}.csv",
-                                   {"time": s.times, "value": s.values},
-                                   sidecar={"series": name, "regime": s.regime,
+    which = "Z" if critical_exponent(cfg.grid.d, cfg.p).regime == "sub_conformal" else "L"
+    series, monitors, flux = cones_mod.cone_audit(traj, cone, which, t_floor)
+    for s in (series, *monitors.values()):
+        snapshots.write_series_csv(out / f"{s.name}.csv", {"time": s.times, "value": s.values},
+                                   sidecar={"series": s.name, "regime": s.regime,
                                             "metadata": s.metadata, "config": cfg.raw})
-    usable = [s.time for s in traj.snapshots if t_floor < s.time <= cone.top_time]
-    flux = {}
-    if len(usable) >= 3:
-        lhs, rhs, gap = cones_mod.energy_flux_check(traj, cone, usable[0], usable[-1])
-        flux = {"t0": usable[0], "t1": usable[-1], "lhs": lhs, "rhs": rhs, "gap": gap}
     snapshots.write_json(out / "flux_identity.json", {"flux": flux, "config": cfg.raw})
     return {"termination": traj.termination}
 
 
 def cmd_fit(cfg: ScenarioConfig, trajectory_dir=None) -> dict:
     out = cfg.out_dir
-    if trajectory_dir is not None:
-        traj = snapshots.read_trajectory(trajectory_dir)
-    else:
-        traj = evolve(cfg.initial_state(), cfg.solver)
+    traj = (evolve(cfg.initial_state(), cfg.solver) if trajectory_dir is None
+            else snapshots.read_trajectory(trajectory_dir))
     fit_cfg = cfg.audits.get("blowup", {})
     report = blowup_mod.detect_and_fit(traj, k_fit=int(fit_cfg.get("k_fit", 20)))
     mass = blowup_mod.mass_diagnostics(traj)
@@ -229,10 +214,7 @@ def cmd_fit(cfg: ScenarioConfig, trajectory_dir=None) -> dict:
         "fit_residual": report.fit_residual,
         "rate_exponents": report.rate_exponents,
         "diagnostics": report.diagnostics,
-        "concavity": {"t0_index": conc.t0_index,
-                      "cauchy_schwarz_violations": conc.cauchy_schwarz_violations,
-                      "concavity_violations": conc.concavity_violations,
-                      "checked": conc.checked},
+        "concavity": dataclasses.asdict(conc),
         "config": cfg.raw,
     }
     snapshots.write_json(out / "blowup_report.json", payload)
@@ -257,7 +239,7 @@ def _synthetic_family(cfg: ScenarioConfig, spec: dict) -> profiles.FunctionFamil
         for j, b in enumerate(bubbles):
             offset = anchor + np.round(j * sep_base * scale).astype(int)
             center = (offset % g.n) * g.spacing
-            r = radial_distance(g, center)
+            r = _transient_distance(g, center)
             vals += float(b["amplitude"]) * np.exp(-(r**2) /
                                                    (2.0 * (float(b["width"]) * g.spacing) ** 2))
         members.append(Field(g, vals))
@@ -346,11 +328,8 @@ def cmd_sweep(cfg_path) -> int:
     for i, override in enumerate(overrides):
         merged = copy.deepcopy(base)
         for section, vals in override.items():
-            merged.setdefault(section, {})
-            if isinstance(vals, dict):
-                merged[section].update(vals)
-            else:
-                merged[section] = vals
+            merged[section] = ({**merged.get(section, {}), **vals} if isinstance(vals, dict)
+                               else vals)
         merged.setdefault("output", {})
         base_dir = merged["output"].get("directory", "nlkg_out")
         merged["output"]["directory"] = str(Path(base_dir) / f"case{i:03d}")

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .conslaws import TensorKind, tensor_density, tensor_kind
+from .conslaws import TensorKind, _density, _Pieces, tensor_kind
 from .errors import DomainError
-from .grid import Field, GridSpec, State, displacement, radial_distance, spectral_gradient
+from .grid import Field, GridSpec, State
 from .norms import _energy_density, ball_integral, critical_exponent, gradient_square
 from .solver import Trajectory
 
@@ -30,6 +30,7 @@ __all__ = [
     "energy_flux_check",
     "averaged_gradient_bound",
     "cone_monitor",
+    "cone_audit",
 ]
 
 
@@ -87,20 +88,51 @@ def radial_angular_split(gradient: list[Field], vertex) -> tuple[Field, list[Fie
     u_r = (x/|x|) . grad u (defined as 0 at the vertex point) and the
     angular remainder; u_r^2 + |angular|^2 = |grad u|^2 pointwise.
     """
-    grid = gradient[0].grid
-    u_r = _radial_derivative([g.values for g in gradient], grid, vertex)
-    r = radial_distance(grid, vertex)
-    safe_r = np.where(r == 0.0, 1.0, r)
-    angular = [Field(grid, g.values - np.where(r == 0.0, 0.0, dx / safe_r) * u_r)
-               for dx, g in zip(displacement(grid, vertex), gradient)]
-    return Field(grid, u_r), angular
+    split = _Pieces(None, vertex, grad=gradient)
+    return Field(split.grid, split.u_r), [Field(split.grid, a) for a in split.angular]
 
 
-def _radial_derivative(gradient: list[np.ndarray], grid: GridSpec, vertex) -> np.ndarray:
-    """u_r = (x/|x|) . grad u about a vertex, 0 at the vertex point."""
-    r = radial_distance(grid, vertex)
-    u_r = sum(dx * g for dx, g in zip(displacement(grid, vertex), gradient))
-    return np.where(r == 0.0, 0.0, u_r / np.where(r == 0.0, 1.0, r))
+def _slice(state: State, cone: ConeSpec, nl_coeff: float, want) -> dict:
+    """The quantities named in `want` on the slice |x - x0| < t, all from one
+    conslaws._Pieces (one gradient): "L" and "Z", "monitor" (for :func:`cone_monitor`),
+    "boundary" and "bulk" (the two sides of :func:`energy_flux_check`)."""
+    pc = _Pieces(state, cone.vertex, nl_coeff)
+    t, u, v = state.time, pc.u, pc.v
+
+    def ball(values, radius, weight=None):
+        return ball_integral(values, state.grid, cone.vertex, radius, weight)
+
+    out = {}
+    if "L" in want:
+        out["L"] = ball(_density(pc, TensorKind("mod_dilation")), t)
+    if "Z" in want:
+        kind = tensor_kind("combined", state)
+        out["Z"] = ball(_density(pc, kind), t, lambda r: (t**2 - r**2) ** kind.alpha)
+    if "monitor" in want:
+        # (mass, grad, pth) normalized as cone_monitor states (super-conformal grad: the
+        # weighted slice integral, summed in t later), then the plain slice gradient
+        s_c, full_grad = critical_exponent(pc.d, pc.p).s_c, v**2 + pc.grad_sq
+        mass = ball(lambda at: at(u) ** 2, 0.5 * t)
+        pth = ball(lambda at: np.abs(at(u)) ** (0.5 * (pc.p + 4.0)), t)
+        if s_c > 0.5:
+            row = (mass / t ** (pc.p * pc.d / (pc.p + 4.0)),
+                   ball(full_grad, t, lambda r: (1.0 - r / t) ** 2), pth)
+        else:
+            row = (mass / t ** (2.0 * s_c), ball(full_grad, 0.5 * t) * t ** (2.0 * (1.0 - s_c)),
+                   pth / t ** (2.0 * s_c - 1.0))
+        out["monitor"] = row + (ball(full_grad, t),)
+    if "boundary" in want:
+        out["boundary"] = ball(pc.energy_density, t, lambda r: (t**2 - r**2) / t)
+    if "bulk" in want:
+        ur, ang_sq = pc.u_r, sum(a**2 for a in pc.angular)
+        # the last term is the energy density at rest (u_t = 0) with the angular gradient
+        out["bulk"] = (ball(lambda at: (at(v) + at(ur)) ** 2, t,
+                            lambda r: 0.25 * (1.0 + r / t) ** 2)
+                       + ball(lambda at: (at(v) - at(ur)) ** 2, t,
+                              lambda r: 0.25 * (1.0 - r / t) ** 2)
+                       + ball(lambda at: _energy_density(at(u), 0.0, at(ang_sq), pc.m, pc.p,
+                                                         pc.nl), t, lambda r: 1.0 + (r / t) ** 2))
+    return out
 
 
 def L_functional(state: State, cone: ConeSpec, nl_coeff: float = 1.0) -> float:
@@ -109,12 +141,7 @@ def L_functional(state: State, cone: ConeSpec, nl_coeff: float = 1.0) -> float:
     Nondecreasing in t for p >= 4/(d-1) and nonnegative for s_c >= 1/2
     (for solutions defined in the cone).
     """
-    t = state.time
-    if not (0.0 < t <= cone.top_time):
-        raise DomainError(f"state time {t} outside the cone's (0, {cone.top_time}]")
-    cone.validate_against(state.grid, t)
-    dens = tensor_density(state, TensorKind("mod_dilation"), cone.vertex, nl_coeff)
-    return ball_integral(dens.values, state.grid, cone.vertex, t)
+    return _functional(state, cone, nl_coeff, "L")
 
 
 def Z_functional(state: State, cone: ConeSpec, nl_coeff: float = 1.0) -> float:
@@ -123,29 +150,36 @@ def Z_functional(state: State, cone: ConeSpec, nl_coeff: float = 1.0) -> float:
     Requires the sub-conformal regime (alpha = 1/2 - s_c > 0); nondecreasing
     in t and nonnegative for solutions defined in the cone.
     """
+    return _functional(state, cone, nl_coeff, "Z")
+
+
+def _functional(state: State, cone: ConeSpec, nl_coeff: float, which: str) -> float:
     t = state.time
     if not (0.0 < t <= cone.top_time):
         raise DomainError(f"state time {t} outside the cone's (0, {cone.top_time}]")
     cone.validate_against(state.grid, t)
-    kind = tensor_kind("combined", state)
-    dens = tensor_density(state, kind, cone.vertex, nl_coeff)
-    return ball_integral(dens.values, state.grid, cone.vertex, t,
-                         lambda r: (t**2 - r**2) ** kind.alpha)
+    return _slice(state, cone, nl_coeff, {which})[which]
+
+
+def _check_which(which: str) -> None:
+    if which not in ("L", "Z"):
+        raise DomainError(f"which must be 'L' or 'Z', got {which!r}")
 
 
 def lyapunov_series(traj: Trajectory, cone: ConeSpec, which: str = "L",
                     t_floor: float = 0.0) -> DiagnosticSeries:
     """L(t) or Z(t) sampled over a trajectory's snapshots inside the cone."""
-    fn = L_functional if which == "L" else Z_functional
-    params = critical_exponent(traj.snapshots[0].grid.d, traj.snapshots[0].exponent)
-    times, vals = [], []
-    for s in traj.snapshots:
-        if t_floor < s.time <= cone.top_time:
-            times.append(s.time)
-            vals.append(fn(s, cone, traj.nl_coeff))
-    return DiagnosticSeries(name=f"{which}_functional", times=np.array(times),
-                            values=np.array(vals), regime=params.regime,
-                            metadata={"vertex": list(cone.vertex), "top_time": cone.top_time})
+    _check_which(which)
+    sel = [s for s in traj.snapshots if t_floor < s.time <= cone.top_time]
+    return _series(traj, cone, which, [s.time for s in sel],
+                   [_functional(s, cone, traj.nl_coeff, which) for s in sel])
+
+
+def _series(traj: Trajectory, cone: ConeSpec, which: str, times, values) -> DiagnosticSeries:
+    s0 = traj.snapshots[0]
+    return DiagnosticSeries(f"{which}_functional", times, values,
+                            critical_exponent(s0.grid.d, s0.exponent).regime,
+                            {"vertex": list(cone.vertex), "top_time": cone.top_time})
 
 
 def energy_flux_check(traj: Trajectory, cone: ConeSpec, t0: float, t1: float):
@@ -162,32 +196,17 @@ def energy_flux_check(traj: Trajectory, cone: ConeSpec, t0: float, t1: float):
     if abs(sel[0].time - t0) > 1e-9 or abs(sel[-1].time - t1) > 1e-9:
         raise DomainError("t0 and t1 must be snapshot times")
     cone.validate_against(sel[-1].grid, t1)
-    nl = traj.nl_coeff
+    ends = (0, len(sel) - 1)
+    return _flux([s.time for s in sel],
+                 [_slice(s, cone, traj.nl_coeff, {"bulk", "boundary"} if i in ends else {"bulk"})
+                  for i, s in enumerate(sel)])
 
-    def boundary(s: State) -> float:
-        dens = tensor_density(s, TensorKind("energy"), cone.vertex, nl)
-        t = s.time
-        return ball_integral(dens.values, s.grid, cone.vertex, t, lambda r: (t**2 - r**2) / t)
 
-    def bulk(s: State) -> float:
-        g = s.grid
-        t, m, p = s.time, s.mass_param, s.exponent
-        u_r, angular = radial_angular_split(spectral_gradient(s.u), cone.vertex)
-        ang_sq = sum(a.values**2 for a in angular)
-        v, ur, u = s.v.values, u_r.values, s.u.values
-        # the last term is the energy density at rest (u_t = 0) with the angular gradient
-        return (ball_integral(lambda at: (at(v) + at(ur)) ** 2, g, cone.vertex, t,
-                              lambda r: 0.25 * (1.0 + r / t) ** 2)
-                + ball_integral(lambda at: (at(v) - at(ur)) ** 2, g, cone.vertex, t,
-                                lambda r: 0.25 * (1.0 - r / t) ** 2)
-                + ball_integral(lambda at: _energy_density(at(u), 0.0, at(ang_sq), m, p, nl),
-                                g, cone.vertex, t, lambda r: 1.0 + (r / t) ** 2))
-
-    lhs = boundary(sel[-1]) - boundary(sel[0])
-    ts = np.array([s.time for s in sel])
-    rhs = float(np.trapezoid([bulk(s) for s in sel], ts))
-    gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-    return lhs, rhs, gap
+def _flux(times, rows) -> tuple:
+    """(lhs, rhs, gap) of the flux identity from its per-slice sides."""
+    lhs = rows[-1]["boundary"] - rows[0]["boundary"]
+    rhs = float(np.trapezoid([row["bulk"] for row in rows], np.array(times)))
+    return lhs, rhs, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
 
 def averaged_gradient_bound(traj: Trajectory, cone: ConeSpec, t0: float,
@@ -243,53 +262,37 @@ def cone_monitor(traj: Trajectory, cone: ConeSpec) -> dict:
     - dyadic_grad_avg: the [tau, 2 tau] cone integrals of |grad_{t,x} u|^2,
       over 1 (super-conformal) or tau^{2 s_c - 1} (otherwise).
     """
-    g = traj.snapshots[0].grid
-    params = critical_exponent(g.d, traj.snapshots[0].exponent)
-    superc = params.s_c > 0.5
-    sel = [s for s in traj.snapshots if 0.0 < s.time <= cone.top_time]
-    meta = {"vertex": list(cone.vertex), "top_time": cone.top_time, "s_c": params.s_c}
-    out = {}
-    if not sel:
-        empty = np.array([])
-        for name in ("mass_half_cone", "grad_half_cone", "pth_mass_cone", "dyadic_grad_avg"):
-            out[name] = DiagnosticSeries(name, empty, empty, params.regime, dict(meta))
-        return out
-    cone.validate_against(g, sel[-1].time)
+    sel = _in_cone(traj, cone)
+    return _monitors(traj, cone, [s.time for s in sel],
+                     [_slice(s, cone, traj.nl_coeff, {"monitor"})["monitor"] for s in sel])
 
-    x0 = cone.vertex
-    times, mass_n, grad_n, pth_n, grad_cone_weighted, grad_cone_plain = [], [], [], [], [], []
-    for s in sel:
-        t = s.time
-        u = s.u.values
-        full_grad = s.v.values**2 + gradient_square(s.u)
-        times.append(t)
-        mass = ball_integral(lambda at: at(u) ** 2, g, x0, 0.5 * t)
-        mass_n.append(mass / (t ** (params.p * g.d / (params.p + 4.0)) if superc
-                              else t ** (2.0 * params.s_c)))
-        pth = ball_integral(lambda at: np.abs(at(u)) ** (0.5 * (s.exponent + 4.0)), g, x0, t)
-        pth_n.append(pth if superc else pth / t ** (2.0 * params.s_c - 1.0))
-        if superc:
-            grad_cone_weighted.append(
-                ball_integral(full_grad, g, x0, t, lambda r: (1.0 - r / t) ** 2))
-        else:
-            grad_n.append(ball_integral(full_grad, g, x0, 0.5 * t)
-                          * t ** (2.0 * (1.0 - params.s_c)))
-        grad_cone_plain.append(ball_integral(full_grad, g, x0, t))
+
+def _in_cone(traj: Trajectory, cone: ConeSpec) -> list:
+    """The snapshots with 0 < t <= top_time, the largest slice checked against the box."""
+    sel = [s for s in traj.snapshots if 0.0 < s.time <= cone.top_time]
+    if sel:
+        cone.validate_against(sel[-1].grid, sel[-1].time)
+    return sel
+
+
+def _monitors(traj: Trajectory, cone: ConeSpec, times: list, rows: list) -> dict:
+    """The monitor series from the per-slice "monitor" rows (mass, grad, pth, plain)."""
+    s0 = traj.snapshots[0]
+    params = critical_exponent(s0.grid.d, s0.exponent)
+    superc = params.s_c > 0.5
+    meta = {"vertex": list(cone.vertex), "top_time": cone.top_time, "s_c": params.s_c}
+    names = ("mass_half_cone", "grad_half_cone", "pth_mass_cone", "dyadic_grad_avg")
+    if not rows:
+        empty = np.array([])
+        return {name: DiagnosticSeries(name, empty, empty, params.regime, dict(meta))
+                for name in names}
     times = np.array(times)
+    mass_n, grad_n, pth_n, plain = (np.array(col) for col in zip(*rows))
     if superc:
-        w = np.array(grad_cone_weighted)
-        grad_series = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(times))])
-    else:
-        grad_series = np.array(grad_n)
-    out["mass_half_cone"] = DiagnosticSeries("mass_half_cone", times, np.array(mass_n),
-                                             params.regime, dict(meta))
-    out["grad_half_cone"] = DiagnosticSeries("grad_half_cone", times, grad_series,
-                                             params.regime, dict(meta))
-    out["pth_mass_cone"] = DiagnosticSeries("pth_mass_cone", times, np.array(pth_n),
-                                            params.regime, dict(meta))
+        grad_n = np.concatenate([[0.0], np.cumsum(0.5 * (grad_n[1:] + grad_n[:-1])
+                                                  * np.diff(times))])
 
     # dyadic [tau, 2 tau] averages of the plain cone gradient integral
-    plain = np.array(grad_cone_plain)
     tau_vals, dyadic = [], []
     tau = times[0]
     while 2.0 * tau <= times[-1] + 1e-12:
@@ -299,6 +302,29 @@ def cone_monitor(traj: Trajectory, cone: ConeSpec) -> dict:
             tau_vals.append(tau)
             dyadic.append(val if superc else val / tau ** (2.0 * params.s_c - 1.0))
         tau *= 2.0
-    out["dyadic_grad_avg"] = DiagnosticSeries("dyadic_grad_avg", np.array(tau_vals),
-                                              np.array(dyadic), params.regime, dict(meta))
-    return out
+    return {name: DiagnosticSeries(name, tau_vals if name == "dyadic_grad_avg" else times,
+                                   np.array(vals), params.regime, dict(meta))
+            for name, vals in zip(names, (mass_n, grad_n, pth_n, dyadic))}
+
+
+def cone_audit(traj: Trajectory, cone: ConeSpec, which: str = "L", t_floor: float = 0.0):
+    """Everything `nlkg cones` writes, in one pass with one conslaws._Pieces
+    (one gradient) per snapshot in 0 < t <= top_time: the series of
+    :func:`lyapunov_series` over t > t_floor, the monitors of
+    :func:`cone_monitor`, and the :func:`energy_flux_check` dict (t0, t1,
+    lhs, rhs, gap) over the series' snapshots, {} when there are fewer than 3.
+    Returns (series, monitors, flux)."""
+    _check_which(which)
+    sel = _in_cone(traj, cone)
+    win = [i for i, s in enumerate(sel) if s.time > t_floor]
+    ends = (win[0], win[-1]) if len(win) >= 3 else ()  # the flux identity's end slices
+    rows = []
+    for i, s in enumerate(sel):
+        want = {"monitor", which, "bulk"} if s.time > t_floor else {"monitor"}
+        rows.append(_slice(s, cone, traj.nl_coeff, want | ({"boundary"} if i in ends else set())))
+    times = [s.time for s in sel]
+    win_times, win_rows = [times[i] for i in win], [rows[i] for i in win]
+    return (_series(traj, cone, which, win_times, [row[which] for row in win_rows]),
+            _monitors(traj, cone, times, [row["monitor"] for row in rows]),
+            dict(zip(("t0", "t1", "lhs", "rhs", "gap"),
+                     (win_times[0], win_times[-1], *_flux(win_times, win_rows)))) if ends else {})

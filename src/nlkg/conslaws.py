@@ -11,11 +11,13 @@ explicit apex point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError
-from .grid import Field, State, displacement, spectral_divergence, spectral_gradient
+from .grid import (Field, State, displacement, radial_distance, spectral_divergence,
+                   spectral_gradient)
 from .norms import _energy_density
 from .solver import Trajectory
 
@@ -74,23 +76,43 @@ class TensorSample:
 
 
 class _Pieces:
-    """Shared pointwise ingredients for the tensor formulas."""
+    """One snapshot's pointwise fields about an apex, built once for the tensor
+    formulas, the cone slices and the truncated mass.  `grad` (Fields) is for
+    a caller that has the gradient; with `state` None only the gradient's
+    fields exist (grad, x, S, grad_sq, r_sq, u_r, angular)."""
 
-    def __init__(self, state: State, apex, nl_coeff: float):
-        self.grid = state.grid
-        self.t = state.time
-        self.u = state.u.values
-        self.v = state.v.values
-        self.m = state.mass_param
-        self.p = state.exponent
-        self.d = state.grid.d
-        self.nl = nl_coeff
-        self.grad = [g.values for g in spectral_gradient(state.u)]
-        self.x = displacement(state.grid, apex)
+    def __init__(self, state: State | None, apex, nl_coeff: float = 1.0, grad=None):
+        grad = spectral_gradient(state.u) if grad is None else grad
+        self.grid, self.apex, self.grad = grad[0].grid, apex, [g.values for g in grad]
+        self.x = displacement(self.grid, apex)
         self.S = sum(xi * gi for xi, gi in zip(self.x, self.grad))  # x . grad u
         self.grad_sq = sum(g**2 for g in self.grad)
-        self.r_sq = sum(np.broadcast_to(xi**2, state.grid.shape) for xi in self.x)
-        self.pot = np.abs(self.u) ** (self.p + 2.0)
+        if state is not None:
+            self.t, self.u, self.v = state.time, state.u.values, state.v.values
+            self.m, self.p, self.d = state.mass_param, state.exponent, state.grid.d
+            self.nl = nl_coeff
+
+    @cached_property
+    def r_sq(self):
+        return sum(np.broadcast_to(xi**2, self.grid.shape) for xi in self.x)
+
+    @cached_property
+    def u_r(self):
+        """(x/|x|) . grad u about the apex, 0 at the apex point."""
+        r = radial_distance(self.grid, self.apex)
+        return np.where(r == 0.0, 0.0, self.S / np.where(r == 0.0, 1.0, r))
+
+    @property
+    def angular(self) -> list:
+        """grad u less its radial part; u_r^2 + |angular|^2 = |grad u|^2."""
+        r = radial_distance(self.grid, self.apex)
+        safe_r = np.where(r == 0.0, 1.0, r)
+        return [g - np.where(r == 0.0, 0.0, dx / safe_r) * self.u_r
+                for dx, g in zip(self.x, self.grad)]
+
+    @cached_property
+    def pot(self):
+        return np.abs(self.u) ** (self.p + 2.0)
 
     @property
     def energy_density(self):
@@ -240,17 +262,11 @@ def combined_weighted_source(state: State, apex, nl_coeff: float = 1.0) -> Field
     + m^2 u^2 (t^2-|x|^2)^{alpha} inside |x - apex| < t and 0 outside;
     pointwise nonnegative in the sub-conformal regime.
     """
-    d, p = state.grid.d, state.exponent
-    alpha = 0.5 - (d / 2.0 - 2.0 / p)
-    if alpha <= 0.0:
-        raise DomainError("combined weighted source requires the sub-conformal regime")
-    if state.time <= 0.0:
-        raise DomainError("requires evaluation time > 0")
-    pc = _Pieces(state, apex, nl_coeff)
-    t = state.time
-    gap = t**2 - pc.r_sq
+    kind = tensor_kind("combined", state)  # the sub-conformal regime only
+    pc = _pieces(state, kind, apex, nl_coeff)  # t > 0 only
+    alpha, gap = kind.alpha, state.time**2 - pc.r_sq
     inside = gap > 0.0
-    W2 = pc.dilation_multiplier(2.0 / p)
+    W2 = pc.dilation_multiplier(2.0 / pc.p)
     vals = np.zeros(state.grid.shape)
     vals[inside] = (2.0 * alpha * W2[inside] ** 2 * gap[inside] ** (alpha - 1.0)
                     + pc.m**2 * pc.u[inside] ** 2 * gap[inside] ** alpha)
@@ -315,8 +331,7 @@ def charge_slab_identity(traj: Trajectory, t0: float, t1: float) -> SlabIdentity
     nl = traj.nl_coeff
 
     cell = sel[0].grid.cell_volume
-    integrand = []
-    kinetic = []
+    integrand, kinetic = [], []
     for s in sel:
         pc = _Pieces(s, np.zeros(s.grid.d), nl)
         integrand.append(float(np.sum(pc.charge_source)) * cell)

@@ -436,6 +436,11 @@ def radial_distance(grid: GridSpec, center) -> np.ndarray:
     return _distance_table(grid, _center_key(grid, center))[1]
 
 
+def _transient_distance(grid: GridSpec, center) -> np.ndarray:
+    """:func:`radial_distance` outside the cache, for a one-off centre."""
+    return _distance_table.__wrapped__(grid, _center_key(grid, center))[1]
+
+
 def _center_key(grid: GridSpec, center) -> tuple:
     center = np.atleast_1d(np.asarray(center, dtype=np.float64))
     if center.shape != (grid.d,):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, StagnationError
 from .grid import (Field, GridSpec, _forward_array, _inverse_array, _lp_multiplier,
-                   dyadic_range, lp_bump, radial_distance)
+                   _transient_distance, dyadic_range, lp_bump)
 from .norms import CriticalParams, lebesgue_norm, sobolev_norm
 
 __all__ = [
@@ -42,10 +42,8 @@ class FunctionFamily:
     def __post_init__(self):
         if len(self.members) < 1:
             raise DomainError("family needs at least one member")
-        g = self.members[0].grid
-        for f in self.members:
-            if f.grid != g:
-                raise DomainError("family members must share one grid")
+        if any(f.grid != self.members[0].grid for f in self.members):
+            raise DomainError("family members must share one grid")
         object.__setattr__(self, "members", tuple(self.members))
 
     @property
@@ -67,10 +65,8 @@ class ExtractionResult:
 
 def _sobolev_bound(family: FunctionFamily, params: CriticalParams) -> float:
     """max_n sqrt(||f||_{H^sc}^2 + ||f||_{H^1}^2), the family's M."""
-    worst = 0.0
-    for f in family.members:
-        worst = max(worst, sobolev_norm(f, params.s_c) ** 2 + sobolev_norm(f, 1.0) ** 2)
-    return float(np.sqrt(worst))
+    return float(np.sqrt(max(sobolev_norm(f, params.s_c) ** 2 + sobolev_norm(f, 1.0) ** 2
+                             for f in family.members)))
 
 
 def _center_index(grid: GridSpec) -> tuple:
@@ -83,8 +79,6 @@ def _roll_to_center(values: np.ndarray, idx: tuple, grid: GridSpec) -> np.ndarra
 
 
 def _min_pairwise_distance(points: np.ndarray, L: float) -> float:
-    if len(points) < 2:
-        return np.inf
     best = np.inf
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
@@ -97,12 +91,9 @@ def _window_radius(grid: GridSpec, known_centers: np.ndarray | None) -> float:
     """Quarter of the minimum pairwise distance among the known centers,
     floored at WINDOW_FLOOR_CELLS cells; the floor alone when fewer than
     two centers are known."""
-    h = grid.spacing
-    floor = WINDOW_FLOOR_CELLS * h
-    if known_centers is None or len(known_centers) < 2:
-        r = floor
-    else:
-        r = max(floor, _min_pairwise_distance(known_centers, grid.box_length) / 4.0)
+    floor = WINDOW_FLOOR_CELLS * grid.spacing
+    r = (floor if known_centers is None or len(known_centers) < 2
+         else max(floor, _min_pairwise_distance(known_centers, grid.box_length) / 4.0))
     # keep the taper's support inside the box
     return min(r, 0.45 * grid.box_length / 1.1)
 
@@ -164,7 +155,7 @@ def inverse_gn_extract(family: FunctionFamily, params: CriticalParams,
     if prior_centers is not None and len(prior_centers):
         known = np.vstack([prior_centers, known])
     R_w = _window_radius(g, known)
-    window = lp_bump(radial_distance(g, np.array(_center_index(g)) * g.spacing) / R_w)
+    window = lp_bump(_transient_distance(g, np.array(_center_index(g)) * g.spacing) / R_w)
     avg = window * np.mean(recentered, axis=0)
     profile = Field(g, np.ascontiguousarray(avg))
 
@@ -225,10 +216,8 @@ def bubble_decompose(family: FunctionFamily, params: CriticalParams,
         res = inverse_gn_extract(fam, params, floor=tol, prior_centers=prior)
         if res.status == "exhausted":
             break
-        new_residuals = []
-        for i, r in enumerate(residuals):
-            shifted = _shift_profile(res.profile, res.centers[i], g)
-            new_residuals.append(Field(g, r.values - shifted))
+        new_residuals = [Field(g, r.values - _shift_profile(res.profile, c, g))
+                         for r, c in zip(residuals, res.centers)]
         eps_new = max(lebesgue_norm(r, p2) for r in new_residuals)
         if eps_new >= eps_hist[-1]:
             raise StagnationError(
@@ -254,9 +243,7 @@ def decoupling_audit(dec: Decomposition, family: FunctionFamily,
     """
     g = family.grid
     p2 = params.p + 2.0
-    i = family.n_count - 1
-    f = family.members[i]
-    r = dec.residuals[i]
+    f, r = family.members[-1], dec.residuals[-1]
 
     def gap(norm_fn) -> float:
         whole = norm_fn(f)
@@ -268,10 +255,7 @@ def decoupling_audit(dec: Decomposition, family: FunctionFamily,
         "hsc": gap(lambda x: sobolev_norm(x, params.s_c) ** 2),
         "p_plus_2": gap(lambda x: lebesgue_norm(x, p2) ** p2),
     }
-    separations = []
-    if dec.n_bubbles >= 2:
-        for n in range(family.n_count):
-            pts = np.array([b[1][n] for b in dec.bubbles])
-            separations.append(_min_pairwise_distance(pts, g.box_length))
-    gaps["min_separation_by_member"] = separations
+    gaps["min_separation_by_member"] = [
+        _min_pairwise_distance(np.array([b[1][n] for b in dec.bubbles]), g.box_length)
+        for n in range(family.n_count)] if dec.n_bubbles >= 2 else []
     return gaps

@@ -97,10 +97,12 @@ def read_trajectory(directory):
     directory = Path(directory)
     with open(directory / "meta.json") as fh:
         meta = json.load(fh)
-    snapshots = []
-    for i in range(meta["count"]):
-        snapshots.append(read_state_checkpoint(directory / f"snap{i:06d}_u.snap",
-                                               directory / f"snap{i:06d}_v.snap"))
+    try:
+        snapshots = [read_state_checkpoint(directory / f"snap{i:06d}_u.snap",
+                                           directory / f"snap{i:06d}_v.snap")
+                     for i in range(meta["count"])]
+    except FileNotFoundError as exc:
+        raise CorruptionError(f"{exc.filename}: missing from the stored trajectory") from None
     series = {k: (np.array(t), np.array(v)) for k, (t, v) in meta["scalar_series"].items()}
     return Trajectory(snapshots=snapshots, termination=meta["termination"],
                       scalar_series=series, nl_coeff=meta["nl_coeff"])

@@ -61,6 +61,9 @@ class SolverConfig:
             raise DomainError(f"unknown dealias_pad {self.dealias_pad!r}")
         if self.snapshot_stride < 1:
             raise DomainError("snapshot_stride must be >= 1")
+        for name in ("t_max", "cfl_safety", "adapt_theta"):
+            if getattr(self, name) is not None and not getattr(self, name) > 0.0:
+                raise DomainError(f"{name} must be positive")
 
     def check_exponent(self, p: float) -> None:
         """Raise DomainError if this config cannot step exponent p."""
@@ -228,8 +231,7 @@ def _choose_dt(config: SolverConfig, amp: float, h: float, p: float, t_left: flo
     dt = config.dt_init
     if config.adapt_theta is not None and amp > 0.0:
         dt *= min(1.0, config.adapt_theta / amp ** (0.5 * p))
-    dt = min(dt, config.cfl_safety * h, t_left)
-    return dt
+    return min(dt, config.cfl_safety * h, t_left)
 
 
 def evolve(state: State, config: SolverConfig, monitors: dict | None = None) -> Trajectory:
@@ -251,9 +253,7 @@ def evolve(state: State, config: SolverConfig, monitors: dict | None = None) -> 
     t_end = state.time + config.t_max
 
     snapshots: list[State] = []
-    series: dict[str, tuple[list, list]] = {"sup_norm": ([], [])}
-    for name in monitors:
-        series[name] = ([], [])
+    series = {name: ([], []) for name in ("sup_norm", *monitors)}
 
     def record(st: State) -> None:
         if snapshots and snapshots[-1].time == st.time:
@@ -362,10 +362,6 @@ def lifespan_upper(A: float, p: float) -> float:
     return A ** (-0.5 * p) * np.sqrt(0.5 * (p + 2.0)) * (2.0 / p) * value
 
 
-def _box_center(grid: GridSpec) -> np.ndarray:
-    return np.full(grid.d, 0.5 * grid.box_length)
-
-
 def _zero(grid: GridSpec) -> Field:
     return Field(grid, np.zeros(grid.shape))
 
@@ -382,7 +378,7 @@ def initial_data(grid: GridSpec, kind: str, m: float, p: float, **params) -> Sta
     - negative_energy(A, w, margin=0.5): gaussian rescaled by bisection in
       amplitude until the energy is strictly negative
     """
-    center = np.asarray(params.get("center", _box_center(grid)), dtype=np.float64)
+    center = np.asarray(params.get("center", [0.5 * grid.box_length] * grid.d), dtype=np.float64)
 
     if kind == "constant":
         A = float(params["A"])

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nlkg.grid as grid_mod
 from nlkg.grid import GridSpec, axis_coordinates, displacement, radial_distance
 from nlkg.norms import ball_integral
 
@@ -79,3 +80,11 @@ def test_cached_tables_are_read_only():
     disp = displacement(g, [1.0, 2.0])
     with pytest.raises(ValueError):
         disp[0][0] = 1.0
+
+
+def test_transient_distance_matches_the_cached_table_outside_the_cache():
+    g = GridSpec(3, 16, 8.0)
+    grid_mod._distance_table.cache_clear()
+    r = grid_mod._transient_distance(g, (1.0, 2.0, 7.5))
+    assert grid_mod._distance_table.cache_info().currsize == 0
+    assert np.array_equal(r, radial_distance(g, (1.0, 2.0, 7.5)))

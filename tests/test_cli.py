@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlkg.cli import main
+import nlkg.grid as grid_mod
+from nlkg.cli import ScenarioConfig, _synthetic_family, main
 
 
 def base_config(out_dir, **over):
@@ -46,6 +47,26 @@ class TestValidation:
         assert code == 2
         assert "pad2x" in capsys.readouterr().err
         assert not (out / "MANIFEST.json").exists()
+
+    @pytest.mark.parametrize("solver", [
+        {"adapt_theta": 0.0}, {"adapt_theta": -1.0}, {"cfl_safety": 0.0},
+        {"cfl_safety": -0.5}, {"t_max": 0.0}, {"t_max": -0.1},
+        {"snapshot_strid": 2}, {"adapt_theta": "fast"}])
+    def test_bad_solver_setting_fails_before_any_output(self, tmp_path, capsys, solver):
+        # each of these used to run and end at t = 0 (dt_underflow or
+        # reached_t_max), or to be ignored (the misspelt stride key)
+        out = tmp_path / "out"
+        code = main(["simulate", str(write_cfg(tmp_path, base_config(out, solver=solver)))])
+        assert code == 2
+        assert next(iter(solver)) in capsys.readouterr().err
+        assert not (out / "MANIFEST.json").exists()
+
+    def test_solver_values_read_as_numbers(self, tmp_path):
+        cfg = ScenarioConfig(base_config(tmp_path / "out",
+                                         solver={"adapt_theta": "0.5", "t_max": "0.1"}))
+        assert cfg.solver.adapt_theta == 0.5 and isinstance(cfg.solver.adapt_theta, float)
+        assert cfg.solver.t_max == 0.1
+        assert ScenarioConfig(base_config(tmp_path / "out")).solver.adapt_theta is None
 
     def test_cone_box_rule(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "out", audits={"cones": {"top_time": 1.5}})
@@ -146,6 +167,18 @@ class TestDecompose:
         manifest = json.loads((out / "decomposition" / "manifest.json").read_text())
         assert manifest["n_bubbles"] >= 1
         assert (out / "decomposition" / "profile0.snap").exists()
+
+
+    def test_synthetic_family_leaves_distance_cache_alone(self, tmp_path):
+        # one distance table per planted bubble would otherwise stay cached
+        cfg = ScenarioConfig(base_config(tmp_path / "out",
+                                         grid={"d": 2, "n": 64, "box_length": 16.0}))
+        grid_mod._distance_table.cache_clear()
+        fam = _synthetic_family(cfg, {"n_members": 2, "separation_base": 8,
+                                      "bubbles": [{"amplitude": 1.0, "width": 2.5},
+                                                  {"amplitude": 0.5, "width": 2.0}]})
+        assert fam.n_count == 2
+        assert grid_mod._distance_table.cache_info().currsize == 0
 
 
 class TestModule:

@@ -2,12 +2,19 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import nlkg.blowup as blowup_mod
+import nlkg.cones as cones_mod
+import nlkg.conslaws as conslaws_mod
+import nlkg.grid as grid_mod
+import nlkg.norms as norms_mod
+import nlkg.solver as solver_mod
 from nlkg.cones import (
     ConeSpec,
     DiagnosticSeries,
     L_functional,
     Z_functional,
     averaged_gradient_bound,
+    cone_audit,
     cone_monitor,
     energy_flux_check,
     lyapunov_series,
@@ -225,3 +232,107 @@ class TestConeMonitor:
                    (lambda rho: (t**2 - rho**2) / t),
                    (lambda rho: (t**2 - rho**2) ** alpha)):
             assert wf(np.array([t]))[0] == 0.0
+
+
+def count_gradients(monkeypatch) -> list:
+    """Wrap spectral_gradient in every nlkg module that binds it; returns the call log."""
+    calls, real = [], grid_mod.spectral_gradient
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    for mod in (grid_mod, norms_mod, solver_mod, conslaws_mod, cones_mod, blowup_mod):
+        if hasattr(mod, "spectral_gradient"):
+            monkeypatch.setattr(mod, "spectral_gradient", counting)
+    return calls
+
+
+# (grid, p, data, cone, functional): conformal (d = 2, p = 4, L), super-conformal
+# (d = 2, p = 6, L; the weighted, t-integrated gradient monitor) and
+# sub-conformal (d = 3, p = 1.8, Z)
+AUDIT_CASES = {
+    "conformal_2d": (GridSpec(2, 32, 8.0), 4.0, {"A": 0.8, "w": 0.6},
+                     ConeSpec((4.0, 4.0), 0.5), "L"),
+    "superconformal_2d": (GridSpec(2, 32, 8.0), 6.0, {"A": 0.6, "w": 0.6},
+                          ConeSpec((4.0, 4.0), 0.5), "L"),
+    "subconformal_3d": (GridSpec(3, 16, 8.0), 1.8, {"A": 0.8, "w": 0.8},
+                        ConeSpec((4.0, 4.0, 4.0), 0.5), "Z"),
+}
+T_FLOOR = 0.05
+
+
+@pytest.fixture(scope="module", params=list(AUDIT_CASES))
+def audit_case(request):
+    g, p, data, cone, which = AUDIT_CASES[request.param]
+    st = initial_data(g, "gaussian", m=0.5, p=p, **data)
+    traj = evolve(st, SolverConfig(dt_init=1e-2, t_max=0.6, adapt_theta=None,
+                                   snapshot_stride=4))
+    return traj, cone, which
+
+
+class TestConeAudit:
+    def test_equals_standalone_functions_bit_for_bit(self, audit_case):
+        traj, cone, which = audit_case
+        series, monitors, flux = cone_audit(traj, cone, which, T_FLOOR)
+
+        alone = lyapunov_series(traj, cone, which, T_FLOOR)
+        assert series.name == alone.name == f"{which}_functional"
+        assert np.array_equal(series.times, alone.times)
+        assert np.array_equal(series.values, alone.values)
+        assert (series.regime, series.metadata) == (alone.regime, alone.metadata)
+
+        alone_monitors = cone_monitor(traj, cone)
+        assert list(monitors) == list(alone_monitors)
+        for name, s in alone_monitors.items():
+            assert np.array_equal(monitors[name].times, s.times), name
+            assert np.array_equal(monitors[name].values, s.values), name
+            assert monitors[name].metadata == s.metadata, name
+
+        t0, t1 = series.times[0], series.times[-1]
+        assert (flux["t0"], flux["t1"]) == (t0, t1)
+        lhs, rhs, gap = energy_flux_check(traj, cone, t0, t1)
+        assert (flux["lhs"], flux["rhs"], flux["gap"]) == (lhs, rhs, gap)
+
+    def test_one_gradient_per_snapshot_in_cone(self, audit_case, monkeypatch):
+        traj, cone, which = audit_case
+        in_cone = [s for s in traj.snapshots if 0.0 < s.time <= cone.top_time]
+        assert len(in_cone) < len(traj.snapshots)  # the run outlives the cone
+        calls = count_gradients(monkeypatch)
+        cone_audit(traj, cone, which, T_FLOOR)
+        assert len(calls) == len(in_cone)
+
+    def test_standalone_functions_one_gradient_per_snapshot(self, audit_case, monkeypatch):
+        traj, cone, which = audit_case
+        in_cone = [s for s in traj.snapshots if 0.0 < s.time <= cone.top_time]
+        window = [s for s in in_cone if s.time > T_FLOOR]
+        calls = count_gradients(monkeypatch)
+        for run, used in (
+                (lambda: lyapunov_series(traj, cone, which, T_FLOOR), window),
+                (lambda: cone_monitor(traj, cone), in_cone),
+                (lambda: energy_flux_check(traj, cone, window[0].time, window[-1].time),
+                 window),
+                (lambda: (L_functional if which == "L" else Z_functional)(in_cone[-1], cone),
+                 in_cone[-1:])):
+            calls.clear()
+            run()
+            assert len(calls) == len(used)
+
+    def test_flux_needs_three_snapshots_above_floor(self, audit_case):
+        traj, cone, which = audit_case
+        last_two = [s.time for s in traj.snapshots if s.time <= cone.top_time][-3]
+        series, _, flux = cone_audit(traj, cone, which, t_floor=last_two)
+        assert len(series.times) == 2
+        assert flux == {}
+
+    @pytest.mark.parametrize("which", ["l", "z", "LZ", ""])
+    def test_unknown_functional_rejected(self, grid2d, which):
+        traj = zero_traj(grid2d, np.linspace(0.2, 1.2, 9), p=4.0)
+        cone = ConeSpec(CENTER2, 1.3)
+        with pytest.raises(DomainError, match="'L' or 'Z'"):
+            lyapunov_series(traj, cone, which=which)
+        with pytest.raises(DomainError, match="'L' or 'Z'"):
+            cone_audit(traj, cone, which=which)
+        # also when no snapshot lies above the floor
+        with pytest.raises(DomainError, match="'L' or 'Z'"):
+            lyapunov_series(traj, cone, which=which, t_floor=5.0)

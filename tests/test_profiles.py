@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nlkg.grid as grid_mod
 from nlkg.errors import StagnationError
 from nlkg.grid import Field, GridSpec, radial_distance
 from nlkg.norms import critical_exponent, lebesgue_norm, sobolev_norm
@@ -50,6 +51,14 @@ def h1_error(a: Field, b: Field) -> float:
 
 
 class TestInverseGnExtract:
+    def test_window_leaves_distance_cache_alone(self, rng):
+        # the window's one-off distance table would otherwise stay cached
+        g = GridSpec(2, 64, 16.0)
+        fam = make_family(g, {"base_sep": 8, "bubbles": [(1.0, 2.5)]}, 2, rng)
+        grid_mod._distance_table.cache_clear()
+        assert inverse_gn_extract(fam, PARAMS).status == "ok"
+        assert grid_mod._distance_table.cache_info().currsize == 0
+
     def test_single_bubble_recovery(self, rng):
         g = GridSpec(2, 128, 16.0)
         true = Field(g, gaussian_bubble(g, (8.0, 8.0), 1.0, 2.5))

@@ -85,6 +85,17 @@ class TestTrajectoryStore:
         with pytest.raises(DomainError, match="at least one snapshot"):
             read_trajectory(tmp_path / "traj")
 
+    @pytest.mark.parametrize("part", ["u", "v"])
+    def test_missing_snapshot_file_is_corruption(self, tmp_path, part):
+        g = GridSpec(1, 16, 4.0)
+        traj = evolve(initial_data(g, "gaussian", m=0.0, p=2.0, A=0.4, w=0.4),
+                      SolverConfig(dt_init=1e-2, t_max=0.02))
+        write_trajectory(tmp_path / "traj", traj)
+        missing = tmp_path / "traj" / f"snap000001_{part}.snap"
+        missing.unlink()
+        with pytest.raises(CorruptionError, match=f"snap000001_{part}.snap"):
+            read_trajectory(tmp_path / "traj")
+
 
 class TestCsvJson:
     def test_csv_header_and_sidecar(self, tmp_path):

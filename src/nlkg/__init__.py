@@ -77,6 +77,7 @@ from .profiles import (
 )
 from .solver import (
     SolverConfig,
+    SpectralStepper,
     Trajectory,
     evolve,
     initial_data,

@@ -33,9 +33,26 @@ from .solver import SolverConfig, evolve, initial_data
 __all__ = ["ScenarioConfig", "load_config", "run", "main"]
 
 
+def _integer(value, key: str) -> int:
+    """A config integer; a fractional or non-numeric value is a DomainError
+    naming `key` rather than a silent truncation."""
+    try:
+        number = int(value)
+        integral = number == value or number == float(value)
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise DomainError(f"config precondition violated: {key} = {value!r} is not an integer")
+    return number
+
+
 # how each solver key is read (float unless listed); the defaults are SolverConfig's
-_SOLVER_TYPES = {"snapshot_stride": int, "dealias_pad": str,
+_SOLVER_TYPES = {"snapshot_stride": lambda x: _integer(x, "solver.snapshot_stride"),
+                 "dealias_pad": str,
                  "adapt_theta": lambda x: None if x is None else float(x)}
+# integer settings under `audits`, converted at load so a bad one fails before any output
+_AUDIT_INTEGERS = (("tensors", "levels"), ("blowup", "k_fit"), ("profiles", "j_max"),
+                   ("profiles", "synthetic", "n_members"))
 
 
 class ScenarioConfig:
@@ -57,7 +74,8 @@ class ScenarioConfig:
         for section, key in self.REQUIRED:
             if section not in raw or key not in raw[section]:
                 raise DomainError(f"config precondition violated: missing {section}.{key}")
-        self.grid = GridSpec(int(raw["grid"]["d"]), int(raw["grid"]["n"]),
+        self.grid = GridSpec(_integer(raw["grid"]["d"], "grid.d"),
+                             _integer(raw["grid"]["n"], "grid.n"),
                              float(raw["grid"]["box_length"]))
         self.m = float(raw["physics"]["m"])
         self.p = float(raw["physics"]["p"])
@@ -78,8 +96,14 @@ class ScenarioConfig:
         self.solver.check_exponent(self.p)
         self.data_kind = raw["data"]["kind"]
         self.data_params = dict(raw["data"].get("params", {}))
-        self.audits = dict(raw.get("audits", {}))
-        self.seed = int(raw.get("seed", 0))
+        self.audits = copy.deepcopy(dict(raw.get("audits", {})))
+        for *sections, key in _AUDIT_INTEGERS:
+            at = self.audits
+            for name in sections:
+                at = at.get(name, {})
+            if key in at:
+                at[key] = _integer(at[key], ".".join(("audits", *sections, key)))
+        self.seed = _integer(raw.get("seed", 0), "seed")
         self.out_dir = Path(raw.get("output", {}).get("directory", "nlkg_out"))
         self._validate_cones()
 
@@ -142,7 +166,7 @@ def _tensor_window(cfg: ScenarioConfig, scale: int):
 
 def cmd_audit_tensors(cfg: ScenarioConfig) -> dict:
     audit_cfg = cfg.audits.get("tensors", {})
-    levels = int(audit_cfg.get("levels", 2))
+    levels = audit_cfg.get("levels", 2)
     if levels < 1:
         raise DomainError("config precondition violated: audits.tensors.levels must be >= 1")
     apex = audit_cfg.get("apex", [0.5 * cfg.grid.box_length] * cfg.grid.d)
@@ -205,7 +229,7 @@ def cmd_fit(cfg: ScenarioConfig, trajectory_dir=None) -> dict:
     traj = (evolve(cfg.initial_state(), cfg.solver) if trajectory_dir is None
             else snapshots.read_trajectory(trajectory_dir))
     fit_cfg = cfg.audits.get("blowup", {})
-    report = blowup_mod.detect_and_fit(traj, k_fit=int(fit_cfg.get("k_fit", 20)))
+    report = blowup_mod.detect_and_fit(traj, k_fit=fit_cfg.get("k_fit", 20))
     mass = blowup_mod.mass_diagnostics(traj)
     conc = blowup_mod.concavity_check(mass)
     payload = {
@@ -228,7 +252,7 @@ def cmd_fit(cfg: ScenarioConfig, trajectory_dir=None) -> dict:
 def _synthetic_family(cfg: ScenarioConfig, spec: dict) -> profiles.FunctionFamily:
     rng = np.random.default_rng(cfg.seed)
     g = cfg.grid
-    n_members = int(spec.get("n_members", 4))
+    n_members = spec.get("n_members", 4)
     bubbles = spec["bubbles"]  # list of {"width": cells, "amplitude": a}
     sep_base = float(spec.get("separation_base", 32))  # cells at member 0
     members = []
@@ -258,7 +282,7 @@ def cmd_decompose(cfg: ScenarioConfig) -> dict:
         fields = [snapshots.read_field_snapshot(p)[0] for p in paths]
         family = profiles.FunctionFamily(tuple(fields))
     dec = profiles.bubble_decompose(family, params,
-                                    j_max=int(prof_cfg.get("j_max", 8)),
+                                    j_max=prof_cfg.get("j_max", 8),
                                     tol=float(prof_cfg.get("tol", 1e-3)))
     gaps = profiles.decoupling_audit(dec, family, params)
     arch = cfg.out_dir / "decomposition"

@@ -458,3 +458,20 @@ def _distance_table(grid: GridSpec, center: tuple) -> tuple:
     for a in (*disp, dist):
         a.flags.writeable = False
     return disp, dist
+
+
+@lru_cache(maxsize=4)
+def _lattice_offsets(grid: GridSpec, center: tuple):
+    """k.k of the integer minimal-image offsets k = x/h - c/h, each axis in
+    [-n/2, n/2), when c is a lattice point; None otherwise.  Exact, where the
+    float distance table can miss a lattice distance by an ulp; read-only."""
+    index = [c / grid.spacing for c in center]
+    if not all(i.is_integer() for i in index):
+        return None
+    n = grid.n
+    sq = np.zeros(grid.shape, dtype=np.int64)
+    for ax, i in enumerate(index):
+        k = (np.arange(n) - int(i) + n // 2) % n - n // 2
+        sq = sq + (k**2).reshape((1,) * ax + (n,) + (1,) * (grid.d - ax - 1))
+    sq.flags.writeable = False
+    return sq

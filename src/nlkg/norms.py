@@ -13,8 +13,10 @@ from .grid import (
     Field,
     GridSpec,
     State,
+    _center_key,
     _forward_array,
     _half_multiplicity,
+    _lattice_offsets,
     _magnitude,
     _symbol_weights,
     bessel_symbol,
@@ -81,9 +83,20 @@ class Region:
 
 
 def _inside(grid: GridSpec, center, radius: float) -> tuple:
-    """Indicator of the open ball |x - center| < radius, and the distance table."""
+    """Indicator of the open ball |x - center| < radius, and the distance table.
+
+    About a lattice centre a point is inside when its integer offset k has
+    k.k h^2 < R^2 in exact arithmetic, so a lattice point at exactly R is
+    out whatever the rounding of the float table.
+    """
     r = radial_distance(grid, center)
-    return r < radius, r
+    ksq = _lattice_offsets(grid, _center_key(grid, center))
+    if ksq is None or not 0.0 < radius < np.inf:
+        return r < radius, r
+    # the largest k.k with k.k h^2 < R^2, for R = a/b and h = c/e exactly
+    a, b = float(radius).as_integer_ratio()
+    c, e = grid.spacing.as_integer_ratio()
+    return ksq <= ((a * e) ** 2 - 1) // (b * c) ** 2, r
 
 
 def ball_integral(values, grid: GridSpec, center, radius: float, weight=None) -> float:

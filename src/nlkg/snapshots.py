@@ -8,6 +8,7 @@ float64 payload.  A State checkpoint is a pair of snapshots (u and v).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -76,7 +77,8 @@ def read_state_checkpoint(u_path, v_path) -> State:
 
 def write_trajectory(directory, traj) -> None:
     """Store a trajectory: per-snapshot u/v pairs plus a meta.json with the
-    termination reason, nonlinearity coefficient, and scalar series."""
+    termination reason, nonlinearity coefficient, scalar series and the
+    solver config (null when the trajectory has none)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for i, s in enumerate(traj.snapshots):
@@ -85,6 +87,7 @@ def write_trajectory(directory, traj) -> None:
         "count": len(traj.snapshots),
         "termination": traj.termination,
         "nl_coeff": traj.nl_coeff,
+        "config": None if traj.config is None else dataclasses.asdict(traj.config),
         "scalar_series": {k: [list(map(float, t)), list(map(float, v))]
                           for k, (t, v) in traj.scalar_series.items()},
     }
@@ -92,7 +95,9 @@ def write_trajectory(directory, traj) -> None:
 
 
 def read_trajectory(directory):
-    from .solver import Trajectory
+    """The stored trajectory; a meta.json without a "config" key (an older
+    store) reads with config None."""
+    from .solver import SolverConfig, Trajectory
 
     directory = Path(directory)
     with open(directory / "meta.json") as fh:
@@ -104,8 +109,10 @@ def read_trajectory(directory):
     except FileNotFoundError as exc:
         raise CorruptionError(f"{exc.filename}: missing from the stored trajectory") from None
     series = {k: (np.array(t), np.array(v)) for k, (t, v) in meta["scalar_series"].items()}
+    config = meta.get("config")
     return Trajectory(snapshots=snapshots, termination=meta["termination"],
-                      scalar_series=series, nl_coeff=meta["nl_coeff"])
+                      scalar_series=series, nl_coeff=meta["nl_coeff"],
+                      config=None if config is None else SolverConfig(**config))
 
 
 def write_series_csv(path, columns: dict, sidecar: dict | None = None) -> None:

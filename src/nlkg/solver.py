@@ -21,6 +21,7 @@ __all__ = [
     "linear_propagator",
     "nonlinear_kick",
     "strang_step",
+    "SpectralStepper",
     "evolve",
     "ode_oracle",
     "lifespan_upper",
@@ -125,14 +126,6 @@ def _propagator_tables(grid: GridSpec, m: float, dt: float):
     return c[at], sinc[at], (w * s)[at]
 
 
-def _linear_step_arrays(u, v, grid: GridSpec, m: float, dt: float):
-    c, sinc, wsin = _propagator_tables(grid, m, dt)
-    U = _forward_array(u)
-    V = _forward_array(v)
-    return (_inverse_array(c * U + sinc * V, grid.shape),
-            _inverse_array(c * V - wsin * U, grid.shape))
-
-
 def linear_propagator(state: State, dt: float) -> State:
     """Exact flow of u_tt - Lap u + m^2 u = 0 over time dt (dt may be negative).
 
@@ -142,11 +135,7 @@ def linear_propagator(state: State, dt: float) -> State:
     """
     if not np.isfinite(dt):
         raise DomainError("dt must be finite")
-    u, v = _linear_step_arrays(
-        state.u.values, state.v.values, state.grid, state.mass_param, dt
-    )
-    return State(Field(state.grid, u), Field(state.grid, v), state.time + dt,
-                 state.mass_param, state.exponent)
+    return _one_step(state, dt, 0.0, "none")
 
 
 def _even_integer(p: float) -> bool:
@@ -192,39 +181,78 @@ def nonlinear_kick(state: State, dt: float, nl_coeff: float = 1.0,
     return State(state.u, Field(state.grid, v), state.time, state.mass_param, state.exponent)
 
 
-def _strang_arrays(u, v, grid: GridSpec, m: float, p: float, dt: float,
-                   nl: float, dealias_pad: str, src=None):
-    """Half kick, exact linear flow, half kick on raw (u, v) arrays.
+class SpectralStepper:
+    """Strang steps on resident half-spectra: the one step of the solver.
 
-    Returns (u, v, src) with src = |u|^p u at the new u (None when nl = 0).
-    It is also the next step's leading kick, so passing it back as `src`
-    saves evaluating it again (first same as last); the two half kicks
-    stay separate additions.
+    Holds the half-spectra U, V of (u, u_t), the physical u, and
+    S = F(|u|^p u) at that u.  A step of size dt is
 
-    No validation: :func:`evolve` inspects the result itself, so that a
-    non-finite field ends the run as 'corruption'.  Overflow in |u|^p u
-    raises CorruptionError.
+        V += dt/2 nl S;  (U, V) <- exact linear flow over dt;
+        u = irfftn(U);  S = rfftn(|u|^p u);  V += dt/2 nl S,
+
+    two real transforms.  The trailing S is the next step's leading kick
+    (first same as last); v is inverted only by :meth:`state`.  This is
+    Strang splitting with an exact linear flow in its trigonometric form
+    (Hairer, Lubich & Wanner, Geometric Numerical Integration, XIII).
     """
-    if nl != 0.0:
-        if src is None:
-            src = _nonlinear_source(u, p, dealias_pad)
-        v = v + (0.5 * dt * nl) * src
-    u, v = _linear_step_arrays(u, v, grid, m, dt)
-    if nl != 0.0:
-        src = _nonlinear_source(u, p, dealias_pad)
-        v = v + (0.5 * dt * nl) * src
-    return u, v, src
+
+    def __init__(self, state: State, nl_coeff: float = 1.0, dealias_pad: str = "none"):
+        self.grid = state.grid
+        self.m, self.p = state.mass_param, state.exponent
+        self.nl, self.dealias_pad = nl_coeff, dealias_pad
+        self.time = state.time
+        self.u = state.u.values
+        self.U = _forward_array(self.u)
+        self.V = _forward_array(state.v.values)
+        self.S = None
+
+    def step(self, dt: float) -> None:
+        """Advance by dt.  No validation: :func:`evolve` inspects u and V
+        itself.  Overflow in |u|^p u raises CorruptionError and leaves the
+        stepper at its last state."""
+        c, sinc, wsin = _propagator_tables(self.grid, self.m, dt)
+        kick = 0.5 * dt * self.nl
+        U, V, S = self.U, self.V, self.S
+        if self.nl != 0.0:
+            if S is None:
+                S = self._source(self.u)
+            V = V + kick * S
+        U, V = c * U + sinc * V, c * V - wsin * U
+        u = _inverse_array(U, self.grid.shape)
+        if self.nl != 0.0:
+            S = self._source(u)
+            V = V + kick * S
+        self.U, self.V, self.S, self.u = U, V, S, u
+        self.time += dt
+
+    def _source(self, u: np.ndarray) -> np.ndarray:
+        return _forward_array(_nonlinear_source(u, self.p, self.dealias_pad))
+
+    def state(self) -> State:
+        """The current (u, u_t) in physical space, as arrays of its own."""
+        return State(Field(self.grid, self.u.copy()),
+                     Field(self.grid, _inverse_array(self.V, self.grid.shape)),
+                     self.time, self.m, self.p)
+
+
+def _one_step(state: State, dt: float, nl_coeff: float, dealias_pad: str) -> State:
+    stepper = SpectralStepper(state, nl_coeff, dealias_pad)
+    stepper.step(dt)
+    return stepper.state()
 
 
 def strang_step(state: State, dt: float, nl_coeff: float = 1.0,
                 dealias_pad: str = "none") -> State:
-    """Second-order split step: half kick, exact linear flow, half kick."""
+    """Second-order split step: half kick, exact linear flow, half kick.
+
+    One :class:`SpectralStepper` step from physical (u, v) and back: the
+    round trip costs a forward transform of u, v and the source and an
+    inverse of v on top of the step's own two, so iterating this agrees
+    with :func:`evolve` to round-off, not bit for bit.
+    """
     if not np.isfinite(dt):
         raise DomainError("dt must be finite")
-    u, v, _ = _strang_arrays(state.u.values, state.v.values, state.grid, state.mass_param,
-                             state.exponent, dt, nl_coeff, dealias_pad)
-    return State(Field(state.grid, u), Field(state.grid, v), state.time + dt,
-                  state.mass_param, state.exponent)
+    return _one_step(state, dt, nl_coeff, dealias_pad)
 
 
 def _choose_dt(config: SolverConfig, amp: float, h: float, p: float, t_left: float) -> float:
@@ -242,22 +270,18 @@ def evolve(state: State, config: SolverConfig, monitors: dict | None = None) -> 
     series.  The run is deterministic for fixed inputs.
     """
     monitors = dict(monitors or {})
-    grid = state.grid
-    m, p = state.mass_param, state.exponent
+    p, h = state.exponent, state.grid.spacing
     nl = config.nonlinearity
-    h = grid.spacing
-
-    u = state.u.values.copy()
-    v = state.v.values.copy()
-    t = state.time
     t_end = state.time + config.t_max
+    stepper = SpectralStepper(state, nl, config.dealias_pad)
 
     snapshots: list[State] = []
     series = {name: ([], []) for name in ("sup_norm", *monitors)}
 
-    def record(st: State) -> None:
-        if snapshots and snapshots[-1].time == st.time:
+    def record() -> None:
+        if snapshots and snapshots[-1].time == stepper.time:
             return
+        st = stepper.state()
         snapshots.append(st)
         ts, vals = series["sup_norm"]
         ts.append(st.time)
@@ -267,19 +291,15 @@ def evolve(state: State, config: SolverConfig, monitors: dict | None = None) -> 
             ts.append(st.time)
             vals.append(float(fn(st)))
 
-    def current_state() -> State:
-        return State(Field(grid, u.copy()), Field(grid, v.copy()), t, m, p)
-
-    record(current_state())
+    record()
     termination = "reached_t_max"
     steps = 0
-    src = None
+    amp = float(np.max(np.abs(stepper.u)))
     while True:
-        amp = float(np.max(np.abs(u)))
         if amp > config.blowup_threshold:
             termination = "blowup_detected"
             break
-        t_left = t_end - t
+        t_left = t_end - stepper.time
         if t_left <= 1e-14 * max(1.0, abs(t_end)):
             termination = "reached_t_max"
             break
@@ -288,23 +308,22 @@ def evolve(state: State, config: SolverConfig, monitors: dict | None = None) -> 
             termination = "dt_underflow"
             break
         try:
-            u_new, v_new, src_new = _strang_arrays(u, v, grid, m, p, dt, nl,
-                                                   config.dealias_pad, src)
+            stepper.step(dt)
         except CorruptionError:
             # overflow in |u|^p u means the amplitude left the floating range
             # entirely: a blowup candidate, with the last good state kept
             termination = "blowup_detected"
             break
-        if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
+        # max|u| is finite exactly when every entry of u is
+        amp = float(np.max(np.abs(stepper.u)))
+        if not (np.isfinite(amp) and np.all(np.isfinite(stepper.V))):
             termination = "corruption"
             break
-        u, v, src = u_new, v_new, src_new
-        t += dt
         steps += 1
         if steps % config.snapshot_stride == 0:
-            record(current_state())
+            record()
     if termination != "corruption":
-        record(current_state())
+        record()
     frozen = {name: (np.array(ts), np.array(vals)) for name, (ts, vals) in series.items()}
     return Trajectory(snapshots=snapshots, termination=termination,
                       scalar_series=frozen, nl_coeff=nl, config=config)

@@ -172,6 +172,7 @@ def _monotonicity_stats(series):
     return mx, worst_dec, float(np.min(vals))
 
 
+@pytest.mark.slow
 def test_c04_lyapunov_monotonicity():
     """Conformal run (d=2, p=4): L(t) nondecreasing with per-step
     violations <= 1e-4 max L and L >= -1e-6 max L; sub-conformal run
@@ -260,6 +261,7 @@ def negative_energy_run():
     return evolve(st, cfg, {"energy": lambda s: energy(s)})
 
 
+@pytest.mark.slow
 def test_c07_negative_energy_blowup(negative_energy_run):
     """Negative-energy Gaussian data in d=2 terminates blowup_detected
     before t_max; past t0, |M'|^2 <= 4/(p+4) M M'' holds with zero
@@ -315,6 +317,7 @@ def test_c08_cone_bound_monitors():
            f"halved-dt bands={ {k: '%.3f' % v for k, v in bands_half.items()} }")
 
 
+@pytest.mark.slow
 def test_c09_critical_norm_growth():
     """Max over t of the critical norm increases monotonically across
     blowup_threshold in {1e6, 1e8, 1e10} on the same scenario."""
@@ -396,6 +399,7 @@ def test_c10_profile_decomposition():
            f"negative-control min gap={large:.3f}; {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_c11_lower_bound_floor():
     """On a Gaussian blowup run the local lower-bound monitor stays at or
     above the frozen empirical floor 0.05 over the resolved window, with

@@ -4,9 +4,14 @@
 fields, centres (some within the radius of the box edge, so the ball
 wraps) and radii up to the box-fit limit, with and without a radial
 weight.  The distance table it reads is held against the distance to the
-nearest periodic image, computed here.  The ball is open, and the cached
-tables are read-only.
+nearest periodic image, computed here.  About a lattice centre the
+reference ball is exact: integer offsets to the nearest image, compared
+with R/h in rational arithmetic.  The ball is open, and the cached tables
+are read-only.
 """
+
+from fractions import Fraction
+
 
 import numpy as np
 import pytest
@@ -36,6 +41,22 @@ def image_distance(grid: GridSpec, center) -> np.ndarray:
     return np.sqrt(sq)
 
 
+def exact_lattice_mask(grid: GridSpec, center, R: float):
+    """|k| h < R exactly, k the integer offset to the nearest image of a
+    lattice centre; None when the centre is off the lattice."""
+    index = [c / grid.spacing for c in center]
+    if not all(float(i).is_integer() for i in index):
+        return None
+    sq = np.zeros(grid.shape, dtype=np.int64)
+    for ax, i in enumerate(index):
+        j = np.arange(grid.n) - int(i)
+        k2 = np.min([(j + s * grid.n) ** 2 for s in (-1, 0, 1)], axis=0)
+        sq = sq + k2.reshape((1,) * ax + (grid.n,) + (1,) * (grid.d - ax - 1))
+    limit = Fraction(R) ** 2 / Fraction(grid.spacing) ** 2
+    inside = [q for q in np.unique(sq).tolist() if q < limit]
+    return np.isin(sq, inside)
+
+
 @examples
 @given(grids, st.lists(fractions, min_size=3, max_size=3), st.floats(0.0, 1.0),
        st.sampled_from([None, 0.0, 1.0, 2.5]), seeds)
@@ -46,7 +67,9 @@ def test_matches_explicit_masked_sum(grid, frac, radius_frac, exponent, seed):
     f = np.random.default_rng(seed).standard_normal(grid.shape)
     dist = radial_distance(grid, center)
     assert np.max(np.abs(dist - image_distance(grid, center))) <= 1e-14 * L
-    mask = dist < R
+    mask = exact_lattice_mask(grid, center, R)
+    if mask is None:
+        mask = dist < R
     if exponent is None:
         weight, w = None, np.ones(grid.shape)
     else:
@@ -69,6 +92,19 @@ def test_lattice_point_at_the_radius_is_excluded(d):
     f[(-2,) + (1,) * (d - 1)] = 1.0  # three cells the other way, across the seam
     assert ball_integral(f, g, center, R) == 0.0
     assert ball_integral(f, g, center, R + 0.5 * g.spacing) == 2.0 * g.cell_volume
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_lattice_membership_is_exact_where_the_float_table_rounds(d):
+    g = GridSpec(d, 8, 5.771590203153812)
+    center = (0.0,) * d
+    R = g.max_fit_radius  # L/2 - 3h rounds up to a float just above h
+    # the float table rounds the six (two in d = 1) nearest neighbours onto R
+    assert radial_distance(g, center)[(1,) + (0,) * (d - 1)] == R > g.spacing
+    f = np.ones(g.shape)
+    assert ball_integral(f, g, center, R) == (1 + 2 * d) * g.cell_volume
+    # a lattice point at exactly R stays out
+    assert ball_integral(f, g, center, g.spacing) == g.cell_volume
 
 
 def test_cached_tables_are_read_only():

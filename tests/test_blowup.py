@@ -108,6 +108,7 @@ class TestMassDiagnostics:
         mpp = 2.0 * V * (vd**2 + v * np.abs(v) ** 2.0 * v)
         assert np.allclose(series.M_dprime, mpp, rtol=1e-6)
 
+    @pytest.mark.slow
     def test_m_prime_matches_centered_difference(self, gaussian_blowup_traj):
         series = mass_diagnostics(gaussian_blowup_traj)
         t, M, Mp = series.times, series.M, series.M_prime
@@ -118,6 +119,7 @@ class TestMassDiagnostics:
             / (h1 * h2 * (h1 + h2))
         assert Mp[k] == pytest.approx(est, rel=1e-3)
 
+    @pytest.mark.slow
     def test_gaussian_concavity_and_cauchy_schwarz(self, gaussian_blowup_traj):
         series = mass_diagnostics(gaussian_blowup_traj)
         report = concavity_check(series)
@@ -279,6 +281,7 @@ class TestBlowupSurface:
             patch = sigma.values[idx[0] - 3: idx[0] + 4, idx[1] - 3: idx[1] + 4]
             assert sigma.values[idx] == patch.min()
 
+    @pytest.mark.slow
     def test_discrete_lipschitz_bound(self, gaussian_blowup_traj):
         sigma = blowup_surface_estimate(gaussian_blowup_traj, threshold=1e3)
         h = sigma.grid.spacing
@@ -286,6 +289,7 @@ class TestBlowupSurface:
             jump = np.abs(np.diff(sigma.values, axis=ax))
             assert np.max(jump) <= h + 2.0 * h + 1e-12
 
+    @pytest.mark.slow
     def test_idempotent_projection(self, gaussian_blowup_traj):
         from nlkg.blowup import _lipschitz_envelope
 

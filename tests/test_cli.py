@@ -68,6 +68,36 @@ class TestValidation:
         assert cfg.solver.t_max == 0.1
         assert ScenarioConfig(base_config(tmp_path / "out")).solver.adapt_theta is None
 
+    @pytest.mark.parametrize("key,over", [
+        ("grid.n", {"grid": {"d": 2, "n": 32.7, "box_length": 8.0}}),
+        ("grid.d", {"grid": {"d": 2.5, "n": 32, "box_length": 8.0}}),
+        ("solver.snapshot_stride", {"solver": {"snapshot_stride": 2.5}}),
+        ("solver.snapshot_stride", {"solver": {"snapshot_stride": "2.5"}}),
+        ("seed", {"seed": 7.5}),
+        ("audits.tensors.levels", {"audits": {"tensors": {"levels": 1.5}}}),
+        ("audits.blowup.k_fit", {"audits": {"blowup": {"k_fit": 20.5}}}),
+        ("audits.profiles.j_max", {"audits": {"profiles": {"j_max": 2.5}}}),
+        ("audits.profiles.synthetic.n_members",
+         {"audits": {"profiles": {"synthetic": {"n_members": 2.5}}}}),
+    ])
+    def test_fractional_integer_fails_before_any_output(self, tmp_path, capsys, key, over):
+        # each used to be truncated: grid.n 32.7 ran as 32, a stride 2.5 as 2
+        out = tmp_path / "out"
+        code = main(["simulate", str(write_cfg(tmp_path, base_config(out, **over)))])
+        assert code == 2
+        assert f"{key} = " in capsys.readouterr().err
+        assert not (out / "MANIFEST.json").exists()
+
+    def test_integral_values_read_as_integers(self, tmp_path):
+        cfg = ScenarioConfig(base_config(tmp_path / "out",
+                                         grid={"d": 2.0, "n": 32.0, "box_length": 8.0},
+                                         solver={"snapshot_stride": "3"}, seed=5.0,
+                                         audits={"blowup": {"k_fit": 12.0}}))
+        assert (cfg.grid.d, cfg.grid.n, cfg.solver.snapshot_stride, cfg.seed) == (2, 32, 3, 5)
+        assert all(isinstance(x, int) for x in (cfg.grid.n, cfg.solver.snapshot_stride, cfg.seed))
+        assert cfg.audits["blowup"]["k_fit"] == 12 and isinstance(cfg.audits["blowup"]["k_fit"], int)
+        assert cfg.raw["audits"]["blowup"]["k_fit"] == 12.0  # the echoed config is untouched
+
     def test_cone_box_rule(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "out", audits={"cones": {"top_time": 1.5}})
         code = main(["cones", str(write_cfg(tmp_path, cfg))])

@@ -73,6 +73,23 @@ class TestTrajectoryStore:
         t1, v1 = back.series("sup_norm")
         assert np.array_equal(t0, t1) and np.array_equal(v0, v1)
 
+    def test_config_round_trip(self, tmp_path):
+        g = GridSpec(1, 16, 4.0)
+        cfg = SolverConfig(dt_init=1e-2, t_max=0.05, adapt_theta=None, snapshot_stride=2,
+                           blowup_threshold=1e6, nonlinearity=0.5)
+        traj = evolve(initial_data(g, "gaussian", m=0.0, p=2.0, A=0.4, w=0.4), cfg)
+        write_trajectory(tmp_path / "traj", traj)
+        assert read_trajectory(tmp_path / "traj").config == cfg
+        # a store written without the key (before it existed) reads with none
+        meta_path = tmp_path / "traj" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["config"]
+        meta_path.write_text(json.dumps(meta))
+        assert read_trajectory(tmp_path / "traj").config is None
+        traj.config = None
+        write_trajectory(tmp_path / "bare", traj)
+        assert read_trajectory(tmp_path / "bare").config is None
+
     def test_zero_count_is_domain_error(self, tmp_path):
         g = GridSpec(1, 16, 4.0)
         traj = evolve(initial_data(g, "gaussian", m=0.0, p=2.0, A=0.4, w=0.4),

@@ -7,6 +7,7 @@ from nlkg.grid import Field, GridSpec, State, radial_distance
 from nlkg.norms import energy, lebesgue_norm
 from nlkg.solver import (
     SolverConfig,
+    SpectralStepper,
     Trajectory,
     evolve,
     initial_data,
@@ -204,10 +205,8 @@ class TestEvolve:
         b = evolve(st, cfg)
         assert np.array_equal(a.snapshots[-1].u.values, b.snapshots[-1].u.values)
 
-    @pytest.mark.parametrize("d,n,p,A", [(2, 64, 2.0, 1.5), (3, 16, 1.8, 2.0)])
-    def test_snapshots_equal_iterated_strang_step(self, monkeypatch, d, n, p, A):
-        # evolve and strang_step share one step: replaying evolve's own
-        # (adaptive) dt sequence through strang_step gives the same bits
+    @staticmethod
+    def _evolve_recording_dts(monkeypatch, d, n, p, A):
         grid = GridSpec(d, n, 8.0)
         st = initial_data(grid, "gaussian", m=0.3, p=p, A=A, w=0.8)
         dts = []
@@ -221,12 +220,70 @@ class TestEvolve:
         traj = evolve(st, SolverConfig(dt_init=5e-3, t_max=0.1, adapt_theta=0.5))
         assert len(set(dts)) > 2  # the amplitude rule really varied dt
         assert len(traj.snapshots) == len(dts) + 1
+        return st, traj, dts
+
+    @pytest.mark.parametrize("d,n,p,A", [(2, 64, 2.0, 1.5), (3, 16, 1.8, 2.0)])
+    def test_snapshots_equal_iterated_stepper(self, monkeypatch, d, n, p, A):
+        # evolve is a loop over the one public stepper: replaying evolve's
+        # own (adaptive) dt sequence through it gives the same bits
+        st, traj, dts = self._evolve_recording_dts(monkeypatch, d, n, p, A)
+        stepper = SpectralStepper(st)
+        for snap, dt in zip(traj.snapshots[1:], dts):
+            stepper.step(dt)
+            cur = stepper.state()
+            assert snap.time == cur.time
+            assert snap.u.values.tobytes() == cur.u.values.tobytes()
+            assert snap.v.values.tobytes() == cur.v.values.tobytes()
+
+    @pytest.mark.parametrize("d,n,p,A", [(2, 64, 2.0, 1.5), (3, 16, 1.8, 2.0)])
+    def test_iterated_strang_step_agrees_with_evolve(self, monkeypatch, d, n, p, A):
+        # strang_step goes through physical (u, v) on every call, so it
+        # matches evolve to round-off only, relative to the state's size
+        # (v starts at 0, so v alone is no scale)
+        st, traj, dts = self._evolve_recording_dts(monkeypatch, d, n, p, A)
         cur = st
         for snap, dt in zip(traj.snapshots[1:], dts):
             cur = strang_step(cur, dt)
             assert snap.time == cur.time
-            assert snap.u.values.tobytes() == cur.u.values.tobytes()
-            assert snap.v.values.tobytes() == cur.v.values.tobytes()
+            scale = max(np.max(np.abs(snap.u.values)), np.max(np.abs(snap.v.values)))
+            for a, b in ((snap.u, cur.u), (snap.v, cur.v)):
+                assert np.max(np.abs(a.values - b.values)) <= 1e-12 * scale
+
+    def test_non_finite_velocity_is_corruption(self, grid2d, monkeypatch):
+        # a NaN in one coefficient of the propagator's w sin(dt w) table
+        # reaches V alone: u stays finite, so only V's check can see it
+        tables = solver_mod._propagator_tables
+        calls = []
+
+        def poisoned(*args):
+            c, sinc, wsin = tables(*args)
+            calls.append(args)
+            if len(calls) < 4:
+                return c, sinc, wsin
+            wsin = wsin.copy()
+            wsin.flat[1] = np.nan
+            return c, sinc, wsin
+
+        monkeypatch.setattr(solver_mod, "_propagator_tables", poisoned)
+        st = initial_data(grid2d, "gaussian", m=0.5, p=2.0, A=0.5, w=0.8)
+        traj = evolve(st, SolverConfig(dt_init=1e-2, t_max=0.2, adapt_theta=None))
+        assert traj.termination == "corruption"
+        assert len(calls) == 4
+        # the three good steps are kept; nothing after the bad one is recorded
+        assert [s.time for s in traj.snapshots] == pytest.approx([0.0, 0.01, 0.02, 0.03])
+
+    def test_source_overflow_ends_as_blowup_with_last_good_state(self, grid1d):
+        # u'' = u^3 at fixed dt: |u|^3 overflows long before max|u| can cross
+        # the threshold, and the run keeps the state before the failed step
+        st = initial_data(grid1d, "constant", m=0.0, p=2.0, A=1.0)
+        cfg = SolverConfig(dt_init=1e-2, t_max=5.0, adapt_theta=None, blowup_threshold=1e300)
+        traj = evolve(st, cfg)
+        assert traj.termination == "blowup_detected"
+        last = traj.snapshots[-1]
+        assert 1e50 < np.max(np.abs(last.u.values)) < cfg.blowup_threshold
+        assert traj.series("sup_norm")[0][-1] == last.time
+        with pytest.raises(CorruptionError):
+            strang_step(last, cfg.dt_init)
 
     def test_dt_underflow_termination(self, grid1d):
         st = initial_data(grid1d, "constant", m=0.0, p=2.0, A=1.0)

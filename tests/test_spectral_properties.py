@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from nlkg.grid import (Field, GridSpec, State, _pad2x_power, lp_bump, lp_project,
                        spectral_divergence, spectral_gradient, wavenumber_magnitude)
-from nlkg.solver import linear_propagator
+from nlkg.solver import SpectralStepper, linear_propagator
 
 RTOL = 1e-12
 
@@ -91,6 +91,26 @@ def test_linear_propagator_matches_full_spectrum(grid, seed, m, dt):
     out = linear_propagator(State(Field(grid, u), Field(grid, v), 0.0, m, 2.0), dt)
     assert rel_err(out.u.values, np.fft.ifftn(c * U + sinc * V).real) < RTOL
     assert rel_err(out.v.values, np.fft.ifftn(-w * s * U + c * V).real) < RTOL
+
+
+@examples
+@given(grids, seeds, masses, steps, st.sampled_from([1.8, 2.0, 3.0]), st.floats(0.0, 1.0))
+def test_stepper_step_matches_full_spectrum_strang_step(grid, seed, m, dt, p, nl):
+    # half kick, exact flow and half kick on physical (u, v) and full coefficients
+    u, v = noise(grid, seed, 2)
+    w = np.hypot(wavenumber_magnitude(grid), m)
+    c, s = np.cos(dt * w), np.sin(dt * w)
+    sinc = np.where(w == 0.0, dt, s / np.where(w == 0.0, 1.0, w))
+    kicked = v + 0.5 * dt * nl * np.abs(u) ** p * u
+    U, V = np.fft.fftn(u), np.fft.fftn(kicked)
+    u_ref = np.fft.ifftn(c * U + sinc * V).real
+    v_ref = np.fft.ifftn(-w * s * U + c * V).real + 0.5 * dt * nl * np.abs(u_ref) ** p * u_ref
+    stepper = SpectralStepper(State(Field(grid, u), Field(grid, v), 0.0, m, p), nl)
+    stepper.step(dt)
+    out = stepper.state()
+    assert out.time == dt
+    assert rel_err(out.u.values, u_ref) < RTOL
+    assert rel_err(out.v.values, v_ref) < RTOL
 
 
 @examples

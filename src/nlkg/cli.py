@@ -33,26 +33,35 @@ from .solver import SolverConfig, evolve, initial_data
 __all__ = ["ScenarioConfig", "load_config", "run", "main"]
 
 
-def _integer(value, key: str) -> int:
-    """A config integer; a fractional or non-numeric value is a DomainError
-    naming `key` rather than a silent truncation."""
+def _number(value, key: str, kind=float):
+    """A config number of `kind` (int or float).  A non-numeric value, or a
+    fractional one where an integer is wanted, is a DomainError naming `key`
+    rather than a traceback or a silent truncation."""
     try:
-        number = int(value)
-        integral = number == value or number == float(value)
+        number = kind(value)
+        exact = kind is float or number == value or number == float(value)
     except (TypeError, ValueError, OverflowError):
-        integral = False
-    if not integral:
-        raise DomainError(f"config precondition violated: {key} = {value!r} is not an integer")
+        exact = False
+    if not exact:
+        what = "an integer" if kind is int else "a number"
+        raise DomainError(f"config precondition violated: {key} = {value!r} is not {what}")
     return number
 
 
-# how each solver key is read (float unless listed); the defaults are SolverConfig's
-_SOLVER_TYPES = {"snapshot_stride": lambda x: _integer(x, "solver.snapshot_stride"),
-                 "dealias_pad": str,
-                 "adapt_theta": lambda x: None if x is None else float(x)}
-# integer settings under `audits`, converted at load so a bad one fails before any output
-_AUDIT_INTEGERS = (("tensors", "levels"), ("blowup", "k_fit"), ("profiles", "j_max"),
-                   ("profiles", "synthetic", "n_members"))
+def _solver_value(key: str, value):
+    """One solver setting as SolverConfig takes it; the defaults are SolverConfig's."""
+    if key == "dealias_pad":
+        return str(value)
+    if key == "adapt_theta" and value is None:
+        return None
+    return _number(value, f"solver.{key}", int if key == "snapshot_stride" else float)
+
+
+# numbers under `audits`, converted at load so a bad one fails before any output
+_AUDIT_NUMBERS = {("tensors", "levels"): int, ("blowup", "k_fit"): int,
+                  ("profiles", "j_max"): int, ("profiles", "synthetic", "n_members"): int,
+                  ("cones", "top_time"): float, ("cones", "t_floor"): float,
+                  ("profiles", "tol"): float, ("profiles", "synthetic", "separation_base"): float}
 
 
 class ScenarioConfig:
@@ -74,36 +83,35 @@ class ScenarioConfig:
         for section, key in self.REQUIRED:
             if section not in raw or key not in raw[section]:
                 raise DomainError(f"config precondition violated: missing {section}.{key}")
-        self.grid = GridSpec(_integer(raw["grid"]["d"], "grid.d"),
-                             _integer(raw["grid"]["n"], "grid.n"),
-                             float(raw["grid"]["box_length"]))
-        self.m = float(raw["physics"]["m"])
-        self.p = float(raw["physics"]["p"])
+        self.grid = GridSpec(_number(raw["grid"]["d"], "grid.d", int),
+                             _number(raw["grid"]["n"], "grid.n", int),
+                             _number(raw["grid"]["box_length"], "grid.box_length"))
+        self.m = _number(raw["physics"]["m"], "physics.m")
+        self.p = _number(raw["physics"]["p"], "physics.p")
         if not (0.0 <= self.m <= 1.0):
             raise DomainError("config precondition violated: physics.m must lie in [0, 1]")
         critical_exponent(self.grid.d, self.p)  # range check, names p on failure
-        s = dict(raw["solver"])
+        s = raw["solver"]
         unknown = sorted(set(s) - {f.name for f in dataclasses.fields(SolverConfig)})
         if unknown:
             raise DomainError(f"config precondition violated: unknown solver keys {unknown}")
-        for key, val in s.items():
-            try:
-                s[key] = _SOLVER_TYPES.get(key, float)(val)
-            except (TypeError, ValueError):
-                raise DomainError(f"config precondition violated: solver.{key} = {val!r} "
-                                  "is not a number") from None
-        self.solver = SolverConfig(**s)
+        self.solver = SolverConfig(**{key: _solver_value(key, val) for key, val in s.items()})
         self.solver.check_exponent(self.p)
         self.data_kind = raw["data"]["kind"]
         self.data_params = dict(raw["data"].get("params", {}))
         self.audits = copy.deepcopy(dict(raw.get("audits", {})))
-        for *sections, key in _AUDIT_INTEGERS:
+        for (*sections, key), kind in _AUDIT_NUMBERS.items():
             at = self.audits
             for name in sections:
                 at = at.get(name, {})
             if key in at:
-                at[key] = _integer(at[key], ".".join(("audits", *sections, key)))
-        self.seed = _integer(raw.get("seed", 0), "seed")
+                at[key] = _number(at[key], ".".join(("audits", *sections, key)), kind)
+        bubbles = self.audits.get("profiles", {}).get("synthetic", {}).get("bubbles", [])
+        for i, bubble in enumerate(bubbles):
+            for key in ("width", "amplitude"):  # both required: a missing one reads as None
+                bubble[key] = _number(bubble.get(key),
+                                      f"audits.profiles.synthetic.bubbles[{i}].{key}")
+        self.seed = _number(raw.get("seed", 0), "seed", int)
         self.out_dir = Path(raw.get("output", {}).get("directory", "nlkg_out"))
         self._validate_cones()
 
@@ -111,7 +119,9 @@ class ScenarioConfig:
         cone_cfg = self.audits.get("cones")
         if not cone_cfg:
             return
-        top = float(cone_cfg["top_time"])
+        if "top_time" not in cone_cfg:
+            raise DomainError("config precondition violated: missing audits.cones.top_time")
+        top = cone_cfg["top_time"]
         # periodicity must not reach an audited cone: box >= 4x the cone diameter
         if self.grid.box_length < 4.0 * (2.0 * top):
             raise DomainError(
@@ -212,8 +222,8 @@ def cmd_cones(cfg: ScenarioConfig) -> dict:
         raise DomainError("config precondition violated: missing audits.cones")
     traj = evolve(cfg.initial_state(), cfg.solver)
     vertex = cone_cfg.get("vertex", [0.5 * cfg.grid.box_length] * cfg.grid.d)
-    cone = cones_mod.ConeSpec(vertex=tuple(vertex), top_time=float(cone_cfg["top_time"]))
-    t_floor = float(cone_cfg.get("t_floor", 10.0 * cfg.solver.dt_init))
+    cone = cones_mod.ConeSpec(vertex=tuple(vertex), top_time=cone_cfg["top_time"])
+    t_floor = cone_cfg.get("t_floor", 10.0 * cfg.solver.dt_init)
     which = "Z" if critical_exponent(cfg.grid.d, cfg.p).regime == "sub_conformal" else "L"
     series, monitors, flux = cones_mod.cone_audit(traj, cone, which, t_floor)
     for s in (series, *monitors.values()):
@@ -254,7 +264,7 @@ def _synthetic_family(cfg: ScenarioConfig, spec: dict) -> profiles.FunctionFamil
     g = cfg.grid
     n_members = spec.get("n_members", 4)
     bubbles = spec["bubbles"]  # list of {"width": cells, "amplitude": a}
-    sep_base = float(spec.get("separation_base", 32))  # cells at member 0
+    sep_base = spec.get("separation_base", 32)  # cells at member 0
     members = []
     for i in range(n_members):
         vals = np.zeros(g.shape)
@@ -264,8 +274,7 @@ def _synthetic_family(cfg: ScenarioConfig, spec: dict) -> profiles.FunctionFamil
             offset = anchor + np.round(j * sep_base * scale).astype(int)
             center = (offset % g.n) * g.spacing
             r = _transient_distance(g, center)
-            vals += float(b["amplitude"]) * np.exp(-(r**2) /
-                                                   (2.0 * (float(b["width"]) * g.spacing) ** 2))
+            vals += b["amplitude"] * np.exp(-(r**2) / (2.0 * (b["width"] * g.spacing) ** 2))
         members.append(Field(g, vals))
     return profiles.FunctionFamily(tuple(members))
 
@@ -283,7 +292,7 @@ def cmd_decompose(cfg: ScenarioConfig) -> dict:
         family = profiles.FunctionFamily(tuple(fields))
     dec = profiles.bubble_decompose(family, params,
                                     j_max=prof_cfg.get("j_max", 8),
-                                    tol=float(prof_cfg.get("tol", 1e-3)))
+                                    tol=prof_cfg.get("tol", 1e-3))
     gaps = profiles.decoupling_audit(dec, family, params)
     arch = cfg.out_dir / "decomposition"
     arch.mkdir(parents=True, exist_ok=True)

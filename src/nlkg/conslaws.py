@@ -71,8 +71,6 @@ class TensorSample:
     density: Field
     flux: tuple
     source: Field
-    eval_time: float
-    apex_offset: tuple
 
 
 class _Pieces:
@@ -244,8 +242,6 @@ def eval_tensor(state: State, kind: TensorKind, apex, nl_coeff: float = 1.0) -> 
         density=Field(grid, np.ascontiguousarray(np.broadcast_to(dens, grid.shape))),
         flux=tuple(Field(grid, np.ascontiguousarray(np.broadcast_to(f, grid.shape))) for f in flux),
         source=Field(grid, np.ascontiguousarray(np.broadcast_to(src, grid.shape))),
-        eval_time=state.time,
-        apex_offset=tuple(np.atleast_1d(np.asarray(apex, dtype=np.float64))),
     )
 
 

@@ -3,11 +3,11 @@ dyadic (Littlewood-Paley style) frequency projections.
 
 All fields live on a d-dimensional periodic box [0, L)^d sampled on n
 points per axis (n a power of two), as float64 arrays in physical space.
-Every kernel works on the real half-spectrum: the ``scipy.fft.rfftn``
-coefficients, which keep only the wavenumbers 0..n/2 of the last axis
-because the rest follow from Hermitian symmetry.  The public
-:class:`SpectralField` and its transforms keep the full complex
-coefficient array (fftfreq layout on every axis) for callers.
+There is one spectral layout, the real half-spectrum: the
+``scipy.fft.rfftn`` coefficients, which keep only the wavenumbers 0..n/2
+of the last axis because the rest follow from Hermitian symmetry.  The
+public :class:`SpectralField` holds exactly that array, and every kernel
+works on it.
 """
 
 from __future__ import annotations
@@ -131,17 +131,18 @@ class Field:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Complex FFT coefficients of a real field (full fftfreq layout)."""
+    """The half-spectrum of a real field: its ``rfftn`` coefficients, of
+    shape grid.shape[:-1] + (n//2 + 1,)."""
 
     grid: GridSpec
     coefficients: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=np.complex128)
-        if c.shape != self.grid.shape:
-            raise DomainError(
-                f"coefficient shape {c.shape} does not match grid shape {self.grid.shape}"
-            )
+        shape = self.grid.shape[:-1] + (self.grid.n // 2 + 1,)
+        if c.shape != shape:
+            raise DomainError(f"coefficient shape {c.shape} does not match the "
+                              f"half-spectrum shape {shape}")
         _check_finite(c.view(np.float64), "SpectralField")
         object.__setattr__(self, "coefficients", c)
 
@@ -175,13 +176,11 @@ class State:
 
 
 @lru_cache(maxsize=32)
-def _wavenumber_mesh(grid: GridSpec, half: bool) -> tuple:
-    """Per-axis wavenumbers broadcastable to the coefficient shape: the full
-    fftfreq layout, or the half-spectrum layout (rfftfreq on the last axis)."""
+def _wavenumber_mesh(grid: GridSpec) -> tuple:
+    """Per-axis wavenumbers broadcastable to the half-spectrum: fftfreq on
+    every axis but the last, rfftfreq on the last."""
     k = 2.0 * np.pi * sfft.fftfreq(grid.n, d=grid.spacing)
-    axes = [k] * grid.d
-    if half:
-        axes[-1] = 2.0 * np.pi * sfft.rfftfreq(grid.n, d=grid.spacing)
+    axes = [k] * (grid.d - 1) + [2.0 * np.pi * sfft.rfftfreq(grid.n, d=grid.spacing)]
     return tuple(
         kk.reshape((1,) * ax + (kk.size,) + (1,) * (grid.d - ax - 1))
         for ax, kk in enumerate(axes)
@@ -189,14 +188,9 @@ def _wavenumber_mesh(grid: GridSpec, half: bool) -> tuple:
 
 
 @lru_cache(maxsize=32)
-def _magnitude(grid: GridSpec, half: bool) -> np.ndarray:
-    """|xi| on the full or the half-spectrum coefficient grid."""
-    return np.sqrt(sum(k**2 for k in _wavenumber_mesh(grid, half)))
-
-
-def wavenumber_magnitude(grid: GridSpec) -> np.ndarray:
-    """|xi| on the full coefficient grid."""
-    return _magnitude(grid, False)
+def _magnitude(grid: GridSpec) -> np.ndarray:
+    """|xi| on the half-spectrum."""
+    return np.sqrt(sum(k**2 for k in _wavenumber_mesh(grid)))
 
 
 @lru_cache(maxsize=32)
@@ -205,7 +199,7 @@ def _derivative_symbols(grid: GridSpec) -> tuple:
     wavenumber: there i xi is not Hermitian, and the derivative of a real
     field keeps no Nyquist part (the real part of the full inverse drops it)."""
     out = []
-    for k in _wavenumber_mesh(grid, True):
+    for k in _wavenumber_mesh(grid):
         k = k.copy()
         k.flat[grid.n // 2] = 0.0
         out.append(1j * k)
@@ -234,31 +228,16 @@ def _inverse_array(coefficients: np.ndarray, shape: tuple) -> np.ndarray:
     return sfft.irfftn(coefficients, s=shape)
 
 
-def _filter(values: np.ndarray, grid: GridSpec, weights: np.ndarray) -> np.ndarray:
-    """Apply half-spectrum multiplier weights to a real array."""
-    return _inverse_array(_forward_array(values) * weights, grid.shape)
-
-
 def forward_transform(f: Field) -> SpectralField:
-    """Discrete Fourier transform of a real field (unnormalized forward),
-    as the full coefficient array."""
+    """Unnormalized discrete Fourier transform of a real field, as its
+    half-spectrum: the validated :func:`_forward_array`."""
     _check_finite(f.values, "forward_transform input")
-    half = _forward_array(f.values)
-    n = f.grid.n
-    # the other half of the last axis by Hermitian symmetry, F(-xi) = conj F(xi)
-    mirror = [-np.arange(n) % n] * (f.grid.d - 1) + [n - np.arange(n // 2 + 1, n)]
-    rest = np.conj(half[np.ix_(*mirror)])
-    return SpectralField(f.grid, np.concatenate([half, rest], axis=-1))
+    return SpectralField(f.grid, _forward_array(f.values))
 
 
 def inverse_transform(F: SpectralField) -> Field:
-    """Inverse DFT of Hermitian coefficients; only their half-spectrum is read."""
-    return Field(F.grid, _inverse_array(F.coefficients[..., : F.grid.n // 2 + 1], F.grid.shape))
-
-
-def spectral_norm_factor(grid: GridSpec) -> float:
-    """sum |f|^2 h^d  ==  sum |F|^2 * this factor (discrete Plancherel)."""
-    return grid.cell_volume / grid.num_points
+    """The real field with half-spectrum F (see :func:`_inverse_array`)."""
+    return Field(F.grid, _inverse_array(F.coefficients, F.grid.shape))
 
 
 def bessel_symbol(xi_mag, m: float):
@@ -289,7 +268,7 @@ def apply_multiplier(F: SpectralField, symbol, zero_mode: float | None = None) -
     xi = 0 the caller must pass `zero_mode` with the value to use there; a
     non-finite value at any nonzero grid mode is an error.
     """
-    weights = _symbol_weights(wavenumber_magnitude(F.grid), symbol, zero_mode)
+    weights = _symbol_weights(_magnitude(F.grid), symbol, zero_mode)
     return SpectralField(F.grid, F.coefficients * weights)
 
 
@@ -307,7 +286,7 @@ def lp_bump(r):
 
 def _lp_multiplier(grid: GridSpec, n_dyadic: float, mode: str) -> np.ndarray:
     """Half-spectrum weights of the dyadic projection `mode` at N = n_dyadic."""
-    mag = _magnitude(grid, half=True)
+    mag = _magnitude(grid)
     if n_dyadic <= 0:
         raise DomainError("dyadic frequency must be positive")
     if mode == "leq":
@@ -326,7 +305,8 @@ def lp_project(f: Field, n_dyadic: float, mode: str = "band") -> Field:
     telescope: summing bands above N up to the grid's top dyadic
     reproduces P_{>N} on the finite grid.
     """
-    return Field(f.grid, _filter(f.values, f.grid, _lp_multiplier(f.grid, n_dyadic, mode)))
+    weights = _lp_multiplier(f.grid, n_dyadic, mode)
+    return Field(f.grid, _inverse_array(_forward_array(f.values) * weights, f.grid.shape))
 
 
 def dyadic_range(grid: GridSpec, lo: float | None = None, hi: float | None = None) -> np.ndarray:
@@ -340,17 +320,12 @@ def dyadic_range(grid: GridSpec, lo: float | None = None, hi: float | None = Non
     return 2.0 ** np.arange(j_lo, j_hi + 1, dtype=np.float64)
 
 
-def _radial_filter(f: Field, symbol) -> Field:
-    """f through the radial symbol, whose zero mode is annihilated if singular."""
-    weights = _symbol_weights(_magnitude(f.grid, half=True), symbol, zero_mode=0.0)
-    return Field(f.grid, _filter(f.values, f.grid, weights))
-
-
 def fractional_derivative(f: Field, s: float) -> Field:
     """|nabla|^s via the multiplier |xi|^s; the zero mode is annihilated for s <= 0."""
     if s == 0.0:
         return f
-    return _radial_filter(f, lambda mag: mag**s)
+    return inverse_transform(apply_multiplier(forward_transform(f), lambda mag: mag**s,
+                                              zero_mode=0.0))
 
 
 def bessel_derivative(f: Field, s: float, m: float = 1.0) -> Field:
@@ -361,7 +336,9 @@ def bessel_derivative(f: Field, s: float, m: float = 1.0) -> Field:
     """
     if s == 0.0:
         return f
-    return _radial_filter(f, lambda mag: bessel_symbol(mag, m) ** s)
+    return inverse_transform(apply_multiplier(forward_transform(f),
+                                              lambda mag: bessel_symbol(mag, m) ** s,
+                                              zero_mode=0.0))
 
 
 def spectral_gradient(f: Field) -> list[Field]:

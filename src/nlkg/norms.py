@@ -22,7 +22,6 @@ from .grid import (
     bessel_symbol,
     radial_distance,
     spectral_gradient,
-    spectral_norm_factor,
 )
 
 __all__ = [
@@ -184,9 +183,11 @@ def sobolev_norm(f: Field, s: float, homogeneous: bool = True, m: float = 1.0) -
     """
     g = f.grid
     symbol = (lambda mag: mag**s) if homogeneous else (lambda mag: bessel_symbol(mag, m) ** s)
-    weights = _symbol_weights(_magnitude(g, half=True), symbol, zero_mode=0.0)
+    weights = _symbol_weights(_magnitude(g), symbol, zero_mode=0.0)
+    # discrete Plancherel: sum |f|^2 h^d = sum over the full spectrum of |F|^2 h^d / n^d,
+    # each half-spectrum coefficient standing for _half_multiplicity full modes
     modes = _half_multiplicity(g) * (weights * np.abs(_forward_array(f.values))) ** 2
-    return float(np.sqrt(np.sum(modes) * spectral_norm_factor(g)))
+    return float(np.sqrt(np.sum(modes) * (g.cell_volume / g.num_points)))
 
 
 def gradient_square(u: Field) -> np.ndarray:

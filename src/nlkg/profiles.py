@@ -11,7 +11,7 @@ it is the central documented proxy of this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,13 +174,13 @@ def inverse_gn_extract(family: FunctionFamily, params: CriticalParams,
 
 @dataclass
 class Decomposition:
-    """Bubbles (profile, per-member centers), final residuals, and audits."""
+    """Bubbles (profile, per-member centers), final residuals, and the
+    per-level residual histories."""
 
     bubbles: list  # list of (Field, centers array)
     residuals: list  # per-member Field at the final level
     eps_history: list  # max_n ||r^J||_{p+2} per level, level 0 first
     sobolev_history: list  # max_n sqrt(H^1^2 + H^sc^2) per level
-    audit: dict = dc_field(default_factory=dict)
 
     @property
     def n_bubbles(self) -> int:

@@ -109,7 +109,7 @@ def _omega(grid: GridSpec, m: float):
     """The distinct values of w = sqrt(m^2 + |xi|^2) on the half-spectrum,
     and where each coefficient's value sits among them.  |xi|^2 takes few
     distinct values on a grid (641 of 17,408 half-spectrum points at 32^3)."""
-    w = bessel_symbol(_magnitude(grid, half=True), m)
+    w = bessel_symbol(_magnitude(grid), m)
     values, at = np.unique(w, return_inverse=True)
     return values, at.reshape(w.shape)
 

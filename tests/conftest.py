@@ -19,14 +19,22 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def full_mesh(grid: GridSpec) -> list:
+    """Per-axis wavenumbers of the full numpy.fft layout (fftfreq on every axis)."""
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
+    return [k.reshape((1,) * ax + (grid.n,) + (1,) * (grid.d - ax - 1)) for ax in range(grid.d)]
+
+
+def full_magnitude(grid: GridSpec) -> np.ndarray:
+    """|xi| on the full numpy.fft coefficient grid."""
+    return np.sqrt(sum(k**2 for k in full_mesh(grid)))
+
+
 def random_field(grid: GridSpec, rng, band_limit_frac: float = 0.33) -> Field:
     """Seeded random field, band-limited to avoid Nyquist edge effects."""
     vals = rng.standard_normal(grid.shape)
     F = np.fft.fftn(vals)
-    from nlkg.grid import wavenumber_magnitude
-
-    mag = wavenumber_magnitude(grid)
-    F[mag > band_limit_frac * grid.max_wavenumber] = 0.0
+    F[full_magnitude(grid) > band_limit_frac * grid.max_wavenumber] = 0.0
     out = np.fft.ifftn(F).real
     return Field(grid, np.ascontiguousarray(out / np.max(np.abs(out))))
 

@@ -88,6 +88,54 @@ class TestValidation:
         assert f"{key} = " in capsys.readouterr().err
         assert not (out / "MANIFEST.json").exists()
 
+    @pytest.mark.parametrize("key,over", [
+        ("grid.box_length", {"grid": {"d": 2, "n": 32, "box_length": "eight"}}),
+        ("physics.m", {"physics": {"m": "zero", "p": 2.0}}),
+        ("physics.p", {"physics": {"m": 0.0, "p": [2.0]}}),
+        ("audits.cones.top_time", {"audits": {"cones": {"top_time": "one"}}}),
+        ("audits.cones.t_floor", {"audits": {"cones": {"top_time": 0.5, "t_floor": None}}}),
+        ("audits.profiles.tol", {"audits": {"profiles": {"tol": "small"}}}),
+        ("audits.profiles.synthetic.separation_base",
+         {"audits": {"profiles": {"synthetic": {"separation_base": "far", "bubbles": []}}}}),
+        ("audits.profiles.synthetic.bubbles[1].width",
+         {"audits": {"profiles": {"synthetic": {"bubbles": [{"width": 2.0, "amplitude": 1.0},
+                                                            {"width": "wide"}]}}}}),
+        ("audits.profiles.synthetic.bubbles[0].amplitude",
+         {"audits": {"profiles": {"synthetic": {"bubbles": [{"width": 2, "amplitude": "big"}]}}}}),
+        ("audits.profiles.synthetic.bubbles[0].width",
+         {"audits": {"profiles": {"synthetic": {"bubbles": [{"amplitude": 1.0}]}}}}),
+    ])
+    def test_non_numeric_float_fails_before_any_output(self, tmp_path, capsys, key, over):
+        # the first three used to print a traceback (exit 1) at load, and
+        # audits.profiles.tol or a bubble without a width to fail mid-run
+        # after the manifest was written
+        out = tmp_path / "out"
+        code = main(["decompose", str(write_cfg(tmp_path, base_config(out, **over)))])
+        assert code == 2
+        assert f"{key} = " in capsys.readouterr().err
+        assert not (out / "MANIFEST.json").exists()
+
+    def test_float_values_read_as_floats(self, tmp_path):
+        cfg = ScenarioConfig(base_config(tmp_path / "out",
+                                         grid={"d": 2, "n": 32, "box_length": "8"},
+                                         physics={"m": 0, "p": "2"},
+                                         audits={"cones": {"top_time": 1}, "profiles": {
+                                             "tol": "0.05", "synthetic": {
+                                                 "separation_base": 8,
+                                                 "bubbles": [{"width": 2, "amplitude": "1"}]}}}))
+        assert (cfg.grid.box_length, cfg.m, cfg.p) == (8.0, 0.0, 2.0)
+        assert all(isinstance(x, float) for x in (cfg.grid.box_length, cfg.m, cfg.p))
+        prof = cfg.audits["profiles"]
+        assert (cfg.audits["cones"]["top_time"], prof["tol"]) == (1.0, 0.05)
+        assert prof["synthetic"]["bubbles"] == [{"width": 2.0, "amplitude": 1.0}]
+        assert isinstance(prof["synthetic"]["separation_base"], float)
+        assert cfg.raw["audits"]["profiles"]["tol"] == "0.05"  # the echoed config is untouched
+
+    def test_missing_cone_top_time_fails_with_name(self, tmp_path, capsys):
+        cfg = base_config(tmp_path / "out", audits={"cones": {"t_floor": 0.1}})
+        assert main(["cones", str(write_cfg(tmp_path, cfg))]) == 2
+        assert "audits.cones.top_time" in capsys.readouterr().err
+
     def test_integral_values_read_as_integers(self, tmp_path):
         cfg = ScenarioConfig(base_config(tmp_path / "out",
                                          grid={"d": 2.0, "n": 32.0, "box_length": 8.0},

@@ -16,11 +16,9 @@ from nlkg.grid import (
     lp_bump,
     lp_project,
     spectral_gradient,
-    spectral_norm_factor,
-    wavenumber_magnitude,
 )
 
-from conftest import cosine_field, random_field
+from conftest import cosine_field, full_magnitude, random_field
 
 
 class TestGridSpec:
@@ -61,10 +59,24 @@ class TestTransforms:
         assert np.max(np.abs(coeffs)) < 1e-9
 
     def test_single_harmonic_two_modes(self, grid2d):
+        # both modes +-3 lie on the first axis, all of which the half-spectrum keeps
         F = forward_transform(cosine_field(grid2d, (3, 0)))
         mags = np.abs(F.coefficients)
         nonzero = np.argwhere(mags > 1e-6 * mags.max())
         assert len(nonzero) == 2
+
+    def test_half_spectrum_layout(self, grid2d, rng):
+        f = random_field(grid2d, rng)
+        F = forward_transform(f)
+        assert F.coefficients.shape == (grid2d.n, grid2d.n // 2 + 1)
+        assert np.allclose(F.coefficients, np.fft.fftn(f.values)[:, : grid2d.n // 2 + 1],
+                           rtol=0.0, atol=1e-12 * grid2d.num_points)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rejects_full_layout(self, d):
+        g = GridSpec(d, 8, 1.0)
+        with pytest.raises(DomainError):
+            SpectralField(g, np.zeros(g.shape, dtype=np.complex128))
 
     def test_round_trip(self, grid2d, rng):
         f = random_field(grid2d, rng)
@@ -75,7 +87,12 @@ class TestTransforms:
         f = random_field(grid2d, rng)
         phys = np.sum(f.values**2) * grid2d.cell_volume
         F = forward_transform(f)
-        spec = np.sum(np.abs(F.coefficients) ** 2) * spectral_norm_factor(grid2d)
+        # a half-spectrum coefficient stands for 1 full mode on the last axis's
+        # zero and Nyquist planes and for 2 (itself and its conjugate) between
+        multiplicity = np.full(grid2d.n // 2 + 1, 2.0)
+        multiplicity[0] = multiplicity[-1] = 1.0
+        spec = np.sum(multiplicity * np.abs(F.coefficients) ** 2) * (
+            grid2d.cell_volume / grid2d.num_points)
         assert abs(phys - spec) < 1e-10 * phys
 
     def test_rejects_nonfinite_input(self, grid2d):
@@ -125,10 +142,13 @@ class TestApplyMultiplier:
         assert np.all(np.isfinite(out.coefficients.view(np.float64)))
 
     def test_hermitian_preserved(self, grid2d, rng):
-        F = forward_transform(random_field(grid2d, rng))
-        out = apply_multiplier(F, lambda mag: np.exp(-mag))
-        back = np.fft.ifftn(out.coefficients)
+        # the same radial multiplier on the full numpy.fft spectrum leaves it
+        # Hermitian, and the half-spectrum chain gives that real field
+        f = random_field(grid2d, rng)
+        out = inverse_transform(apply_multiplier(forward_transform(f), lambda mag: np.exp(-mag)))
+        back = np.fft.ifftn(np.fft.fftn(f.values) * np.exp(-full_magnitude(grid2d)))
         assert np.max(np.abs(back.imag)) < 1e-12 * np.max(np.abs(back.real))
+        assert np.max(np.abs(out.values - back.real)) < 1e-12 * np.max(np.abs(back.real))
 
 
 class TestLittlewoodPaley:
@@ -162,7 +182,7 @@ class TestLittlewoodPaley:
     def test_band_telescoping(self, grid2d, rng):
         f = random_field(grid2d, rng)
         N = 2.0
-        top = 2.0 ** np.ceil(np.log2(np.max(wavenumber_magnitude(grid2d)) / 1.0))
+        top = 2.0 ** np.ceil(np.log2(np.max(full_magnitude(grid2d)) / 1.0))
         acc = np.zeros(grid2d.shape)
         Np = 2.0 * N
         while Np <= 2.0 * top:

@@ -9,9 +9,13 @@ The fields are white noise, so every Nyquist plane carries weight.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from nlkg.grid import (Field, GridSpec, State, _pad2x_power, lp_bump, lp_project,
-                       spectral_divergence, spectral_gradient, wavenumber_magnitude)
+from nlkg.grid import (Field, GridSpec, State, _pad2x_power, apply_multiplier, bessel_derivative,
+                       bessel_symbol, forward_transform, fractional_derivative,
+                       inverse_transform, lp_bump, lp_project, spectral_divergence,
+                       spectral_gradient)
 from nlkg.solver import SpectralStepper, linear_propagator
+
+from conftest import full_magnitude, full_mesh
 
 RTOL = 1e-12
 
@@ -26,11 +30,6 @@ examples = settings(max_examples=30, deadline=None)
 def noise(grid: GridSpec, seed: int, count: int = 1) -> list:
     rng = np.random.default_rng(seed)
     return [rng.standard_normal(grid.shape) for _ in range(count)]
-
-
-def full_mesh(grid: GridSpec) -> list:
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
-    return [k.reshape((1,) * ax + (grid.n,) + (1,) * (grid.d - ax - 1)) for ax in range(grid.d)]
 
 
 def full_filter(values: np.ndarray, weights) -> np.ndarray:
@@ -72,7 +71,7 @@ def test_divergence_matches_full_spectrum(grid, seed):
 @given(grids, seeds, st.sampled_from(["leq", "gt", "band"]), st.floats(0.5, 40.0))
 def test_lp_project_matches_full_spectrum(grid, seed, mode, N):
     (u,) = noise(grid, seed)
-    mag = wavenumber_magnitude(grid)
+    mag = full_magnitude(grid)
     weights = {"leq": lp_bump(mag / N), "gt": 1.0 - lp_bump(mag / N),
                "band": lp_bump(mag / N) - lp_bump(2.0 * mag / N)}[mode]
     ref = full_filter(u, weights)
@@ -80,11 +79,46 @@ def test_lp_project_matches_full_spectrum(grid, seed, mode, N):
     assert np.max(np.abs(got - ref)) <= RTOL * max(np.max(np.abs(ref)), np.max(np.abs(u)))
 
 
+def full_symbol(mag: np.ndarray, symbol, zero_mode: float) -> np.ndarray:
+    """symbol(|xi|) on the full spectrum, `zero_mode` at xi = 0 where it is not finite."""
+    with np.errstate(divide="ignore", over="ignore"):
+        w = symbol(mag)
+    if not np.isfinite(w.flat[0]):
+        w.flat[0] = zero_mode
+    return w
+
+
+@examples
+@given(grids, seeds, st.floats(-2.0, 2.0), masses, st.floats(-1.0, 1.0))
+def test_multipliers_match_full_spectrum(grid, seed, s, m, zero_mode):
+    # |xi|^s for s < 0, and (m^2 + |xi|^2)^(s/2) for m = 0 and s < 0, are
+    # singular at xi = 0: the chain takes `zero_mode` there, the derivatives 0
+    (u,) = noise(grid, seed)
+    f, mag = Field(grid, u), full_magnitude(grid)
+    power = lambda k: k**s  # noqa: E731
+    bessel = lambda k: bessel_symbol(k, m) ** s  # noqa: E731
+    chain = inverse_transform(apply_multiplier(forward_transform(f), power, zero_mode=zero_mode))
+    for got, weights in [(chain, full_symbol(mag, power, zero_mode)),
+                         (fractional_derivative(f, s), full_symbol(mag, power, 0.0)),
+                         (bessel_derivative(f, s, m), full_symbol(mag, bessel, 0.0)),
+                         (bessel_derivative(f, s, 0.0), full_symbol(mag, power, 0.0))]:
+        assert rel_err(got.values, full_filter(u, weights)) < RTOL
+
+
+@examples
+@given(grids, seeds)
+def test_transforms_round_trip(grid, seed):
+    (u,) = noise(grid, seed)
+    F = forward_transform(Field(grid, u))
+    assert F.coefficients.shape == grid.shape[:-1] + (grid.n // 2 + 1,)
+    assert rel_err(inverse_transform(F).values, u) < RTOL
+
+
 @examples
 @given(grids, seeds, masses, steps)
 def test_linear_propagator_matches_full_spectrum(grid, seed, m, dt):
     u, v = noise(grid, seed, 2)
-    w = np.hypot(wavenumber_magnitude(grid), m)
+    w = np.hypot(full_magnitude(grid), m)
     c, s = np.cos(dt * w), np.sin(dt * w)
     sinc = np.where(w == 0.0, dt, s / np.where(w == 0.0, 1.0, w))
     U, V = np.fft.fftn(u), np.fft.fftn(v)
@@ -98,7 +132,7 @@ def test_linear_propagator_matches_full_spectrum(grid, seed, m, dt):
 def test_stepper_step_matches_full_spectrum_strang_step(grid, seed, m, dt, p, nl):
     # half kick, exact flow and half kick on physical (u, v) and full coefficients
     u, v = noise(grid, seed, 2)
-    w = np.hypot(wavenumber_magnitude(grid), m)
+    w = np.hypot(full_magnitude(grid), m)
     c, s = np.cos(dt * w), np.sin(dt * w)
     sinc = np.where(w == 0.0, dt, s / np.where(w == 0.0, 1.0, w))
     kicked = v + 0.5 * dt * nl * np.abs(u) ** p * u

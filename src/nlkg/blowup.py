@@ -10,13 +10,13 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .cones import DiagnosticSeries
-from .conslaws import _Pieces
 from .errors import DomainError
-from .grid import Field, radial_distance, spectral_gradient
-from .norms import _energy_with, ball_integral, critical_exponent, gradient_square, sobolev_norm
+from .grid import Field, radial_distance
+from .norms import _Pieces, ball_integral, critical_exponent, sobolev_norm
 from .solver import Trajectory
 
 __all__ = [
+    "MIN_K_FIT",
     "BlowupReport",
     "MassSeries",
     "detect_and_fit",
@@ -27,6 +27,10 @@ __all__ = [
     "lower_bound_check",
     "blowup_surface_estimate",
 ]
+
+
+# the fewest tail samples a T* fit takes: two fit the line exactly, with no residual
+MIN_K_FIT = 3
 
 
 @dataclass(frozen=True)
@@ -54,8 +58,10 @@ def detect_and_fit(traj: Trajectory, k_fit: int = 20, fit_series: tuple = ()) ->
     linear for the spatially constant profile).  Rate exponents come from
     log-log regression of each requested scalar series against (T* - t).
     A non-monotone sup-norm tail means no blowup signature: detected is
-    False and the diagnostics say why.
+    False and the diagnostics say why.  k_fit below MIN_K_FIT is a DomainError.
     """
+    if k_fit < MIN_K_FIT:
+        raise DomainError(f"k_fit must be at least {MIN_K_FIT}, got {k_fit}")
     times, sup = traj.series("sup_norm")
     p = traj.snapshots[0].exponent
 
@@ -108,12 +114,11 @@ def mass_diagnostics(traj: Trajectory) -> MassSeries:
     nl = traj.nl_coeff
     times, M, Mp, Mpp, Es, grads = [], [], [], [], [], []
     for s in traj.snapshots:
-        u, v = s.u.values, s.v.values
-        p, m = s.exponent, s.mass_param
+        pc = _Pieces(s, nl)
+        u, v, p, m = pc.u, pc.v, pc.p, pc.m
         cell = s.grid.cell_volume
-        grad_sq_field = gradient_square(s.u)
-        grad_sq = float(np.sum(grad_sq_field)) * cell
-        E = _energy_with(s, grad_sq_field, nl)
+        grad_sq = float(np.sum(pc.grad_sq)) * cell
+        E = pc.energy
         times.append(s.time)
         M.append(float(np.sum(u**2)) * cell)
         Mp.append(2.0 * float(np.sum(u * v)) * cell)
@@ -215,7 +220,7 @@ def truncated_mass(traj: Trajectory, R: float, center=None) -> MassSeries:
         t = s.time
         rad = R + abs(t)
         phi, dphi, ddphi = _phi_cutoff(dist / rad)
-        pc = _Pieces(s, center, nl, spectral_gradient(s.u))
+        pc = _Pieces(s, nl, center)
         u, v, p, m, pot = pc.u, pc.v, pc.p, pc.m, pc.pot
         grad_tx_sq = v**2 + pc.grad_sq
 
@@ -223,7 +228,7 @@ def truncated_mass(traj: Trajectory, R: float, center=None) -> MassSeries:
         M.append(float(np.sum(phi * u**2)) * cell)
         # M' = int -x/(R+t)^2 . grad(phi)(y) u^2 + 2 phi u u_t
         Mp.append(float(np.sum(-(dist / rad**2) * dphi * u**2 + 2.0 * phi * u * v)) * cell)
-        E = _energy_with(s, pc.grad_sq, nl)
+        E = pc.energy
         bulk = (-2.0 * (p + 2.0) * E
                 + float(np.sum(4.0 * phi * v**2 + p * grad_tx_sq + p * m**2 * u**2)) * cell
                 + float(np.sum(2.0 * (1.0 - phi) * (grad_tx_sq + m**2 * u**2 - nl * pot))) * cell)
@@ -267,8 +272,8 @@ def lower_bound_check(traj: Trajectory, t_star: float, x0) -> DiagnosticSeries:
         rad = t_star - s.time
         if rad <= 2.0 * g.spacing or rad > g.max_fit_radius:
             continue
-        u, v, grad_sq = s.u.values, s.v.values, gradient_square(s.u)
-        integ = ball_integral(lambda at: at(u) ** 2 + rad**2 * (at(v) ** 2 + at(grad_sq)),
+        pc = _Pieces(s)
+        integ = ball_integral(lambda at: at(pc.u) ** 2 + rad**2 * (at(pc.v) ** 2 + at(pc.grad_sq)),
                               g, x0, rad)
         times.append(s.time)
         vals.append(rad ** (-2.0 * params.s_c) * integ)

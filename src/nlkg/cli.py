@@ -28,7 +28,7 @@ from . import conslaws, profiles, snapshots
 from .errors import DomainError
 from .grid import Field, GridSpec, _transient_distance
 from .norms import critical_exponent, energy, lebesgue_norm
-from .solver import SolverConfig, evolve, initial_data
+from .solver import SolverConfig, _check_data_params, evolve, initial_data
 
 __all__ = ["ScenarioConfig", "load_config", "run", "main"]
 
@@ -57,11 +57,35 @@ def _solver_value(key: str, value):
     return _number(value, f"solver.{key}", int if key == "snapshot_stride" else float)
 
 
-# numbers under `audits`, converted at load so a bad one fails before any output
-_AUDIT_NUMBERS = {("tensors", "levels"): int, ("blowup", "k_fit"): int,
-                  ("profiles", "j_max"): int, ("profiles", "synthetic", "n_members"): int,
-                  ("cones", "top_time"): float, ("cones", "t_floor"): float,
-                  ("profiles", "tol"): float, ("profiles", "synthetic", "separation_base"): float}
+# every `audits` section and its keys: the kind a number is read as (None: not a
+# number) or a subsection's own table.  Any other name fails at load, and the
+# numbers are converted there, so a bad one fails before any output.
+_AUDITS = {
+    "tensors": {"levels": int, "apex": None},
+    "cones": {"top_time": float, "t_floor": float, "vertex": None},
+    "blowup": {"k_fit": int},
+    "profiles": {"j_max": int, "tol": float, "snapshots": None,
+                 "synthetic": {"n_members": int, "separation_base": float, "bubbles": None}},
+}
+_BUBBLE = {"width": float, "amplitude": float}
+_AUDIT_MINIMA = {("tensors", "levels"): 1, ("blowup", "k_fit"): blowup_mod.MIN_K_FIT}
+# the audits section each command reads
+_COMMAND_SECTION = {"cones": "cones", "decompose": "profiles"}
+
+
+def _read_section(section, table: dict, where: str) -> None:
+    """Check a config section's names against its table and convert its
+    numbers in place; a non-dict or an unknown name is a DomainError naming it."""
+    if not isinstance(section, dict):
+        raise DomainError(f"config precondition violated: {where} must be a section")
+    unknown = sorted(set(section) - set(table))
+    if unknown:
+        raise DomainError(f"config precondition violated: unknown {where} keys {unknown}")
+    for key, kind in table.items():
+        if key in section and isinstance(kind, dict):
+            _read_section(section[key], kind, f"{where}.{key}")
+        elif key in section and kind is not None:
+            section[key] = _number(section[key], f"{where}.{key}", kind)
 
 
 class ScenarioConfig:
@@ -99,34 +123,44 @@ class ScenarioConfig:
         self.solver.check_exponent(self.p)
         self.data_kind = raw["data"]["kind"]
         self.data_params = dict(raw["data"].get("params", {}))
-        self.audits = copy.deepcopy(dict(raw.get("audits", {})))
-        for (*sections, key), kind in _AUDIT_NUMBERS.items():
-            at = self.audits
-            for name in sections:
-                at = at.get(name, {})
-            if key in at:
-                at[key] = _number(at[key], ".".join(("audits", *sections, key)), kind)
-        bubbles = self.audits.get("profiles", {}).get("synthetic", {}).get("bubbles", [])
-        for i, bubble in enumerate(bubbles):
-            for key in ("width", "amplitude"):  # both required: a missing one reads as None
-                bubble[key] = _number(bubble.get(key),
-                                      f"audits.profiles.synthetic.bubbles[{i}].{key}")
+        _check_data_params(self.data_kind, self.data_params, "data.params.")
+        self.audits = copy.deepcopy(raw.get("audits", {}))
+        _read_section(self.audits, _AUDITS, "audits")
         self.seed = _number(raw.get("seed", 0), "seed", int)
         self.out_dir = Path(raw.get("output", {}).get("directory", "nlkg_out"))
-        self._validate_cones()
+        self._validate_audits()
 
-    def _validate_cones(self) -> None:
+    def _validate_audits(self) -> None:
+        """What the audits need beyond known names and numbers: the least
+        integer settings, the required keys and the cone box rule."""
+        def missing(name):
+            return DomainError(f"config precondition violated: missing audits.{name}")
+
+        for (section, key), least in _AUDIT_MINIMA.items():
+            if self.audits.get(section, {}).get(key, least) < least:
+                raise DomainError(
+                    f"config precondition violated: audits.{section}.{key} must be >= {least}")
+        prof = self.audits.get("profiles")
+        if prof is not None and "synthetic" not in prof and "snapshots" not in prof:
+            raise missing("profiles.synthetic or audits.profiles.snapshots")
+        synthetic = (prof or {}).get("synthetic")
+        if synthetic is not None and "bubbles" not in synthetic:
+            raise missing("profiles.synthetic.bubbles")
+        for i, bubble in enumerate((synthetic or {}).get("bubbles", [])):
+            where = f"audits.profiles.synthetic.bubbles[{i}]"
+            _read_section(bubble, _BUBBLE, where)
+            for key in _BUBBLE:  # both required: a missing one reads as None
+                bubble[key] = _number(bubble.get(key), f"{where}.{key}")
         cone_cfg = self.audits.get("cones")
-        if not cone_cfg:
+        if cone_cfg is None:
             return
         if "top_time" not in cone_cfg:
-            raise DomainError("config precondition violated: missing audits.cones.top_time")
-        top = cone_cfg["top_time"]
+            raise missing("cones.top_time")
         # periodicity must not reach an audited cone: box >= 4x the cone diameter
-        if self.grid.box_length < 4.0 * (2.0 * top):
+        if self.grid.box_length < 4.0 * (2.0 * cone_cfg["top_time"]):
             raise DomainError(
                 "config precondition violated: audits.cones.top_time requires "
-                f"box_length >= {8.0 * top} (4x the cone diameter)"
+                f"box_length >= {8.0 * cone_cfg['top_time']} (4x the cone diameter)"
             )
 
     def initial_state(self):
@@ -177,8 +211,6 @@ def _tensor_window(cfg: ScenarioConfig, scale: int):
 def cmd_audit_tensors(cfg: ScenarioConfig) -> dict:
     audit_cfg = cfg.audits.get("tensors", {})
     levels = audit_cfg.get("levels", 2)
-    if levels < 1:
-        raise DomainError("config precondition violated: audits.tensors.levels must be >= 1")
     apex = audit_cfg.get("apex", [0.5 * cfg.grid.box_length] * cfg.grid.d)
     params = critical_exponent(cfg.grid.d, cfg.p)
     tags = list(conslaws.TENSOR_TAGS)
@@ -217,9 +249,7 @@ def cmd_audit_tensors(cfg: ScenarioConfig) -> dict:
 
 def cmd_cones(cfg: ScenarioConfig) -> dict:
     out = cfg.out_dir
-    cone_cfg = cfg.audits.get("cones")
-    if cone_cfg is None:
-        raise DomainError("config precondition violated: missing audits.cones")
+    cone_cfg = cfg.audits["cones"]
     traj = evolve(cfg.initial_state(), cfg.solver)
     vertex = cone_cfg.get("vertex", [0.5 * cfg.grid.box_length] * cfg.grid.d)
     cone = cones_mod.ConeSpec(vertex=tuple(vertex), top_time=cone_cfg["top_time"])
@@ -280,9 +310,7 @@ def _synthetic_family(cfg: ScenarioConfig, spec: dict) -> profiles.FunctionFamil
 
 
 def cmd_decompose(cfg: ScenarioConfig) -> dict:
-    prof_cfg = cfg.audits.get("profiles")
-    if prof_cfg is None:
-        raise DomainError("config precondition violated: missing audits.profiles")
+    prof_cfg = cfg.audits["profiles"]
     params = critical_exponent(cfg.grid.d, cfg.p)
     if "synthetic" in prof_cfg:
         family = _synthetic_family(cfg, prof_cfg["synthetic"])
@@ -318,11 +346,15 @@ COMMANDS = {
 def run(cfg: ScenarioConfig, command: str, **options) -> int:
     """Run one subcommand on a validated config.
 
-    Echoes the config and marks MANIFEST.json incomplete before any
-    compute; once the command's outputs are written, the manifest is
+    A command without the audits section it reads is a DomainError before
+    any output.  Echoes the config and marks MANIFEST.json incomplete before
+    any compute; once the command's outputs are written, the manifest is
     marked complete with the extras the command returns, or failed with
     the error if the command raises (the error propagates).
     """
+    section = _COMMAND_SECTION.get(command)
+    if section is not None and section not in cfg.audits:
+        raise DomainError(f"config precondition violated: missing audits.{section}")
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     snapshots.write_json(out / "config.json", cfg.raw)

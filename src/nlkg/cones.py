@@ -14,10 +14,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .conslaws import TensorKind, _density, _Pieces, tensor_kind
+from .conslaws import TensorKind, _density, tensor_kind
 from .errors import DomainError
 from .grid import Field, GridSpec, State
-from .norms import _energy_density, ball_integral, critical_exponent, gradient_square
+from .norms import _energy_density, _Pieces, ball_integral, critical_exponent
 from .solver import Trajectory
 
 __all__ = [
@@ -88,15 +88,15 @@ def radial_angular_split(gradient: list[Field], vertex) -> tuple[Field, list[Fie
     u_r = (x/|x|) . grad u (defined as 0 at the vertex point) and the
     angular remainder; u_r^2 + |angular|^2 = |grad u|^2 pointwise.
     """
-    split = _Pieces(None, vertex, grad=gradient)
+    split = _Pieces(None, apex=vertex, grad=gradient)
     return Field(split.grid, split.u_r), [Field(split.grid, a) for a in split.angular]
 
 
 def _slice(state: State, cone: ConeSpec, nl_coeff: float, want) -> dict:
     """The quantities named in `want` on the slice |x - x0| < t, all from one
-    conslaws._Pieces (one gradient): "L" and "Z", "monitor" (for :func:`cone_monitor`),
+    norms._Pieces (one gradient): "L" and "Z", "monitor" (for :func:`cone_monitor`),
     "boundary" and "bulk" (the two sides of :func:`energy_flux_check`)."""
-    pc = _Pieces(state, cone.vertex, nl_coeff)
+    pc = _Pieces(state, nl_coeff, cone.vertex)
     t, u, v = state.time, pc.u, pc.v
 
     def ball(values, radius, weight=None):
@@ -237,10 +237,10 @@ def averaged_gradient_bound(traj: Trajectory, cone: ConeSpec, t0: float,
     def slice_value(s: State) -> float:
         t = s.time
         lim = t if subc else alpha * t
-        v, u, grad_sq = s.v.values, s.u.values, gradient_square(s.u)
-        return (ball_integral(lambda at: at(v) ** 2 + at(grad_sq), g, cone.vertex, lim,
+        pc = _Pieces(s)
+        return (ball_integral(lambda at: at(pc.v) ** 2 + at(pc.grad_sq), g, cone.vertex, lim,
                               lambda r: (t - r) ** w_grad)
-                + ball_integral(lambda at: at(u) ** 2, g, cone.vertex, lim,
+                + ball_integral(lambda at: at(pc.u) ** 2, g, cone.vertex, lim,
                                 lambda r: (t - r) ** w_mass))
 
     ts = np.array([s.time for s in sel])
@@ -308,7 +308,7 @@ def _monitors(traj: Trajectory, cone: ConeSpec, times: list, rows: list) -> dict
 
 
 def cone_audit(traj: Trajectory, cone: ConeSpec, which: str = "L", t_floor: float = 0.0):
-    """Everything `nlkg cones` writes, in one pass with one conslaws._Pieces
+    """Everything `nlkg cones` writes, in one pass with one norms._Pieces
     (one gradient) per snapshot in 0 < t <= top_time: the series of
     :func:`lyapunov_series` over t > t_floor, the monitors of
     :func:`cone_monitor`, and the :func:`energy_flux_check` dict (t0, t1,

@@ -11,14 +11,12 @@ explicit apex point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError
-from .grid import (Field, State, displacement, radial_distance, spectral_divergence,
-                   spectral_gradient)
-from .norms import _energy_density
+from .grid import Field, State, spectral_divergence
+from .norms import _Pieces, critical_exponent
 from .solver import Trajectory
 
 __all__ = [
@@ -58,8 +56,7 @@ def tensor_kind(tag: str, state: State | None = None) -> TensorKind:
     if tag == "combined":
         if state is None:
             raise DomainError("combined tensor needs a state to derive alpha")
-        d, p = state.grid.d, state.exponent
-        return TensorKind(tag, alpha=0.5 - (d / 2.0 - 2.0 / p))
+        return TensorKind(tag, alpha=critical_exponent(state.grid.d, state.exponent).alpha)
     return TensorKind(tag)
 
 
@@ -73,72 +70,10 @@ class TensorSample:
     source: Field
 
 
-class _Pieces:
-    """One snapshot's pointwise fields about an apex, built once for the tensor
-    formulas, the cone slices and the truncated mass.  `grad` (Fields) is for
-    a caller that has the gradient; with `state` None only the gradient's
-    fields exist (grad, x, S, grad_sq, r_sq, u_r, angular)."""
-
-    def __init__(self, state: State | None, apex, nl_coeff: float = 1.0, grad=None):
-        grad = spectral_gradient(state.u) if grad is None else grad
-        self.grid, self.apex, self.grad = grad[0].grid, apex, [g.values for g in grad]
-        self.x = displacement(self.grid, apex)
-        self.S = sum(xi * gi for xi, gi in zip(self.x, self.grad))  # x . grad u
-        self.grad_sq = sum(g**2 for g in self.grad)
-        if state is not None:
-            self.t, self.u, self.v = state.time, state.u.values, state.v.values
-            self.m, self.p, self.d = state.mass_param, state.exponent, state.grid.d
-            self.nl = nl_coeff
-
-    @cached_property
-    def r_sq(self):
-        return sum(np.broadcast_to(xi**2, self.grid.shape) for xi in self.x)
-
-    @cached_property
-    def u_r(self):
-        """(x/|x|) . grad u about the apex, 0 at the apex point."""
-        r = radial_distance(self.grid, self.apex)
-        return np.where(r == 0.0, 0.0, self.S / np.where(r == 0.0, 1.0, r))
-
-    @property
-    def angular(self) -> list:
-        """grad u less its radial part; u_r^2 + |angular|^2 = |grad u|^2."""
-        r = radial_distance(self.grid, self.apex)
-        safe_r = np.where(r == 0.0, 1.0, r)
-        return [g - np.where(r == 0.0, 0.0, dx / safe_r) * self.u_r
-                for dx, g in zip(self.x, self.grad)]
-
-    @cached_property
-    def pot(self):
-        return np.abs(self.u) ** (self.p + 2.0)
-
-    @property
-    def energy_density(self):
-        return _energy_density(self.u, self.v, self.grad_sq, self.m, self.p, self.nl, self.pot)
-
-    @property
-    def lagrangian_density(self):
-        return (0.5 * self.grad_sq - 0.5 * self.v**2 + 0.5 * self.m**2 * self.u**2
-                - self.nl / (self.p + 2.0) * self.pot)
-
-    def dilation_multiplier(self, zeroth: float):
-        """x . grad u + t u_t + zeroth * u."""
-        return self.S + self.t * self.v + zeroth * self.u
-
-    @property
-    def dilation_source(self):
-        c = (self.p * (self.d - 1) - 4.0) / (2.0 * (self.p + 2.0))
-        return c * self.nl * self.pot + self.m**2 * self.u**2
-
-    @property
-    def charge_source(self):
-        return self.v**2 - self.grad_sq - self.m**2 * self.u**2 + self.nl * self.pot
-
-
 def _pieces(state: State, kind: TensorKind, apex, nl_coeff: float) -> _Pieces:
     if kind.tag in _TIME_WEIGHTED and state.time <= 0.0:
         raise DomainError(f"{kind.tag} tensor requires evaluation time > 0")
-    return _Pieces(state, apex, nl_coeff)
+    return _Pieces(state, nl_coeff, apex)
 
 
 def _density(pc: _Pieces, kind: TensorKind):
@@ -329,7 +264,7 @@ def charge_slab_identity(traj: Trajectory, t0: float, t1: float) -> SlabIdentity
     cell = sel[0].grid.cell_volume
     integrand, kinetic = [], []
     for s in sel:
-        pc = _Pieces(s, np.zeros(s.grid.d), nl)
+        pc = _Pieces(s, nl)
         integrand.append(float(np.sum(pc.charge_source)) * cell)
         kinetic.append(float(np.sum(pc.v**2)) * cell)
     ts = np.array([s.time for s in sel])

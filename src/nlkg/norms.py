@@ -1,10 +1,12 @@
 """Lebesgue and fractional Sobolev norms, the one ball quadrature (every
 region or cone integral: a sum over the open ball |x - c| < R on the cached
-minimal-image distance), the energy functional, and Gagliardo-Nirenberg ratios."""
+minimal-image distance), the energy functional, the one per-snapshot field
+view every diagnostic reads, and Gagliardo-Nirenberg ratios."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from .grid import (
     _magnitude,
     _symbol_weights,
     bessel_symbol,
+    displacement,
     radial_distance,
     spectral_gradient,
 )
@@ -190,14 +193,6 @@ def sobolev_norm(f: Field, s: float, homogeneous: bool = True, m: float = 1.0) -
     return float(np.sqrt(np.sum(modes) * (g.cell_volume / g.num_points)))
 
 
-def gradient_square(u: Field) -> np.ndarray:
-    """|nabla u|^2 pointwise, with the gradient computed spectrally."""
-    acc = np.zeros(u.grid.shape)
-    for g in spectral_gradient(u):
-        acc += g.values**2
-    return acc
-
-
 def energy(state: State, nl_coeff: float = 1.0) -> float:
     """Conserved energy: int 1/2 |grad_{t,x} u|^2 + m^2/2 u^2 - 1/(p+2)|u|^{p+2}.
 
@@ -205,14 +200,7 @@ def energy(state: State, nl_coeff: float = 1.0) -> float:
     energy, which is what trajectories with the nonlinearity disabled
     conserve.
     """
-    return _energy_with(state, gradient_square(state.u), nl_coeff)
-
-
-def _energy_with(state: State, grad_sq: np.ndarray, nl_coeff: float) -> float:
-    """:func:`energy` with |grad u|^2 supplied by a caller that has it already."""
-    dens = _energy_density(state.u.values, state.v.values, grad_sq, state.mass_param,
-                           state.exponent, nl_coeff)
-    return float(np.sum(dens)) * state.grid.cell_volume
+    return _Pieces(state, nl_coeff).energy
 
 
 def _energy_density(u, v, grad_sq, m: float, p: float, nl_coeff: float, pot=None):
@@ -222,6 +210,77 @@ def _energy_density(u, v, grad_sq, m: float, p: float, nl_coeff: float, pot=None
     if nl_coeff != 0.0:
         dens = dens - nl_coeff / (p + 2.0) * (np.abs(u) ** (p + 2.0) if pot is None else pot)
     return dens
+
+
+class _Pieces:
+    """One snapshot's pointwise fields, built once for every diagnostic that
+    reads them (the energy, the mass and lower-bound audits, the tensors, the
+    cone slices): outside grid, the one place that takes a gradient.  x and
+    S = x . grad u exist only about an `apex`; with `state` None, `grad`
+    (Fields) stands in for the gradient and only the gradient's fields exist."""
+
+    def __init__(self, state: State | None, nl_coeff: float = 1.0, apex=None, grad=None):
+        grad = spectral_gradient(state.u) if grad is None else grad
+        self.grid, self.apex, self.grad = grad[0].grid, apex, [g.values for g in grad]
+        self.grad_sq = np.zeros(self.grid.shape)  # |grad u|^2, accumulated in place
+        for g in self.grad:
+            self.grad_sq += g**2
+        if apex is not None:
+            self.x = displacement(self.grid, apex)
+            self.S = sum(xi * gi for xi, gi in zip(self.x, self.grad))  # x . grad u
+        if state is not None:
+            self.t, self.u, self.v = state.time, state.u.values, state.v.values
+            self.m, self.p, self.d = state.mass_param, state.exponent, state.grid.d
+            self.nl = nl_coeff
+
+    @cached_property
+    def r_sq(self):
+        return sum(np.broadcast_to(xi**2, self.grid.shape) for xi in self.x)
+
+    @cached_property
+    def u_r(self):
+        """(x/|x|) . grad u about the apex, 0 at the apex point."""
+        r = radial_distance(self.grid, self.apex)
+        return np.where(r == 0.0, 0.0, self.S / np.where(r == 0.0, 1.0, r))
+
+    @property
+    def angular(self) -> list:
+        """grad u less its radial part; u_r^2 + |angular|^2 = |grad u|^2."""
+        r = radial_distance(self.grid, self.apex)
+        safe_r = np.where(r == 0.0, 1.0, r)
+        return [g - np.where(r == 0.0, 0.0, dx / safe_r) * self.u_r
+                for dx, g in zip(self.x, self.grad)]
+
+    @cached_property
+    def pot(self):
+        return np.abs(self.u) ** (self.p + 2.0)
+
+    @property
+    def energy_density(self):
+        return _energy_density(self.u, self.v, self.grad_sq, self.m, self.p, self.nl,
+                               self.pot if self.nl != 0.0 else None)
+
+    @property
+    def energy(self) -> float:
+        return float(np.sum(self.energy_density)) * self.grid.cell_volume
+
+    @property
+    def lagrangian_density(self):
+        return (0.5 * self.grad_sq - 0.5 * self.v**2 + 0.5 * self.m**2 * self.u**2
+                - self.nl / (self.p + 2.0) * self.pot)
+
+    def dilation_multiplier(self, zeroth: float):
+        """x . grad u + t u_t + zeroth * u."""
+        return self.S + self.t * self.v + zeroth * self.u
+
+    @property
+    def dilation_source(self):
+        c = (self.p * (self.d - 1) - 4.0) / (2.0 * (self.p + 2.0))
+        return c * self.nl * self.pot + self.m**2 * self.u**2
+
+    @property
+    def charge_source(self):
+        return self.v**2 - self.grad_sq - self.m**2 * self.u**2 + self.nl * self.pot
 
 
 def gn_ratio(f: Field, params: CriticalParams) -> float:

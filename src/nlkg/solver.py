@@ -13,7 +13,7 @@ from scipy import integrate
 from .errors import CorruptionError, DomainError
 from .grid import (Field, GridSpec, State, _forward_array, _inverse_array, _magnitude,
                    _pad2x_power, axis_coordinates, bessel_symbol, radial_distance)
-from .norms import energy, gradient_square
+from .norms import _Pieces, energy
 
 __all__ = [
     "SolverConfig",
@@ -385,6 +385,32 @@ def _zero(grid: GridSpec) -> Field:
     return Field(grid, np.zeros(grid.shape))
 
 
+# each initial-data kind's parameter names, (required, optional): the one
+# table that initial_data and the scenario config check names against
+_DATA_PARAMS = {
+    "constant": (("A",), ()),
+    "gaussian": (("A", "w"), ("center",)),
+    "bump": (("A", "w"), ("center",)),
+    "plane_wave": (("k",), ("amplitude", "traveling")),
+    "log_profile": (("R",), ("center",)),
+    "negative_energy": (("A", "w"), ("margin", "amplitude_cap", "center")),
+}
+
+
+def _check_data_params(kind: str, params, prefix: str = "") -> None:
+    """DomainError for an unknown kind, or for a missing or unknown parameter
+    name (reported as prefix + name)."""
+    if kind not in _DATA_PARAMS:
+        raise DomainError(f"unknown initial-data kind {kind!r}")
+    required, optional = _DATA_PARAMS[kind]
+    unknown = sorted(set(params) - {*required, *optional})
+    wrong = ([f"missing {prefix}{name}" for name in required if name not in params]
+             + [f"unknown {prefix}{name}" for name in unknown])
+    if wrong:
+        raise DomainError(f"{kind} initial data: {', '.join(wrong)} "
+                          f"(it takes {', '.join(required + optional)})")
+
+
 def initial_data(grid: GridSpec, kind: str, m: float, p: float, **params) -> State:
     """Initial-data library.  Kinds:
 
@@ -394,9 +420,12 @@ def initial_data(grid: GridSpec, kind: str, m: float, p: float, **params) -> Sta
     - plane_wave(k, amplitude=1, traveling=True): k in integer modes per axis;
       traveling sets u1 so the mode translates at its dispersion speed
     - log_profile(R, center): d = 2 radial logarithmic cap
-    - negative_energy(A, w, margin=0.5): gaussian rescaled by bisection in
-      amplitude until the energy is strictly negative
+    - negative_energy(A, w, margin=0.5, amplitude_cap=1e6): gaussian rescaled
+      by bisection in amplitude until the energy is strictly negative
+
+    An unknown kind, or a missing or unknown parameter, is a DomainError.
     """
+    _check_data_params(kind, params)
     center = np.asarray(params.get("center", [0.5 * grid.box_length] * grid.d), dtype=np.float64)
 
     if kind == "constant":
@@ -460,9 +489,9 @@ def initial_data(grid: GridSpec, kind: str, m: float, p: float, **params) -> Sta
         cap = float(params.get("amplitude_cap", 1e6))
         base = initial_data(grid, "gaussian", m, p, A=1.0, w=w, center=center)
         # with u_t = 0 the energy of amp * u0 is quadratic * amp^2 - potential * amp^(p+2)
-        u0 = base.u.values
-        quadratic = 0.5 * float(np.sum(gradient_square(base.u)) + m**2 * np.sum(u0**2))
-        potential = float(np.sum(np.abs(u0) ** (p + 2.0))) / (p + 2.0)
+        pc = _Pieces(base)
+        quadratic = 0.5 * float(np.sum(pc.grad_sq) + m**2 * np.sum(pc.u**2))
+        potential = float(np.sum(pc.pot)) / (p + 2.0)
 
         def e_of(amp: float) -> float:
             return (quadratic * amp**2 - potential * amp ** (p + 2.0)) * grid.cell_volume
@@ -483,5 +512,3 @@ def initial_data(grid: GridSpec, kind: str, m: float, p: float, **params) -> Sta
         if energy(out) >= 0.0:
             raise DomainError("negative-energy construction failed its own check")
         return out
-
-    raise DomainError(f"unknown initial-data kind {kind!r}")

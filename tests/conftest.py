@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+import nlkg.grid as grid_mod
 from nlkg.grid import Field, GridSpec
 
 
@@ -48,3 +51,17 @@ def cosine_field(grid: GridSpec, k_int) -> Field:
     for ax, x in enumerate(axis_coordinates(grid)):
         phase = phase + k[ax] * x
     return Field(grid, np.cos(phase))
+
+
+def count_gradients(monkeypatch) -> list:
+    """Wrap spectral_gradient in every nlkg module that binds it; returns the call log."""
+    calls, real = [], grid_mod.spectral_gradient
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    for name, mod in list(sys.modules.items()):
+        if (name == "nlkg" or name.startswith("nlkg.")) and hasattr(mod, "spectral_gradient"):
+            monkeypatch.setattr(mod, "spectral_gradient", counting)
+    return calls

@@ -1,9 +1,6 @@
 import numpy as np
 import pytest
 
-import nlkg.blowup as blowup_mod
-import nlkg.grid as grid_mod
-import nlkg.norms as norms_mod
 from nlkg.blowup import (
     blowup_surface_estimate,
     concavity_check,
@@ -13,10 +10,14 @@ from nlkg.blowup import (
     mass_diagnostics,
     truncated_mass,
 )
+from nlkg.cones import ConeSpec, averaged_gradient_bound
+from nlkg.conslaws import charge_slab_identity
 from nlkg.errors import DomainError
 from nlkg.grid import Field, GridSpec, State, radial_distance
-from nlkg.norms import energy, lebesgue_norm
+from nlkg.norms import energy, lebesgue_norm, sobolev_norm
 from nlkg.solver import SolverConfig, Trajectory, evolve, initial_data, lifespan_upper, ode_oracle
+
+from conftest import count_gradients
 
 LIFESPAN_A1_P2 = 1.854074677301368
 
@@ -54,6 +55,12 @@ class TestDetectAndFit:
         assert abs(report.t_star - LIFESPAN_A1_P2) / LIFESPAN_A1_P2 < 0.01
         assert report.rate_exponents["sup_norm"] == pytest.approx(-1.0, abs=0.03)
         assert report.rate_exponents["mass"] == pytest.approx(-2.0, abs=0.06)
+
+    @pytest.mark.parametrize("k_fit", [0, 1, 2])
+    def test_k_fit_below_three_rejected(self, constant_blowup_traj, k_fit):
+        # k_fit 0 used to fit every sample (times[-0:]), 2 a line with no residual
+        with pytest.raises(DomainError, match="k_fit"):
+            detect_and_fit(constant_blowup_traj, k_fit=k_fit)
 
     def test_linear_run_not_detected(self, grid2d):
         report = detect_and_fit(linear_traj(grid2d))
@@ -189,37 +196,53 @@ class TestTruncatedMass:
 
 
 class TestOneGradientPerSnapshot:
-    # |grad u|^2 is computed once per snapshot and shared with the energy
+    # every per-snapshot diagnostic reads one gradient per snapshot it uses,
+    # and the energy inside it is the energy a separate call gives
     @pytest.fixture(scope="class")
     def traj(self):
-        g = GridSpec(2, 32, 8.0)
+        # a wide box, so that the truncated mass's cutoff (R = 3) holds the data
+        g = GridSpec(2, 64, 16.0)
         st = initial_data(g, "gaussian", m=0.5, p=2.0, A=0.9, w=0.6)
         cfg = SolverConfig(dt_init=5e-3, t_max=0.1, adapt_theta=None, snapshot_stride=4)
-        return evolve(st, cfg)
+        traj = evolve(st, cfg)
+        assert len(traj.snapshots) == 6  # t = 0, 0.02, ..., 0.1
+        return traj
 
-    DIAGNOSTICS = {"mass": mass_diagnostics, "truncated": lambda tr: truncated_mass(tr, R=0.5)}
+    # name -> (diagnostic, the number of snapshots it reads)
+    DIAGNOSTICS = {
+        "mass": (mass_diagnostics, 6),
+        "truncated": (lambda tr: truncated_mass(tr, R=3.0), 6),
+        # the ball radius 0.59 - t exceeds two cells (0.5) up to t = 0.08
+        "lower_bound": (lambda tr: lower_bound_check(tr, 0.59, (8.0, 8.0)), 5),
+        # sub-conformal: t in [t0, 2 t0] = [0.04, 0.08]
+        "averaged": (lambda tr: averaged_gradient_bound(tr, ConeSpec((8.0, 8.0), 0.5),
+                                                        tr.times[2]), 3),
+        "charge_slab": (lambda tr: charge_slab_identity(tr, tr.times[1], tr.times[4]), 4),
+    }
 
     @pytest.mark.parametrize("name", DIAGNOSTICS)
     def test_one_spectral_gradient_per_snapshot(self, traj, monkeypatch, name):
-        calls = []
+        run, used = self.DIAGNOSTICS[name]
+        calls = count_gradients(monkeypatch)
+        run(traj)
+        assert len(calls) == used
 
-        def counting(f):
-            calls.append(f)
-            return grid_mod.spectral_gradient(f)
-
-        for mod in (norms_mod, blowup_mod):
-            monkeypatch.setattr(mod, "spectral_gradient", counting)
-        self.DIAGNOSTICS[name](traj)
-        assert len(calls) == len(traj.snapshots)
-
-    @pytest.mark.parametrize("name", DIAGNOSTICS)
-    def test_matches_separate_energy(self, traj, monkeypatch, name):
-        shared = self.DIAGNOSTICS[name](traj)
-        monkeypatch.setattr(blowup_mod, "_energy_with", lambda s, grad_sq, nl: energy(s, nl))
-        separate = self.DIAGNOSTICS[name](traj)
-        for a, b in ((shared.M, separate.M), (shared.M_prime, separate.M_prime),
-                     (shared.M_dprime, separate.M_dprime)):
-            assert np.allclose(a, b, rtol=1e-12, atol=0.0)
+    @pytest.mark.parametrize("name", ["mass", "truncated"])
+    def test_matches_separate_energy(self, traj, name):
+        # M'' = -2(p+2)E + int (p+4) u_t^2 + p |grad u|^2 + p m^2 u^2 with E from
+        # energy() and |grad u|^2 by Plancherel; the cutoff's tails sit below 1e-10
+        series = self.DIAGNOSTICS[name][0](traj)
+        cell, expected = traj.snapshots[0].grid.cell_volume, []
+        for s in traj.snapshots:
+            p, m, u, v = s.exponent, s.mass_param, s.u.values, s.v.values
+            expected.append(-2.0 * (p + 2.0) * energy(s, traj.nl_coeff)
+                            + (p + 4.0) * float(np.sum(v**2)) * cell
+                            + p * sobolev_norm(s.u, 1.0) ** 2
+                            + p * m**2 * float(np.sum(u**2)) * cell)
+        assert np.allclose(series.M_dprime, expected, rtol=1e-10, atol=0.0)
+        if name == "mass":
+            assert list(series.extra["energy"]) == [energy(s, traj.nl_coeff)
+                                                    for s in traj.snapshots]
 
 
 class TestCriticalNormSeries:

@@ -136,6 +136,34 @@ class TestValidation:
         assert main(["cones", str(write_cfg(tmp_path, cfg))]) == 2
         assert "audits.cones.top_time" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,key,over", [
+        # unknown names, once ignored (or a KeyError mid-run for the missing w)
+        ("cones", "t_flor", {"audits": {"cones": {"top_time": 0.5, "t_flor": 0.1}}}),
+        ("simulate", "blowups", {"audits": {"blowups": {"k_fit": 5}}}),
+        ("simulate", "data.params.centre",
+         {"data": {"kind": "gaussian", "params": {"A": 0.4, "w": 0.6, "centre": [1.0, 1.0]}}}),
+        ("simulate", "data.params.w", {"data": {"kind": "gaussian", "params": {"A": 0.4}}}),
+        ("simulate", "gauss", {"data": {"kind": "gauss", "params": {"A": 0.4, "w": 0.6}}}),
+        ("decompose", "audits.profiles.synthetic.bubbles[0] keys ['center']",
+         {"audits": {"profiles": {"synthetic": {"bubbles": [
+             {"width": 2.0, "amplitude": 1.0, "center": [0, 0]}]}}}}),
+        # each command's inputs, once checked after the manifest was written
+        ("decompose", "audits.profiles.snapshots", {"audits": {"profiles": {"j_max": 2}}}),
+        ("decompose", "audits.profiles.synthetic.bubbles",
+         {"audits": {"profiles": {"synthetic": {"n_members": 2}}}}),
+        ("audit-tensors", "audits.tensors.levels", {"audits": {"tensors": {"levels": 0}}}),
+        ("cones", "audits.cones", {}),
+        ("decompose", "audits.profiles", {}),
+        # k_fit 2 used to fit a line with no residual
+        ("fit", "audits.blowup.k_fit", {"audits": {"blowup": {"k_fit": 2}}}),
+    ])
+    def test_bad_input_fails_before_any_output(self, tmp_path, capsys, command, key, over):
+        out = tmp_path / "out"
+        code = main([command, str(write_cfg(tmp_path, base_config(out, **over)))])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (out / "MANIFEST.json").exists()
+
     def test_integral_values_read_as_integers(self, tmp_path):
         cfg = ScenarioConfig(base_config(tmp_path / "out",
                                          grid={"d": 2.0, "n": 32.0, "box_length": 8.0},

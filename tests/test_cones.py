@@ -2,12 +2,6 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-import nlkg.blowup as blowup_mod
-import nlkg.cones as cones_mod
-import nlkg.conslaws as conslaws_mod
-import nlkg.grid as grid_mod
-import nlkg.norms as norms_mod
-import nlkg.solver as solver_mod
 from nlkg.cones import (
     ConeSpec,
     DiagnosticSeries,
@@ -24,7 +18,7 @@ from nlkg.errors import DomainError
 from nlkg.grid import Field, GridSpec, State, radial_distance, spectral_gradient
 from nlkg.solver import SolverConfig, Trajectory, evolve, initial_data
 
-from conftest import random_field
+from conftest import count_gradients, random_field
 
 CENTER2 = (4.0, 4.0)
 
@@ -232,20 +226,6 @@ class TestConeMonitor:
                    (lambda rho: (t**2 - rho**2) / t),
                    (lambda rho: (t**2 - rho**2) ** alpha)):
             assert wf(np.array([t]))[0] == 0.0
-
-
-def count_gradients(monkeypatch) -> list:
-    """Wrap spectral_gradient in every nlkg module that binds it; returns the call log."""
-    calls, real = [], grid_mod.spectral_gradient
-
-    def counting(f):
-        calls.append(f)
-        return real(f)
-
-    for mod in (grid_mod, norms_mod, solver_mod, conslaws_mod, cones_mod, blowup_mod):
-        if hasattr(mod, "spectral_gradient"):
-            monkeypatch.setattr(mod, "spectral_gradient", counting)
-    return calls
 
 
 # (grid, p, data, cone, functional): conformal (d = 2, p = 4, L), super-conformal

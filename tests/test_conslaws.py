@@ -26,7 +26,7 @@ from nlkg.grid import (
     spectral_divergence,
     spectral_gradient,
 )
-from nlkg.norms import energy
+from nlkg.norms import critical_exponent, energy
 from nlkg.solver import SolverConfig, Trajectory, evolve, initial_data, ode_oracle
 
 from conftest import random_field
@@ -90,6 +90,12 @@ class TestEvalTensor:
         st = zero_state(grid2d, t=0.0)
         with pytest.raises(DomainError):
             eval_tensor(st, tensor_kind(tag, st), APEX2)
+
+    @pytest.mark.parametrize("d,n,p", [(1, 64, 2.0), (2, 32, 1.0), (2, 32, 2.0), (3, 8, 1.8)])
+    def test_combined_alpha_is_half_minus_critical_exponent(self, d, n, p):
+        st = zero_state(GridSpec(d, n, 8.0), p=p)
+        assert tensor_kind("combined", st).alpha == critical_exponent(d, p).alpha
+        assert tensor_kind("combined", st).alpha == 0.5 - (d / 2.0 - 2.0 / p)
 
     def test_combined_requires_sub_conformal(self, grid2d):
         with pytest.raises(DomainError):

@@ -369,6 +369,18 @@ class TestInitialData:
             initial_data(grid2d, "negative_energy", m=0.0, p=2.0, A=1.0, w=0.6,
                          amplitude_cap=1e-9)
 
+    @pytest.mark.parametrize("kind,params,named", [
+        ("gaussian", {"A": 1.0}, "missing w"),  # was KeyError('w')
+        ("gaussian", {"A": 1.0, "w": 0.6, "centre": (1.0, 1.0)}, "unknown centre"),
+        ("constant", {"A": 1.0, "center": (1.0, 1.0)}, "unknown center"),
+        ("plane_wave", {"k": (1, 0), "traveling": True, "speed": 2.0}, "unknown speed"),
+        ("gauss", {"A": 1.0, "w": 0.6}, "kind 'gauss'"),
+    ])
+    def test_parameter_names_checked(self, grid2d, kind, params, named):
+        # a misspelt name used to be ignored: centre gave the box-centred gaussian
+        with pytest.raises(DomainError, match=named):
+            initial_data(grid2d, kind, m=0.0, p=2.0, **params)
+
     def test_log_profile_shape(self):
         g = GridSpec(2, 128, 32.0)
         st = initial_data(g, "log_profile", m=0.0, p=2.0, R=8.0)

@@ -57,6 +57,11 @@ def _solver_value(key: str, value):
     return _number(value, f"solver.{key}", int if key == "snapshot_stride" else float)
 
 
+# the top-level names of a config and the keys of each plain section (None:
+# checked on their own below); any other name fails at load
+_CONFIG = {"grid": ("d", "n", "box_length"), "physics": ("m", "p"), "data": ("kind", "params"),
+           "output": ("directory",), "solver": None, "audits": None, "seed": None}
+
 # every `audits` section and its keys: the kind a number is read as (None: not a
 # number) or a subsection's own table.  Any other name fails at load, and the
 # numbers are converted there, so a bad one fails before any output.
@@ -104,6 +109,10 @@ class ScenarioConfig:
 
     def __init__(self, raw: dict):
         self.raw = raw
+        _read_section(raw, dict.fromkeys(_CONFIG), "top-level")
+        for name, keys in _CONFIG.items():
+            if keys is not None and name in raw:
+                _read_section(raw[name], dict.fromkeys(keys), name)
         for section, key in self.REQUIRED:
             if section not in raw or key not in raw[section]:
                 raise DomainError(f"config precondition violated: missing {section}.{key}")

@@ -298,6 +298,17 @@ def _lp_multiplier(grid: GridSpec, n_dyadic: float, mode: str) -> np.ndarray:
     raise DomainError(f"unknown projection mode {mode!r}")
 
 
+def _band_multipliers(grid: GridSpec, band: np.ndarray):
+    """_lp_multiplier(grid, N, "band") bit for bit for each N of a `dyadic_range`,
+    adjacent bands sharing one lp_bump: 2 |xi| / N == |xi| / (N/2) exactly."""
+    mag = _magnitude(grid)
+    inner = lp_bump(2.0 * mag / band[0])
+    for N in band:
+        outer = lp_bump(mag / N)
+        yield outer - inner
+        inner = outer
+
+
 def lp_project(f: Field, n_dyadic: float, mode: str = "band") -> Field:
     """Dyadic frequency projection: mode is 'leq', 'gt', or 'band'.
 
@@ -342,7 +353,9 @@ def bessel_derivative(f: Field, s: float, m: float = 1.0) -> Field:
 
 
 def spectral_gradient(f: Field) -> list[Field]:
-    """All first partial derivatives of f, computed spectrally."""
+    """All first partial derivatives of f, computed spectrally.  Each axis's
+    Nyquist wavenumber is dropped, which `norms.sobolev_norm(f, 1)` keeps:
+    see there for a field on which the two values of ||grad f||_2 differ."""
     F = _forward_array(f.values)
     return [Field(f.grid, _inverse_array(F * ik, f.grid.shape))
             for ik in _derivative_symbols(f.grid)]

@@ -171,11 +171,29 @@ def lebesgue_norm(f: Field, q: float, region: Region = _WHOLE) -> float:
     if np.isinf(q):
         return float(np.max(np.abs(f.values)[region_weight(region, f.grid) > 0.0], initial=0.0))
     if region.kind == "whole_box":
-        total = float(np.sum(np.abs(f.values) ** q)) * f.grid.cell_volume
+        total = _power_sum(f.values, q) * f.grid.cell_volume
     else:
         total = ball_integral(lambda at: np.abs(at(f.values)) ** q, f.grid, region.center,
                               *region.ball())
     return total ** (1.0 / q)
+
+
+def _even_integer(q: float) -> bool:
+    """q = 2, 4, ...: then |u|^q is a product of copies of u * u."""
+    return q > 0 and float(q).is_integer() and int(q) % 2 == 0
+
+
+def _power_sum(values: np.ndarray, q: float) -> float:
+    """sum |v|^q; for an even integer q = 2k, (v * v)^k by repeated squaring
+    (q = 2: bit for bit np.abs(v) ** 2), as the solver's even-p source."""
+    if not _even_integer(q):
+        return float(np.sum(np.abs(values) ** q))
+    out = values * values
+    for bit in bin(int(q) // 2)[3:]:  # the binary digits of k after the leading 1
+        out *= out
+        if bit == "1":
+            out *= values * values
+    return float(np.sum(out))
 
 
 def sobolev_norm(f: Field, s: float, homogeneous: bool = True, m: float = 1.0) -> float:
@@ -183,13 +201,20 @@ def sobolev_norm(f: Field, s: float, homogeneous: bool = True, m: float = 1.0) -
 
     Homogeneous uses |xi|^s (the zero mode is dropped for s <= 0);
     inhomogeneous uses (m^2 + |xi|^2)^{s/2} with m = 1 by default.
+    It keeps each axis's Nyquist wavenumber, which `spectral_gradient` (and
+    so `energy`) drops: for (-1)^j = cos(pi x / h) along one axis on n = 32,
+    L = 8, sobolev_norm(f, 1) is 100.53 and the gradient is zero.
     """
-    g = f.grid
+    return _spectral_sobolev_norm(_forward_array(f.values), f.grid, s, homogeneous, m)
+
+
+def _spectral_sobolev_norm(F, g: GridSpec, s: float, homogeneous=True, m=1.0) -> float:
+    """`sobolev_norm` of the field whose half-spectrum is F."""
     symbol = (lambda mag: mag**s) if homogeneous else (lambda mag: bessel_symbol(mag, m) ** s)
     weights = _symbol_weights(_magnitude(g), symbol, zero_mode=0.0)
     # discrete Plancherel: sum |f|^2 h^d = sum over the full spectrum of |F|^2 h^d / n^d,
     # each half-spectrum coefficient standing for _half_multiplicity full modes
-    modes = _half_multiplicity(g) * (weights * np.abs(_forward_array(f.values))) ** 2
+    modes = _half_multiplicity(g) * (weights * np.abs(F)) ** 2
     return float(np.sqrt(np.sum(modes) * (g.cell_volume / g.num_points)))
 
 

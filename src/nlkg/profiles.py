@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StagnationError
-from .grid import (Field, GridSpec, _forward_array, _inverse_array, _lp_multiplier,
-                   _transient_distance, dyadic_range, lp_bump)
-from .norms import CriticalParams, lebesgue_norm, sobolev_norm
+from .grid import (Field, GridSpec, _band_multipliers, _forward_array, _inverse_array,
+                   _lp_multiplier, _transient_distance, dyadic_range, lp_bump)
+from .norms import CriticalParams, _power_sum, _spectral_sobolev_norm, lebesgue_norm
 
 __all__ = [
     "FunctionFamily",
@@ -63,14 +63,10 @@ class ExtractionResult:
     stats: dict
 
 
-def _sobolev_bound(family: FunctionFamily, params: CriticalParams) -> float:
-    """max_n sqrt(||f||_{H^sc}^2 + ||f||_{H^1}^2), the family's M."""
-    return float(np.sqrt(max(sobolev_norm(f, params.s_c) ** 2 + sobolev_norm(f, 1.0) ** 2
-                             for f in family.members)))
-
-
-def _center_index(grid: GridSpec) -> tuple:
-    return (grid.n // 2,) * grid.d
+def _sobolev_bound(grid: GridSpec, spectra, params: CriticalParams) -> float:
+    """max_n sqrt(||f||_{H^sc}^2 + ||f||_{H^1}^2), the family's M, from the half-spectra."""
+    return float(np.sqrt(max(_spectral_sobolev_norm(F, grid, params.s_c) ** 2
+                             + _spectral_sobolev_norm(F, grid, 1.0) ** 2 for F in spectra)))
 
 
 def _roll_to_center(values: np.ndarray, idx: tuple, grid: GridSpec) -> np.ndarray:
@@ -110,6 +106,7 @@ def inverse_gn_extract(family: FunctionFamily, params: CriticalParams,
     members.  `prior_centers` (physical coordinates at the reference
     member) feed the window-radius rule.  Returns status 'exhausted' when
     the family's minimum L^{p+2} norm is at or below the floor.
+    Each member is transformed once, for M and every band of the scan.
     """
     g = family.grid
     p, s_c = params.p, params.s_c
@@ -120,53 +117,46 @@ def inverse_gn_extract(family: FunctionFamily, params: CriticalParams,
     eps = min(lebesgue_norm(f, p2) for f in family.members)
     if eps <= floor:
         return ExtractionResult("exhausted", None, None, {"epsilon": eps})
-    M = _sobolev_bound(family, params)
+    spectra = [_forward_array(f.values) for f in family.members]
+    M = _sobolev_bound(g, spectra, params)
 
-    K = (M / eps) ** (p2 / (2.0 * p * (1.0 - s_c)))
-    K = max(K, 1.0 + 1e-9)
+    K = max((M / eps) ** (p2 / (2.0 * p * (1.0 - s_c))), 1.0 + 1e-9)
     band = dyadic_range(g, lo=K**-p, hi=K**2)
     if band.size == 0:
         band = dyadic_range(g)
 
-    cell = g.cell_volume
-    picks = []
-    spectra = [_forward_array(f.values) for f in family.members]
-    for F in spectra:
-        best_val, best_N = -1.0, band[0]
-        for N in band:
-            proj = _inverse_array(F * _lp_multiplier(g, N, "band"), g.shape)
-            val = float(np.sum(np.abs(proj) ** p2)) * cell
-            if val > best_val:
-                best_val, best_N = val, N
-        picks.append(best_N)
-    # modal band over members, ties resolved toward the higher frequency
-    uniq, counts = np.unique(picks, return_counts=True)
+    # the L^{p+2} mass of each member (columns) in each band (rows)
+    mass = np.array([[_power_sum(_inverse_array(F * weight, g.shape), p2) * g.cell_volume
+                      for F in spectra] for weight in _band_multipliers(g, band)])
+    # per member the first band of largest mass; the modal band over members,
+    # ties resolved toward the higher frequency
+    uniq, counts = np.unique(band[np.argmax(mass, axis=0)], return_counts=True)
     N_sel = float(uniq[counts == counts.max()].max())
 
-    centers = np.zeros((family.n_count, g.d))
-    recentered = []
-    for i, F in enumerate(spectra):
-        proj = _inverse_array(F * _lp_multiplier(g, N_sel, "band"), g.shape)
-        idx = np.unravel_index(np.argmax(np.abs(proj)), g.shape)
-        centers[i] = np.array(idx) * g.spacing
-        recentered.append(_roll_to_center(family.members[i].values, idx, g))
+    weight = _lp_multiplier(g, N_sel, "band")
+    idx = [np.unravel_index(np.argmax(np.abs(_inverse_array(F * weight, g.shape))), g.shape)
+           for F in spectra]
+    del spectra, weight  # peak memory sits in the average below
+    centers = np.array(idx) * g.spacing
+    recentered = [_roll_to_center(f.values, i, g) for f, i in zip(family.members, idx)]
 
     known = centers[-1:].copy()
     if prior_centers is not None and len(prior_centers):
         known = np.vstack([prior_centers, known])
     R_w = _window_radius(g, known)
-    window = lp_bump(_transient_distance(g, np.array(_center_index(g)) * g.spacing) / R_w)
+    window = lp_bump(_transient_distance(g, np.full(g.d, g.n // 2) * g.spacing) / R_w)
     avg = window * np.mean(recentered, axis=0)
     profile = Field(g, np.ascontiguousarray(avg))
 
+    F = _forward_array(profile.values)
     stats = {
         "epsilon": eps,
         "M": M,
         "K": K,
         "N": N_sel,
         "window_radius": R_w,
-        "phi_h1_sq": sobolev_norm(profile, 1.0) ** 2,
-        "phi_hsc_sq": sobolev_norm(profile, s_c) ** 2,
+        "phi_h1_sq": _spectral_sobolev_norm(F, g, 1.0) ** 2,
+        "phi_hsc_sq": _spectral_sobolev_norm(F, g, s_c) ** 2,
         "phi_p2_pow": lebesgue_norm(profile, p2) ** p2,
     }
     return ExtractionResult("ok", profile, centers, stats)
@@ -202,20 +192,22 @@ def bubble_decompose(family: FunctionFamily, params: CriticalParams,
     a non-decrease signals failure of the averaging proxy and raises
     StagnationError.  Residuals are defined by subtraction, so the
     reconstruction identity is exact by construction.
+    A level's Sobolev bound is its extraction's M (one transform per member).
     """
     g = family.grid
     p2 = params.p + 2.0
     residuals = [Field(g, f.values.copy()) for f in family.members]
     bubbles: list = []
     eps_hist = [max(lebesgue_norm(r, p2) for r in residuals)]
-    sob_hist = [_sobolev_bound(FunctionFamily(tuple(residuals)), params)]
+    sob_hist: list = []
 
     while len(bubbles) < j_max and eps_hist[-1] > tol:
-        fam = FunctionFamily(tuple(residuals))
         prior = np.array([b[1][-1] for b in bubbles]) if bubbles else None
-        res = inverse_gn_extract(fam, params, floor=tol, prior_centers=prior)
+        res = inverse_gn_extract(FunctionFamily(tuple(residuals)), params, floor=tol,
+                                 prior_centers=prior)
         if res.status == "exhausted":
             break
+        sob_hist.append(res.stats["M"])
         new_residuals = [Field(g, r.values - _shift_profile(res.profile, c, g))
                          for r, c in zip(residuals, res.centers)]
         eps_new = max(lebesgue_norm(r, p2) for r in new_residuals)
@@ -227,8 +219,7 @@ def bubble_decompose(family: FunctionFamily, params: CriticalParams,
         residuals = new_residuals
         bubbles.append((res.profile, res.centers))
         eps_hist.append(eps_new)
-        sob_hist.append(_sobolev_bound(FunctionFamily(tuple(residuals)), params))
-
+    sob_hist.append(_sobolev_bound(g, (_forward_array(r.values) for r in residuals), params))
     return Decomposition(bubbles=bubbles, residuals=residuals,
                          eps_history=eps_hist, sobolev_history=sob_hist)
 
@@ -245,16 +236,17 @@ def decoupling_audit(dec: Decomposition, family: FunctionFamily,
     p2 = params.p + 2.0
     f, r = family.members[-1], dec.residuals[-1]
 
-    def gap(norm_fn) -> float:
-        whole = norm_fn(f)
-        parts = sum(norm_fn(b[0]) for b in dec.bubbles) + norm_fn(r)
-        return abs(whole - parts) / max(abs(whole), 1e-300)
+    def norms(x) -> np.ndarray:
+        """||x||^2 in H^1-dot and H^sc-dot, from one transform, and ||x||_{p+2}^{p+2}."""
+        F = _forward_array(x.values)
+        return np.array([_spectral_sobolev_norm(F, g, 1.0) ** 2,
+                         _spectral_sobolev_norm(F, g, params.s_c) ** 2,
+                         lebesgue_norm(x, p2) ** p2])
 
-    gaps = {
-        "h1": gap(lambda x: sobolev_norm(x, 1.0) ** 2),
-        "hsc": gap(lambda x: sobolev_norm(x, params.s_c) ** 2),
-        "p_plus_2": gap(lambda x: lebesgue_norm(x, p2) ** p2),
-    }
+    whole = norms(f)
+    parts = sum(norms(b[0]) for b in dec.bubbles) + norms(r)
+    gap = np.abs(whole - parts) / np.maximum(np.abs(whole), 1e-300)
+    gaps = dict(zip(("h1", "hsc", "p_plus_2"), gap.tolist()))
     gaps["min_separation_by_member"] = [
         _min_pairwise_distance(np.array([b[1][n] for b in dec.bubbles]), g.box_length)
         for n in range(family.n_count)] if dec.n_bubbles >= 2 else []

@@ -13,7 +13,7 @@ from scipy import integrate
 from .errors import CorruptionError, DomainError
 from .grid import (Field, GridSpec, State, _forward_array, _inverse_array, _magnitude,
                    _pad2x_power, axis_coordinates, bessel_symbol, radial_distance)
-from .norms import _Pieces, energy
+from .norms import _Pieces, _even_integer, energy
 
 __all__ = [
     "SolverConfig",
@@ -136,11 +136,6 @@ def linear_propagator(state: State, dt: float) -> State:
     if not np.isfinite(dt):
         raise DomainError("dt must be finite")
     return _one_step(state, dt, 0.0, "none")
-
-
-def _even_integer(p: float) -> bool:
-    """p = 2, 4, ...: then |u|^p u is the polynomial u^{p+1}."""
-    return p > 0 and p == int(p) and int(p) % 2 == 0
 
 
 def _check_dealias(dealias_pad: str, p: float) -> None:

@@ -65,3 +65,25 @@ def count_gradients(monkeypatch) -> list:
         if (name == "nlkg" or name.startswith("nlkg.")) and hasattr(mod, "spectral_gradient"):
             monkeypatch.setattr(mod, "spectral_gradient", counting)
     return calls
+
+
+def count_transforms(monkeypatch) -> dict:
+    """Wrap _forward_array and _inverse_array in every nlkg module that binds
+    them; returns the call logs {"forward": [...], "inverse": [...]}."""
+    calls = {"forward": [], "inverse": []}
+    real_forward, real_inverse = grid_mod._forward_array, grid_mod._inverse_array
+
+    def forward(values):
+        calls["forward"].append(values.shape)
+        return real_forward(values)
+
+    def inverse(coefficients, shape):
+        calls["inverse"].append(shape)
+        return real_inverse(coefficients, shape)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "nlkg" or name.startswith("nlkg."):
+            for attr, wrapper in (("_forward_array", forward), ("_inverse_array", inverse)):
+                if hasattr(mod, attr):
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return calls

@@ -156,6 +156,14 @@ class TestValidation:
         ("decompose", "audits.profiles", {}),
         # k_fit 2 used to fit a line with no residual
         ("fit", "audits.blowup.k_fit", {"audits": {"blowup": {"k_fit": 2}}}),
+        # unknown top-level and section names, once ignored: a misspelt `audits`
+        # ran no audit, and a misspelt `output` wrote to nlkg_out
+        ("simulate", "top-level keys ['audit']", {"audit": {"blowup": {"k_fit": 5}}}),
+        ("simulate", "top-level keys ['outputs']", {"outputs": {"directory": "elsewhere"}}),
+        ("simulate", "grid keys ['N']", {"grid": {"N": 64}}),
+        ("simulate", "physics keys ['mass']", {"physics": {"mass": 0.5}}),
+        ("simulate", "data keys ['param']", {"data": {"param": {"A": 0.4}}}),
+        ("simulate", "output keys ['dir']", {"output": {"dir": "elsewhere"}}),
     ])
     def test_bad_input_fails_before_any_output(self, tmp_path, capsys, command, key, over):
         out = tmp_path / "out"

@@ -147,6 +147,18 @@ class TestSobolevNorm:
             lebesgue_norm(f, 2.0), rel=1e-12)
 
 
+def test_two_h1_conventions_on_a_nyquist_mode():
+    # sobolev_norm keeps each axis's Nyquist wavenumber; spectral_gradient,
+    # and so energy, drops it.  Pinned so that a change to either shows.
+    g = GridSpec(2, 32, 8.0)
+    f = cosine_field(g, (g.n // 2, 0))  # cos(pi x / h) = (-1)^j along axis 0
+    assert sobolev_norm(f, 1.0) == pytest.approx(100.53, abs=5e-3)
+    assert sobolev_norm(f, 1.0) == pytest.approx(np.pi * g.n, rel=1e-13)  # |xi| ||f||_2
+    assert all(np.max(np.abs(d.values)) < 1e-12 for d in spectral_gradient(f))
+    still = State(f, Field(g, np.zeros(g.shape)), 0.0, 0.0, 2.0)
+    assert abs(energy(still, nl_coeff=0.0)) < 1e-20
+
+
 class TestEnergy:
     def test_zero_state(self, grid2d):
         z = Field(grid2d, np.zeros(grid2d.shape))

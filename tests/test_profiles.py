@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import nlkg.grid as grid_mod
+import nlkg.profiles as profiles_mod
 from nlkg.errors import StagnationError
-from nlkg.grid import Field, GridSpec, radial_distance
+from nlkg.grid import Field, GridSpec, dyadic_range, radial_distance
 from nlkg.norms import critical_exponent, lebesgue_norm, sobolev_norm
 from nlkg.profiles import (
     Decomposition,
@@ -162,6 +163,59 @@ class TestBubbleDecompose:
             recon = sum(_shift_profile(prof, centers[i], g)
                         for prof, centers in dec.bubbles) + dec.residuals[i].values
             assert np.max(np.abs(recon - f.values)) < 1e-12
+
+
+def scan_band(grid, K):
+    """The dyadic band an extraction with this K scans."""
+    band = dyadic_range(grid, lo=K**-PARAMS.p, hi=K**2)
+    return band if band.size else dyadic_range(grid)
+
+
+class TestTransformCounts:
+    """One forward transform per member per level, counted where every
+    kernel transforms (_forward_array / _inverse_array)."""
+
+    @pytest.fixture
+    def family(self, rng):
+        g = GridSpec(2, 128, 16.0)
+        return make_family(g, {"bubbles": [(1.0, 2.5), (0.6, 1.8)], "base_sep": 20}, 3, rng)
+
+    def test_extraction(self, family, monkeypatch):
+        from conftest import count_transforms
+
+        calls = count_transforms(monkeypatch)
+        res = inverse_gn_extract(family, PARAMS)
+        n = family.n_count
+        # one per member (M and the scan) and one for the profile's stats
+        assert len(calls["forward"]) == n + 1
+        # every band of the scan, then the selected band, for each member
+        assert len(calls["inverse"]) == n * (len(scan_band(family.grid, res.stats["K"])) + 1)
+
+    def test_decomposition_and_audit(self, family, monkeypatch):
+        from conftest import count_transforms
+
+        calls = count_transforms(monkeypatch)
+        extractions, real = [], profiles_mod.inverse_gn_extract
+
+        def recording(*args, **kwargs):
+            extractions.append(real(*args, **kwargs))
+            return extractions[-1]
+
+        monkeypatch.setattr(profiles_mod, "inverse_gn_extract", recording)
+        dec = bubble_decompose(family, PARAMS, j_max=3, tol=1e-2)
+        n = family.n_count
+        assert dec.n_bubbles >= 2
+        assert [r.status for r in extractions][:dec.n_bubbles] == ["ok"] * dec.n_bubbles
+        # each level: its extraction's n + 1, whose M is that level's Sobolev
+        # bound; then n for the last level's bound
+        assert len(calls["forward"]) == dec.n_bubbles * (n + 1) + n
+        assert len(calls["inverse"]) == sum(n * (len(scan_band(family.grid, r.stats["K"])) + 1)
+                                            for r in extractions[:dec.n_bubbles])
+        for log in calls.values():
+            log.clear()
+        decoupling_audit(dec, family, PARAMS)
+        # one per field: the last member, each bubble and the residual
+        assert (len(calls["forward"]), len(calls["inverse"])) == (dec.n_bubbles + 2, 0)
 
 
 class TestDecouplingAudit:

@@ -16,6 +16,7 @@ import copy
 import dataclasses
 import json
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -48,129 +49,115 @@ def _number(value, key: str, kind=float):
     return number
 
 
-def _solver_value(key: str, value):
-    """One solver setting as SolverConfig takes it; the defaults are SolverConfig's."""
-    if key == "dealias_pad":
-        return str(value)
-    if key == "adapt_theta" and value is None:
-        return None
-    return _number(value, f"solver.{key}", int if key == "snapshot_stride" else float)
-
-
-# the top-level names of a config and the keys of each plain section (None:
-# checked on their own below); any other name fails at load
-_CONFIG = {"grid": ("d", "n", "box_length"), "physics": ("m", "p"), "data": ("kind", "params"),
-           "output": ("directory",), "solver": None, "audits": None, "seed": None}
-
-# every `audits` section and its keys: the kind a number is read as (None: not a
-# number) or a subsection's own table.  Any other name fails at load, and the
-# numbers are converted there, so a bad one fails before any output.
-_AUDITS = {
-    "tensors": {"levels": int, "apex": None},
-    "cones": {"top_time": float, "t_floor": float, "vertex": None},
-    "blowup": {"k_fit": int},
-    "profiles": {"j_max": int, "tol": float, "snapshots": None,
-                 "synthetic": {"n_members": int, "separation_base": float, "bubbles": None}},
+# every config name and its kind: int or float (read through _number), str
+# or dict (taken as given), float | None, a sub-section (a table of its own)
+# or [kind], a list of that kind.  Any other name fails at load.
+_SCHEMA = {
+    "grid": {"d": int, "n": int, "box_length": float},
+    "physics": {"m": float, "p": float},
+    "data": {"kind": str, "params": dict},
+    "solver": {"dt_init": float, "t_max": float, "dt_min": float, "cfl_safety": float,
+               "adapt_theta": float | None, "blowup_threshold": float,
+               "snapshot_stride": int, "dealias_pad": str, "nonlinearity": float},
+    "output": {"directory": str},
+    "audits": {
+        "tensors": {"levels": int, "apex": [float]},
+        "cones": {"top_time": float, "t_floor": float, "vertex": [float]},
+        "blowup": {"k_fit": int},
+        "profiles": {"j_max": int, "tol": float, "snapshots": [str],
+                     "synthetic": {"n_members": int, "separation_base": float,
+                                   "bubbles": [{"width": float, "amplitude": float}]}},
+    },
+    "seed": int,
 }
-_BUBBLE = {"width": float, "amplitude": float}
-_AUDIT_MINIMA = {("tensors", "levels"): 1, ("blowup", "k_fit"): blowup_mod.MIN_K_FIT}
+# the names a section must hold when it is present (in a list's items: no index)
+_REQUIRED = set("""grid grid.d grid.n grid.box_length physics physics.m physics.p data data.kind
+    solver solver.dt_init solver.t_max audits.cones.top_time audits.profiles.synthetic.bubbles
+    audits.profiles.synthetic.bubbles.width audits.profiles.synthetic.bubbles.amplitude""".split())
+# the least value of a number
+_LEAST = {"audits.tensors.levels": 1, "audits.blowup.k_fit": blowup_mod.MIN_K_FIT, "seed": 0,
+          "audits.profiles.synthetic.n_members": 1, "NLKG_WORKERS": 1}
 # the audits section each command reads
 _COMMAND_SECTION = {"cones": "cones", "decompose": "profiles"}
 
 
-def _read_section(section, table: dict, where: str) -> None:
-    """Check a config section's names against its table and convert its
-    numbers in place; a non-dict or an unknown name is a DomainError naming it."""
-    if not isinstance(section, dict):
-        raise DomainError(f"config precondition violated: {where} must be a section")
-    unknown = sorted(set(section) - set(table))
+def _read(value, kind, where: str = "", required=_REQUIRED):
+    """A converted copy of `value` read as `kind` (see _SCHEMA), or a
+    DomainError naming `where`: an unknown name, a missing required name, a
+    value not of its kind, or a number below its least value."""
+    if kind == float | None:
+        return None if value is None else _number(value, where)
+    if kind in (int, float):
+        number = _number(value, where, kind)
+        if number < _LEAST.get(where, number):
+            raise DomainError(f"config precondition violated: {where} = {number} "
+                              f"must be >= {_LEAST[where]}")
+        return number
+    shape = type(kind) if isinstance(kind, (dict, list)) else kind
+    if not isinstance(value, shape):
+        what = {str: "a string", list: "a list"}.get(shape, "a section")
+        raise DomainError(f"config precondition violated: {where or 'top-level'} = {value!r} "
+                          f"is not {what}")
+    if isinstance(kind, list):
+        return [_read(item, kind[0], f"{where}[{i}]", required) for i, item in enumerate(value)]
+    if not isinstance(kind, dict):
+        return value  # str and dict: taken as given
+    unknown = sorted(set(value) - set(kind))
     if unknown:
-        raise DomainError(f"config precondition violated: unknown {where} keys {unknown}")
-    for key, kind in table.items():
-        if key in section and isinstance(kind, dict):
-            _read_section(section[key], kind, f"{where}.{key}")
-        elif key in section and kind is not None:
-            section[key] = _number(section[key], f"{where}.{key}", kind)
+        raise DomainError(f"config precondition violated: unknown {where or 'top-level'} "
+                          f"keys {unknown}")
+    prefix = f"{where}." if where else ""
+    read = {name: _read(item, kind[name], prefix + name, required) for name, item in value.items()}
+    for name in kind:
+        if name not in value and re.sub(r"\[\d+\]", "", prefix + name) in required:
+            raise DomainError(f"config precondition violated: {prefix}{name} = (missing) "
+                              "is required")
+    return read
 
 
 class ScenarioConfig:
     """Validated view of a scenario dictionary.
 
     Validation happens before any compute; failures raise DomainError
-    naming the violated precondition.
+    naming the violated precondition.  `raw` is the dictionary as given.
     """
-
-    REQUIRED = (
-        ("grid", "d"), ("grid", "n"), ("grid", "box_length"),
-        ("physics", "m"), ("physics", "p"),
-        ("data", "kind"),
-        ("solver", "dt_init"), ("solver", "t_max"),
-    )
 
     def __init__(self, raw: dict):
         self.raw = raw
-        _read_section(raw, dict.fromkeys(_CONFIG), "top-level")
-        for name, keys in _CONFIG.items():
-            if keys is not None and name in raw:
-                _read_section(raw[name], dict.fromkeys(keys), name)
-        for section, key in self.REQUIRED:
-            if section not in raw or key not in raw[section]:
-                raise DomainError(f"config precondition violated: missing {section}.{key}")
-        self.grid = GridSpec(_number(raw["grid"]["d"], "grid.d", int),
-                             _number(raw["grid"]["n"], "grid.n", int),
-                             _number(raw["grid"]["box_length"], "grid.box_length"))
-        self.m = _number(raw["physics"]["m"], "physics.m")
-        self.p = _number(raw["physics"]["p"], "physics.p")
+        cfg = _read(raw, _SCHEMA)
+        self.grid = GridSpec(**cfg["grid"])
+        self.m, self.p = cfg["physics"]["m"], cfg["physics"]["p"]
         if not (0.0 <= self.m <= 1.0):
             raise DomainError("config precondition violated: physics.m must lie in [0, 1]")
         critical_exponent(self.grid.d, self.p)  # range check, names p on failure
-        s = raw["solver"]
-        unknown = sorted(set(s) - {f.name for f in dataclasses.fields(SolverConfig)})
-        if unknown:
-            raise DomainError(f"config precondition violated: unknown solver keys {unknown}")
-        self.solver = SolverConfig(**{key: _solver_value(key, val) for key, val in s.items()})
+        self.solver = SolverConfig(**cfg["solver"])
         self.solver.check_exponent(self.p)
-        self.data_kind = raw["data"]["kind"]
-        self.data_params = dict(raw["data"].get("params", {}))
+        self.data_kind = cfg["data"]["kind"]
+        self.data_params = dict(cfg["data"].get("params", {}))
         _check_data_params(self.data_kind, self.data_params, "data.params.")
-        self.audits = copy.deepcopy(raw.get("audits", {}))
-        _read_section(self.audits, _AUDITS, "audits")
-        self.seed = _number(raw.get("seed", 0), "seed", int)
-        self.out_dir = Path(raw.get("output", {}).get("directory", "nlkg_out"))
+        self.audits = cfg.get("audits", {})
+        self.seed = cfg.get("seed", 0)
+        self.out_dir = Path(cfg.get("output", {}).get("directory", "nlkg_out"))
         self._validate_audits()
 
     def _validate_audits(self) -> None:
-        """What the audits need beyond known names and numbers: the least
-        integer settings, the required keys and the cone box rule."""
-        def missing(name):
-            return DomainError(f"config precondition violated: missing audits.{name}")
-
-        for (section, key), least in _AUDIT_MINIMA.items():
-            if self.audits.get(section, {}).get(key, least) < least:
-                raise DomainError(
-                    f"config precondition violated: audits.{section}.{key} must be >= {least}")
+        """What the audits need beyond the schema: one profiles input, points
+        with d components, and a cone that periodicity does not reach."""
         prof = self.audits.get("profiles")
         if prof is not None and "synthetic" not in prof and "snapshots" not in prof:
-            raise missing("profiles.synthetic or audits.profiles.snapshots")
-        synthetic = (prof or {}).get("synthetic")
-        if synthetic is not None and "bubbles" not in synthetic:
-            raise missing("profiles.synthetic.bubbles")
-        for i, bubble in enumerate((synthetic or {}).get("bubbles", [])):
-            where = f"audits.profiles.synthetic.bubbles[{i}]"
-            _read_section(bubble, _BUBBLE, where)
-            for key in _BUBBLE:  # both required: a missing one reads as None
-                bubble[key] = _number(bubble.get(key), f"{where}.{key}")
+            raise DomainError("config precondition violated: missing "
+                              "audits.profiles.synthetic or audits.profiles.snapshots")
+        for section, key in (("cones", "vertex"), ("tensors", "apex")):
+            point = self.audits.get(section, {}).get(key)
+            if point is not None and len(point) != self.grid.d:
+                raise DomainError(f"config precondition violated: audits.{section}.{key} = "
+                                  f"{point} needs grid.d = {self.grid.d} components")
         cone_cfg = self.audits.get("cones")
-        if cone_cfg is None:
-            return
-        if "top_time" not in cone_cfg:
-            raise missing("cones.top_time")
         # periodicity must not reach an audited cone: box >= 4x the cone diameter
-        if self.grid.box_length < 4.0 * (2.0 * cone_cfg["top_time"]):
-            raise DomainError(
-                "config precondition violated: audits.cones.top_time requires "
-                f"box_length >= {8.0 * cone_cfg['top_time']} (4x the cone diameter)"
-            )
+        if cone_cfg is not None and not 0.0 < 8.0 * cone_cfg["top_time"] <= self.grid.box_length:
+            raise DomainError(f"config precondition violated: audits.cones.top_time = "
+                              f"{cone_cfg['top_time']} must lie in (0, box_length / 8 = "
+                              f"{self.grid.box_length / 8.0}] (box >= 4x the cone diameter)")
 
     def initial_state(self):
         return initial_data(self.grid, self.data_kind, self.m, self.p, **self.data_params)
@@ -394,28 +381,28 @@ def _sweep_one(args) -> dict:
 def cmd_sweep(cfg_path) -> int:
     with open(cfg_path) as fh:
         raw = json.load(fh)
-    base = {k: v for k, v in raw.items() if k != "sweep"}
-    overrides = raw.get("sweep", [])
-    if not overrides:
+    # the base and each override may be partial; each merged case is read in full
+    read = _read(raw, {**_SCHEMA, "sweep": [_SCHEMA]}, required=())
+    if not read.get("sweep"):
         raise DomainError("config precondition violated: sweep requires a 'sweep' list")
+    workers = _read(os.environ.get("NLKG_WORKERS", "2"), int, "NLKG_WORKERS")
+    base = {k: v for k, v in raw.items() if k != "sweep"}
     jobs = []
-    for i, override in enumerate(overrides):
+    for i, override in enumerate(raw["sweep"]):
         merged = copy.deepcopy(base)
         for section, vals in override.items():
             merged[section] = ({**merged.get(section, {}), **vals} if isinstance(vals, dict)
                                else vals)
-        merged.setdefault("output", {})
-        base_dir = merged["output"].get("directory", "nlkg_out")
-        merged["output"]["directory"] = str(Path(base_dir) / f"case{i:03d}")
+        base_dir = merged.get("output", {}).get("directory", "nlkg_out")
+        merged["output"] = {"directory": str(Path(base_dir) / f"case{i:03d}")}
         ScenarioConfig(merged)  # validate before any compute
         jobs.append((merged, i))
-    workers = int(os.environ.get("NLKG_WORKERS", "2"))
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cases = list(pool.map(_sweep_one, jobs))
     else:
         cases = [_sweep_one(j) for j in jobs]
-    root = Path(raw.get("output", {}).get("directory", "nlkg_out"))
+    root = Path(read.get("output", {}).get("directory", "nlkg_out"))
     root.mkdir(parents=True, exist_ok=True)
     snapshots.write_json(root / "sweep_report.json", {"cases": cases})
     return max(case["exit"] for case in cases)

@@ -1,11 +1,17 @@
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nlkg.grid as grid_mod
-from nlkg.cli import ScenarioConfig, _synthetic_family, main
+from nlkg.cli import _SCHEMA, ScenarioConfig, _synthetic_family, main
+from nlkg.errors import DomainError
+from nlkg.solver import SolverConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def base_config(out_dir, **over):
@@ -30,6 +36,35 @@ def write_cfg(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+def schema_names(table, where=""):
+    """(dotted key, kind) of each name of a schema table that is not a
+    sub-section; the items of a list of sections give `key[].name`."""
+    for name, kind in table.items():
+        key = where + name
+        if isinstance(kind, dict):
+            yield from schema_names(kind, key + ".")
+            continue
+        yield key, kind
+        if isinstance(kind, list) and isinstance(kind[0], dict):
+            yield from schema_names(kind[0], key + "[].")
+
+
+def number_keys():
+    """Every int or float the schema reads, a list's items as `key[]`."""
+    for key, kind in schema_names(_SCHEMA):
+        if isinstance(kind, list) and not isinstance(kind[0], dict):
+            key, kind = key + "[]", kind[0]
+        if kind in (int, float) or kind == float | None:
+            yield key
+
+
+def nested(key, value):
+    """The config fragment that sets dotted `key` (`[]`: a one-item list) to `value`."""
+    head, _, rest = key.partition(".")
+    inner = nested(rest, value) if rest else value
+    return {head[:-2]: [inner]} if head.endswith("[]") else {head: inner}
 
 
 class TestValidation:
@@ -164,6 +199,21 @@ class TestValidation:
         ("simulate", "physics keys ['mass']", {"physics": {"mass": 0.5}}),
         ("simulate", "data keys ['param']", {"data": {"param": {"A": 0.4}}}),
         ("simulate", "output keys ['dir']", {"output": {"dir": "elsewhere"}}),
+        # values of the wrong kind, once a TypeError traceback (exit 1), or
+        # snapshot paths read one character at a time
+        ("simulate", "output.directory", {"output": {"directory": 5}}),
+        ("simulate", "data.kind", {"data": {"kind": ["gaussian"], "params": {"A": 0.4}}}),
+        ("simulate", "data.params", {"data": {"kind": "gaussian", "params": [0.4, 0.6]}}),
+        ("decompose", "audits.profiles.snapshots", {"audits": {"profiles": {"snapshots": "ab"}}}),
+        # values out of bounds, once a failure mid-run
+        ("decompose", "seed", {"seed": -1, "audits": {"profiles": {"synthetic": {
+            "bubbles": [{"width": 2.0, "amplitude": 1.0}]}}}}),
+        ("decompose", "audits.profiles.synthetic.n_members", {"audits": {"profiles": {
+            "synthetic": {"n_members": 0, "bubbles": [{"width": 2.0, "amplitude": 1.0}]}}}}),
+        ("cones", "audits.cones.vertex", {"audits": {"cones": {"top_time": 0.5, "vertex": [4.0]}}}),
+        ("audit-tensors", "audits.tensors.apex", {"audits": {"tensors": {"apex": [4.0]}}}),
+        ("cones", "audits.cones.top_time", {"audits": {"cones": {"top_time": 0.0}}}),
+        ("cones", "audits.cones.top_time", {"audits": {"cones": {"top_time": -0.5}}}),
     ])
     def test_bad_input_fails_before_any_output(self, tmp_path, capsys, command, key, over):
         out = tmp_path / "out"
@@ -181,6 +231,23 @@ class TestValidation:
         assert all(isinstance(x, int) for x in (cfg.grid.n, cfg.solver.snapshot_stride, cfg.seed))
         assert cfg.audits["blowup"]["k_fit"] == 12 and isinstance(cfg.audits["blowup"]["k_fit"], int)
         assert cfg.raw["audits"]["blowup"]["k_fit"] == 12.0  # the echoed config is untouched
+
+    @pytest.mark.parametrize("key", list(number_keys()))
+    def test_string_for_a_number_fails_at_load(self, tmp_path, key):
+        name = key.replace("[]", "[0]")
+        with pytest.raises(DomainError, match=re.escape(f"{name} = 'x' is not")):
+            ScenarioConfig(base_config(tmp_path / "out", **nested(key, "x")))
+
+    def test_solver_schema_is_solver_config(self):
+        assert set(_SCHEMA["solver"]) == {f.name for f in dataclasses.fields(SolverConfig)}
+
+    def test_readme_minimal_config_loads_and_table_is_the_schema(self, tmp_path):
+        text = (ROOT / "README.md").read_text()
+        ScenarioConfig(json.loads(text.split("```json\n", 1)[1].split("```", 1)[0]))
+        table = text.split("| key | kind | required or default | bound |\n", 1)[1]
+        table = table.split("\n\n", 1)[0]
+        rows = re.findall(r"^\| `([^`]+)` \|", table, re.M)
+        assert sorted(rows) == sorted(key for key, _ in schema_names(_SCHEMA))
 
     def test_cone_box_rule(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "out", audits={"cones": {"top_time": 1.5}})
@@ -336,3 +403,31 @@ class TestSweep:
         status = [json.loads((out / f"case{i:03d}" / "MANIFEST.json").read_text())["status"]
                   for i in range(3)]
         assert status == ["complete", "failed", "complete"]
+
+    @pytest.mark.parametrize("key,over", [
+        ("output", {"output": "here"}),
+        ("sweep[0].output", {"sweep": [{"output": "here"}]}),
+        ("sweep[0]", {"sweep": [5]}),
+        ("sweep", {"sweep": "abc"}),
+    ])
+    def test_bad_sweep_input_fails_before_any_output(self, tmp_path, monkeypatch, capsys,
+                                                     key, over):
+        # each used to end in an AttributeError traceback (exit 1)
+        monkeypatch.chdir(tmp_path)
+        cfg = base_config("sweep", **over)
+        cfg.setdefault("sweep", [{}])
+        assert main(["sweep", str(write_cfg(tmp_path, cfg))]) == 2
+        assert f"{key} = " in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("workers", ["two", "0"])
+    def test_bad_worker_count_fails_before_any_case(self, tmp_path, monkeypatch, capsys,
+                                                    workers):
+        # "two" used to be a ValueError traceback, "0" to run serially
+        monkeypatch.setenv("NLKG_WORKERS", workers)
+        out = tmp_path / "sweep"
+        cfg = base_config(out)
+        cfg["sweep"] = [{}, {}]
+        assert main(["sweep", str(write_cfg(tmp_path, cfg))]) == 2
+        assert "NLKG_WORKERS = " in capsys.readouterr().err
+        assert not out.exists()

@@ -21,6 +21,7 @@ __all__ = [
     "MassSeries",
     "detect_and_fit",
     "mass_diagnostics",
+    "MassDiagnostics",
     "concavity_check",
     "truncated_mass",
     "critical_norm_series",
@@ -110,27 +111,38 @@ class MassSeries:
 def mass_diagnostics(traj: Trajectory) -> MassSeries:
     """M = int u^2, M' = int 2 u u_t, and
     M'' = -2(p+2) E + int (p+4) u_t^2 + p |grad u|^2 + p m^2 u^2,
-    each from its closed formula on every snapshot."""
-    nl = traj.nl_coeff
-    times, M, Mp, Mpp, Es, grads = [], [], [], [], [], []
+    each from its closed formula on every snapshot: a fold of the
+    snapshots through :class:`MassDiagnostics`."""
+    mass = MassDiagnostics(traj.nl_coeff)
     for s in traj.snapshots:
-        pc = _Pieces(s, nl)
+        mass.add(s)
+    return mass.finish()
+
+
+class MassDiagnostics:
+    """:func:`mass_diagnostics` as a reducer: :meth:`add` each state of a run
+    (say from :func:`evolve`'s ``on_record``), then :meth:`finish`."""
+
+    def __init__(self, nl_coeff: float = 1.0):
+        self.nl, self.p, self.rows = nl_coeff, None, []
+
+    def add(self, s) -> None:
+        pc = _Pieces(s, self.nl)
         u, v, p, m = pc.u, pc.v, pc.p, pc.m
         cell = s.grid.cell_volume
         grad_sq = float(np.sum(pc.grad_sq)) * cell
         E = pc.energy
-        times.append(s.time)
-        M.append(float(np.sum(u**2)) * cell)
-        Mp.append(2.0 * float(np.sum(u * v)) * cell)
-        Mpp.append(-2.0 * (p + 2.0) * E
-                   + (p + 4.0) * float(np.sum(v**2)) * cell
-                   + p * grad_sq
-                   + p * m**2 * float(np.sum(u**2)) * cell)
-        Es.append(E)
-        grads.append(grad_sq)
-    return MassSeries(np.array(times), np.array(M), np.array(Mp), np.array(Mpp),
-                      extra={"energy": np.array(Es), "grad_sq": np.array(grads),
-                             "p": traj.snapshots[0].exponent})
+        Mpp = (-2.0 * (p + 2.0) * E
+               + (p + 4.0) * float(np.sum(v**2)) * cell
+               + p * grad_sq
+               + p * m**2 * float(np.sum(u**2)) * cell)
+        self.rows.append((s.time, float(np.sum(u**2)) * cell, 2.0 * float(np.sum(u * v)) * cell,
+                          Mpp, E, grad_sq))
+        self.p = p
+
+    def finish(self) -> MassSeries:
+        times, M, Mp, Mpp, Es, grads = (np.array(col) for col in zip(*self.rows))
+        return MassSeries(times, M, Mp, Mpp, extra={"energy": Es, "grad_sq": grads, "p": self.p})
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,7 @@ _REQUIRED = set("""grid grid.d grid.n grid.box_length physics physics.m physics.
     audits.profiles.synthetic.bubbles.width audits.profiles.synthetic.bubbles.amplitude""".split())
 # the least value of a number
 _LEAST = {"audits.tensors.levels": 1, "audits.blowup.k_fit": blowup_mod.MIN_K_FIT, "seed": 0,
-          "audits.profiles.synthetic.n_members": 1, "NLKG_WORKERS": 1}
+          "audits.profiles.j_max": 1, "audits.profiles.synthetic.n_members": 1, "NLKG_WORKERS": 1}
 # the audits section each command reads
 _COMMAND_SECTION = {"cones": "cones", "decompose": "profiles"}
 
@@ -95,13 +95,13 @@ def _read(value, kind, where: str = "", required=_REQUIRED):
         return number
     shape = type(kind) if isinstance(kind, (dict, list)) else kind
     if not isinstance(value, shape):
-        what = {str: "a string", list: "a list"}.get(shape, "a section")
+        what = {str: "a string", list: "a list", bool: "a boolean"}.get(shape, "a section")
         raise DomainError(f"config precondition violated: {where or 'top-level'} = {value!r} "
                           f"is not {what}")
     if isinstance(kind, list):
         return [_read(item, kind[0], f"{where}[{i}]", required) for i, item in enumerate(value)]
     if not isinstance(kind, dict):
-        return value  # str and dict: taken as given
+        return value  # str, bool and dict: taken as given
     unknown = sorted(set(value) - set(kind))
     if unknown:
         raise DomainError(f"config precondition violated: unknown {where or 'top-level'} "
@@ -133,20 +133,25 @@ class ScenarioConfig:
         self.solver = SolverConfig(**cfg["solver"])
         self.solver.check_exponent(self.p)
         self.data_kind = cfg["data"]["kind"]
-        self.data_params = dict(cfg["data"].get("params", {}))
-        _check_data_params(self.data_kind, self.data_params, "data.params.")
+        params = cfg["data"].get("params", {})
+        kinds = _check_data_params(self.data_kind, params, "data.params.")
+        self.data_params = _read(params, kinds, "data.params")
         self.audits = cfg.get("audits", {})
         self.seed = cfg.get("seed", 0)
         self.out_dir = Path(cfg.get("output", {}).get("directory", "nlkg_out"))
         self._validate_audits()
 
     def _validate_audits(self) -> None:
-        """What the audits need beyond the schema: one profiles input, points
-        with d components, and a cone that periodicity does not reach."""
+        """What the audits need beyond the schema: one profiles input and a
+        positive tol, points with d components, a cone that periodicity does
+        not reach, and a series floor inside the cone."""
         prof = self.audits.get("profiles")
         if prof is not None and "synthetic" not in prof and "snapshots" not in prof:
             raise DomainError("config precondition violated: missing "
                               "audits.profiles.synthetic or audits.profiles.snapshots")
+        if prof is not None and not prof.get("tol", 1.0) > 0.0:
+            raise DomainError(f"config precondition violated: audits.profiles.tol = "
+                              f"{prof['tol']} must be > 0")
         for section, key in (("cones", "vertex"), ("tensors", "apex")):
             point = self.audits.get(section, {}).get(key)
             if point is not None and len(point) != self.grid.d:
@@ -158,6 +163,10 @@ class ScenarioConfig:
             raise DomainError(f"config precondition violated: audits.cones.top_time = "
                               f"{cone_cfg['top_time']} must lie in (0, box_length / 8 = "
                               f"{self.grid.box_length / 8.0}] (box >= 4x the cone diameter)")
+        if cone_cfg is not None and not 0.0 <= cone_cfg.get("t_floor", 0.0) < cone_cfg["top_time"]:
+            raise DomainError(f"config precondition violated: audits.cones.t_floor = "
+                              f"{cone_cfg['t_floor']} must lie in [0, audits.cones.top_time = "
+                              f"{cone_cfg['top_time']})")
 
     def initial_state(self):
         return initial_data(self.grid, self.data_kind, self.m, self.p, **self.data_params)
@@ -246,12 +255,13 @@ def cmd_audit_tensors(cfg: ScenarioConfig) -> dict:
 def cmd_cones(cfg: ScenarioConfig) -> dict:
     out = cfg.out_dir
     cone_cfg = cfg.audits["cones"]
-    traj = evolve(cfg.initial_state(), cfg.solver)
     vertex = cone_cfg.get("vertex", [0.5 * cfg.grid.box_length] * cfg.grid.d)
     cone = cones_mod.ConeSpec(vertex=tuple(vertex), top_time=cone_cfg["top_time"])
     t_floor = cone_cfg.get("t_floor", 10.0 * cfg.solver.dt_init)
     which = "Z" if critical_exponent(cfg.grid.d, cfg.p).regime == "sub_conformal" else "L"
-    series, monitors, flux = cones_mod.cone_audit(traj, cone, which, t_floor)
+    audit = cones_mod.ConeAudit(cone, which, t_floor, cfg.solver.nonlinearity)
+    traj = evolve(cfg.initial_state(), cfg.solver, on_record=audit.add)
+    series, monitors, flux = audit.finish()
     for s in (series, *monitors.values()):
         snapshots.write_series_csv(out / f"{s.name}.csv", {"time": s.times, "value": s.values},
                                    sidecar={"series": s.name, "regime": s.regime,
@@ -262,11 +272,15 @@ def cmd_cones(cfg: ScenarioConfig) -> dict:
 
 def cmd_fit(cfg: ScenarioConfig, trajectory_dir=None) -> dict:
     out = cfg.out_dir
-    traj = (evolve(cfg.initial_state(), cfg.solver) if trajectory_dir is None
-            else snapshots.read_trajectory(trajectory_dir))
+    if trajectory_dir is None:
+        stream = blowup_mod.MassDiagnostics(cfg.solver.nonlinearity)
+        traj = evolve(cfg.initial_state(), cfg.solver, on_record=stream.add)
+        mass = stream.finish()
+    else:
+        traj = snapshots.read_trajectory(trajectory_dir)
+        mass = blowup_mod.mass_diagnostics(traj)
     fit_cfg = cfg.audits.get("blowup", {})
     report = blowup_mod.detect_and_fit(traj, k_fit=fit_cfg.get("k_fit", 20))
-    mass = blowup_mod.mass_diagnostics(traj)
     conc = blowup_mod.concavity_check(mass)
     payload = {
         "detected": report.detected,

@@ -31,6 +31,7 @@ __all__ = [
     "averaged_gradient_bound",
     "cone_monitor",
     "cone_audit",
+    "ConeAudit",
 ]
 
 
@@ -94,8 +95,9 @@ def radial_angular_split(gradient: list[Field], vertex) -> tuple[Field, list[Fie
 
 def _slice(state: State, cone: ConeSpec, nl_coeff: float, want) -> dict:
     """The quantities named in `want` on the slice |x - x0| < t, all from one
-    norms._Pieces (one gradient): "L" and "Z", "monitor" (for :func:`cone_monitor`),
-    "boundary" and "bulk" (the two sides of :func:`energy_flux_check`)."""
+    norms._Pieces (one gradient), each integrand built inside its ball only:
+    "L" and "Z", "monitor" (for :func:`cone_monitor`), "boundary" and "bulk"
+    (the two sides of :func:`energy_flux_check`)."""
     pc = _Pieces(state, nl_coeff, cone.vertex)
     t, u, v = state.time, pc.u, pc.v
 
@@ -104,14 +106,19 @@ def _slice(state: State, cone: ConeSpec, nl_coeff: float, want) -> dict:
 
     out = {}
     if "L" in want:
-        out["L"] = ball(_density(pc, TensorKind("mod_dilation")), t)
+        out["L"] = ball(lambda at: _density(pc.inside(at), TensorKind("mod_dilation")), t)
     if "Z" in want:
         kind = tensor_kind("combined", state)
-        out["Z"] = ball(_density(pc, kind), t, lambda r: (t**2 - r**2) ** kind.alpha)
+        out["Z"] = ball(lambda at: _density(pc.inside(at), kind), t,
+                        lambda r: (t**2 - r**2) ** kind.alpha)
     if "monitor" in want:
         # (mass, grad, pth) normalized as cone_monitor states (super-conformal grad: the
         # weighted slice integral, summed in t later), then the plain slice gradient
-        s_c, full_grad = critical_exponent(pc.d, pc.p).s_c, v**2 + pc.grad_sq
+        s_c = critical_exponent(pc.d, pc.p).s_c
+
+        def full_grad(at):
+            return at(v) ** 2 + at(pc.grad_sq)
+
         mass = ball(lambda at: at(u) ** 2, 0.5 * t)
         pth = ball(lambda at: np.abs(at(u)) ** (0.5 * (pc.p + 4.0)), t)
         if s_c > 0.5:
@@ -122,16 +129,19 @@ def _slice(state: State, cone: ConeSpec, nl_coeff: float, want) -> dict:
                    pth / t ** (2.0 * s_c - 1.0))
         out["monitor"] = row + (ball(full_grad, t),)
     if "boundary" in want:
-        out["boundary"] = ball(pc.energy_density, t, lambda r: (t**2 - r**2) / t)
+        out["boundary"] = ball(lambda at: pc.inside(at).energy_density, t,
+                               lambda r: (t**2 - r**2) / t)
     if "bulk" in want:
-        ur, ang_sq = pc.u_r, sum(a**2 for a in pc.angular)
         # the last term is the energy density at rest (u_t = 0) with the angular gradient
-        out["bulk"] = (ball(lambda at: (at(v) + at(ur)) ** 2, t,
+        def rest(at):
+            ins = pc.inside(at)
+            return _energy_density(ins.u, 0.0, sum(a**2 for a in ins.angular), pc.m, pc.p, pc.nl)
+
+        out["bulk"] = (ball(lambda at: (at(v) + pc.inside(at).u_r) ** 2, t,
                             lambda r: 0.25 * (1.0 + r / t) ** 2)
-                       + ball(lambda at: (at(v) - at(ur)) ** 2, t,
+                       + ball(lambda at: (at(v) - pc.inside(at).u_r) ** 2, t,
                               lambda r: 0.25 * (1.0 - r / t) ** 2)
-                       + ball(lambda at: _energy_density(at(u), 0.0, at(ang_sq), pc.m, pc.p,
-                                                         pc.nl), t, lambda r: 1.0 + (r / t) ** 2))
+                       + ball(rest, t, lambda r: 1.0 + (r / t) ** 2))
     return out
 
 
@@ -171,14 +181,13 @@ def lyapunov_series(traj: Trajectory, cone: ConeSpec, which: str = "L",
     """L(t) or Z(t) sampled over a trajectory's snapshots inside the cone."""
     _check_which(which)
     sel = [s for s in traj.snapshots if t_floor < s.time <= cone.top_time]
-    return _series(traj, cone, which, [s.time for s in sel],
+    s0 = traj.snapshots[0]
+    return _series(critical_exponent(s0.grid.d, s0.exponent), cone, which, [s.time for s in sel],
                    [_functional(s, cone, traj.nl_coeff, which) for s in sel])
 
 
-def _series(traj: Trajectory, cone: ConeSpec, which: str, times, values) -> DiagnosticSeries:
-    s0 = traj.snapshots[0]
-    return DiagnosticSeries(f"{which}_functional", times, values,
-                            critical_exponent(s0.grid.d, s0.exponent).regime,
+def _series(params, cone: ConeSpec, which: str, times, values) -> DiagnosticSeries:
+    return DiagnosticSeries(f"{which}_functional", times, values, params.regime,
                             {"vertex": list(cone.vertex), "top_time": cone.top_time})
 
 
@@ -262,23 +271,11 @@ def cone_monitor(traj: Trajectory, cone: ConeSpec) -> dict:
     - dyadic_grad_avg: the [tau, 2 tau] cone integrals of |grad_{t,x} u|^2,
       over 1 (super-conformal) or tau^{2 s_c - 1} (otherwise).
     """
-    sel = _in_cone(traj, cone)
-    return _monitors(traj, cone, [s.time for s in sel],
-                     [_slice(s, cone, traj.nl_coeff, {"monitor"})["monitor"] for s in sel])
+    return cone_audit(traj, cone, t_floor=cone.top_time)[1]
 
 
-def _in_cone(traj: Trajectory, cone: ConeSpec) -> list:
-    """The snapshots with 0 < t <= top_time, the largest slice checked against the box."""
-    sel = [s for s in traj.snapshots if 0.0 < s.time <= cone.top_time]
-    if sel:
-        cone.validate_against(sel[-1].grid, sel[-1].time)
-    return sel
-
-
-def _monitors(traj: Trajectory, cone: ConeSpec, times: list, rows: list) -> dict:
+def _monitors(params, cone: ConeSpec, times: list, rows: list) -> dict:
     """The monitor series from the per-slice "monitor" rows (mass, grad, pth, plain)."""
-    s0 = traj.snapshots[0]
-    params = critical_exponent(s0.grid.d, s0.exponent)
     superc = params.s_c > 0.5
     meta = {"vertex": list(cone.vertex), "top_time": cone.top_time, "s_c": params.s_c}
     names = ("mass_half_cone", "grad_half_cone", "pth_mass_cone", "dyadic_grad_avg")
@@ -313,18 +310,42 @@ def cone_audit(traj: Trajectory, cone: ConeSpec, which: str = "L", t_floor: floa
     :func:`lyapunov_series` over t > t_floor, the monitors of
     :func:`cone_monitor`, and the :func:`energy_flux_check` dict (t0, t1,
     lhs, rhs, gap) over the series' snapshots, {} when there are fewer than 3.
-    Returns (series, monitors, flux)."""
-    _check_which(which)
-    sel = _in_cone(traj, cone)
-    win = [i for i, s in enumerate(sel) if s.time > t_floor]
-    ends = (win[0], win[-1]) if len(win) >= 3 else ()  # the flux identity's end slices
-    rows = []
-    for i, s in enumerate(sel):
-        want = {"monitor", which, "bulk"} if s.time > t_floor else {"monitor"}
-        rows.append(_slice(s, cone, traj.nl_coeff, want | ({"boundary"} if i in ends else set())))
-    times = [s.time for s in sel]
-    win_times, win_rows = [times[i] for i in win], [rows[i] for i in win]
-    return (_series(traj, cone, which, win_times, [row[which] for row in win_rows]),
-            _monitors(traj, cone, times, [row["monitor"] for row in rows]),
-            dict(zip(("t0", "t1", "lhs", "rhs", "gap"),
-                     (win_times[0], win_times[-1], *_flux(win_times, win_rows)))) if ends else {})
+    Returns (series, monitors, flux): the snapshots folded through :class:`ConeAudit`."""
+    audit = ConeAudit(cone, which, t_floor, traj.nl_coeff)
+    for s in traj.snapshots:
+        audit.add(s)
+    return audit.finish()
+
+
+class ConeAudit:
+    """:func:`cone_audit` as a reducer: :meth:`add` each state of a run in time
+    order (say from :func:`evolve`'s ``on_record``), then :meth:`finish`.  It
+    keeps each slice's scalars only, so no State outlives its :meth:`add`."""
+
+    def __init__(self, cone: ConeSpec, which: str = "L", t_floor: float = 0.0,
+                 nl_coeff: float = 1.0):
+        _check_which(which)
+        self.cone, self.which, self.t_floor, self.nl = cone, which, t_floor, nl_coeff
+        self.params, self.times, self.rows = None, [], []  # a row per slice in the cone
+
+    def add(self, state: State) -> None:
+        """Reduce one state: a slice when 0 < t <= top_time, checked against the box."""
+        self.params = critical_exponent(state.grid.d, state.exponent)
+        t = state.time
+        if 0.0 < t <= self.cone.top_time:
+            self.cone.validate_against(state.grid, t)
+            want = {"monitor", self.which, "bulk", "boundary"} if t > self.t_floor else {"monitor"}
+            self.times.append(t)
+            self.rows.append(_slice(state, self.cone, self.nl, want))
+
+    def finish(self):
+        """(series, monitors, flux) as :func:`cone_audit` returns them."""
+        win = [i for i, t in enumerate(self.times) if t > self.t_floor]
+        times, rows = [self.times[i] for i in win], [self.rows[i] for i in win]
+        flux = {}
+        if len(win) >= 3:
+            flux = dict(zip(("t0", "t1", "lhs", "rhs", "gap"),
+                            (times[0], times[-1], *_flux(times, rows))))
+        params, cone, which = self.params, self.cone, self.which
+        return (_series(params, cone, which, times, [row[which] for row in rows]),
+                _monitors(params, cone, self.times, [row["monitor"] for row in self.rows]), flux)

@@ -5,6 +5,7 @@ view every diagnostic reads, and Gagliardo-Nirenberg ratios."""
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -263,18 +264,36 @@ class _Pieces:
         return sum(np.broadcast_to(xi**2, self.grid.shape) for xi in self.x)
 
     @cached_property
+    def dist(self):
+        return radial_distance(self.grid, self.apex)
+
+    @cached_property
     def u_r(self):
         """(x/|x|) . grad u about the apex, 0 at the apex point."""
-        r = radial_distance(self.grid, self.apex)
+        r = self.dist
         return np.where(r == 0.0, 0.0, self.S / np.where(r == 0.0, 1.0, r))
 
     @property
     def angular(self) -> list:
         """grad u less its radial part; u_r^2 + |angular|^2 = |grad u|^2."""
-        r = radial_distance(self.grid, self.apex)
+        r = self.dist
         safe_r = np.where(r == 0.0, 1.0, r)
         return [g - np.where(r == 0.0, 0.0, dx / safe_r) * self.u_r
                 for dx, g in zip(self.x, self.grad)]
+
+    def inside(self, at) -> _Pieces:
+        """These fields at the points `at` picks (as :func:`ball_integral`
+        passes it) alone, so that an integrand is built inside its ball only,
+        with the values the whole fields have there (r_sq only if built)."""
+        view = copy.copy(self)
+        if self.apex is not None:
+            view.dist = self.dist
+        for name, a in list(vars(view).items()):
+            if isinstance(a, np.ndarray):
+                setattr(view, name, at(a))
+            elif isinstance(a, list):
+                setattr(view, name, [at(np.broadcast_to(b, self.grid.shape)) for b in a])
+        return view
 
     @cached_property
     def pot(self):

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from .errors import CorruptionError, DomainError
 from .grid import (Field, GridSpec, State, _forward_array, _inverse_array, _magnitude,
@@ -257,12 +256,15 @@ def _choose_dt(config: SolverConfig, amp: float, h: float, p: float, t_left: flo
     return min(dt, config.cfl_safety * h, t_left)
 
 
-def evolve(state: State, config: SolverConfig, monitors: dict | None = None) -> Trajectory:
+def evolve(state: State, config: SolverConfig, monitors: dict | None = None,
+           on_record=None) -> Trajectory:
     """Step until t_max, a blowup-threshold crossing, or dt underflow.
 
     `monitors` maps a series name to a callable State -> float; each is
     recorded every snapshot stride together with the built-in 'sup_norm'
-    series.  The run is deterministic for fixed inputs.
+    series.  `on_record`, when given, is called with each recorded State,
+    and the trajectory then keeps only the last one (and every series); an
+    exception it raises propagates.  The run is deterministic for fixed inputs.
     """
     monitors = dict(monitors or {})
     p, h = state.exponent, state.grid.spacing
@@ -276,6 +278,8 @@ def evolve(state: State, config: SolverConfig, monitors: dict | None = None) -> 
     def record() -> None:
         if snapshots and snapshots[-1].time == stepper.time:
             return
+        if on_record is not None:
+            snapshots.clear()
         st = stepper.state()
         snapshots.append(st)
         ts, vals = series["sup_norm"]
@@ -285,6 +289,8 @@ def evolve(state: State, config: SolverConfig, monitors: dict | None = None) -> 
             ts, vals = series[name]
             ts.append(st.time)
             vals.append(float(fn(st)))
+        if on_record is not None:
+            on_record(st)
 
     record()
     termination = "reached_t_max"
@@ -344,6 +350,7 @@ def ode_oracle(A: float, B: float, m: float, p: float, t_grid,
         hit.terminal = True
         events = hit
 
+    from scipy import integrate  # deferred: it is slow to import, and no CLI path uses it
     sol = integrate.solve_ivp(
         rhs, (t_grid[0], t_grid[-1]), [A, B], method="DOP853",
         t_eval=t_grid, rtol=1e-12, atol=1e-12, events=events,
@@ -370,6 +377,7 @@ def lifespan_upper(A: float, p: float) -> float:
     def integrand(sigma):
         return 1.0 / np.sqrt(1.0 - sigma**expo)
 
+    from scipy import integrate
     value, err = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200)
     if not np.isfinite(value) or err > 1e-8 * max(1.0, abs(value)):
         raise RuntimeError(f"lifespan quadrature did not converge (estimate {value}, error {err})")
@@ -380,21 +388,23 @@ def _zero(grid: GridSpec) -> Field:
     return Field(grid, np.zeros(grid.shape))
 
 
-# each initial-data kind's parameter names, (required, optional): the one
-# table that initial_data and the scenario config check names against
+# each initial-data kind's parameters and their kinds as cli._SCHEMA writes
+# them, (required, optional): the one table that initial_data and the
+# scenario config check names against, and the config reads kinds from
 _DATA_PARAMS = {
-    "constant": (("A",), ()),
-    "gaussian": (("A", "w"), ("center",)),
-    "bump": (("A", "w"), ("center",)),
-    "plane_wave": (("k",), ("amplitude", "traveling")),
-    "log_profile": (("R",), ("center",)),
-    "negative_energy": (("A", "w"), ("margin", "amplitude_cap", "center")),
+    "constant": ({"A": float}, {}),
+    "gaussian": ({"A": float, "w": float}, {"center": [float]}),
+    "bump": ({"A": float, "w": float}, {"center": [float]}),
+    "plane_wave": ({"k": [int]}, {"amplitude": float, "traveling": bool}),
+    "log_profile": ({"R": float}, {"center": [float]}),
+    "negative_energy": ({"A": float, "w": float},
+                        {"margin": float, "amplitude_cap": float, "center": [float]}),
 }
 
 
-def _check_data_params(kind: str, params, prefix: str = "") -> None:
-    """DomainError for an unknown kind, or for a missing or unknown parameter
-    name (reported as prefix + name)."""
+def _check_data_params(kind: str, params, prefix: str = "") -> dict:
+    """The kind's parameter kinds; DomainError for an unknown kind, or for a
+    missing or unknown parameter name (reported as prefix + name)."""
     if kind not in _DATA_PARAMS:
         raise DomainError(f"unknown initial-data kind {kind!r}")
     required, optional = _DATA_PARAMS[kind]
@@ -403,7 +413,8 @@ def _check_data_params(kind: str, params, prefix: str = "") -> None:
              + [f"unknown {prefix}{name}" for name in unknown])
     if wrong:
         raise DomainError(f"{kind} initial data: {', '.join(wrong)} "
-                          f"(it takes {', '.join(required + optional)})")
+                          f"(it takes {', '.join([*required, *optional])})")
+    return {**required, **optional}
 
 
 def initial_data(grid: GridSpec, kind: str, m: float, p: float, **params) -> State:

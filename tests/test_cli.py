@@ -214,6 +214,25 @@ class TestValidation:
         ("audit-tensors", "audits.tensors.apex", {"audits": {"tensors": {"apex": [4.0]}}}),
         ("cones", "audits.cones.top_time", {"audits": {"cones": {"top_time": 0.0}}}),
         ("cones", "audits.cones.top_time", {"audits": {"cones": {"top_time": -0.5}}}),
+        # a floor at or above top_time used to write a header-only series, and
+        # a negative floor, j_max 0 or tol <= 0 to run with nothing to show
+        ("cones", "audits.cones.t_floor", {"audits": {"cones": {"top_time": 0.5, "t_floor": 5.0}}}),
+        ("cones", "audits.cones.t_floor",
+         {"audits": {"cones": {"top_time": 0.5, "t_floor": -1.0}}}),
+        ("decompose", "audits.profiles.j_max", {"audits": {"profiles": {"j_max": 0, "synthetic": {
+            "bubbles": [{"width": 2.0, "amplitude": 1.0}]}}}}),
+        ("decompose", "audits.profiles.tol", {"audits": {"profiles": {"tol": -1.0, "synthetic": {
+            "bubbles": [{"width": 2.0, "amplitude": 1.0}]}}}}),
+        # initial-data parameters of the wrong kind, one per kind: once a
+        # traceback after the manifest was written, a truncation or ignored
+        ("simulate", "data.params.A", {"data": {"kind": "gaussian",
+                                                "params": {"A": "big", "w": 0.6}}}),
+        ("simulate", "data.params.k[1]", {"data": {"kind": "plane_wave",
+                                                   "params": {"k": [1, 0.5]}}}),
+        ("simulate", "data.params.center[0]",
+         {"data": {"kind": "gaussian", "params": {"A": 0.4, "w": 0.6, "center": ["x", 4.0]}}}),
+        ("simulate", "data.params.traveling",
+         {"data": {"kind": "plane_wave", "params": {"k": [1, 0], "traveling": "yes"}}}),
     ])
     def test_bad_input_fails_before_any_output(self, tmp_path, capsys, command, key, over):
         out = tmp_path / "out"

@@ -14,8 +14,10 @@ from nlkg.cones import (
     lyapunov_series,
     radial_angular_split,
 )
+from nlkg.conslaws import TensorKind, _density, tensor_kind
 from nlkg.errors import DomainError
 from nlkg.grid import Field, GridSpec, State, radial_distance, spectral_gradient
+from nlkg.norms import _Pieces
 from nlkg.solver import SolverConfig, Trajectory, evolve, initial_data
 
 from conftest import count_gradients, random_field
@@ -297,6 +299,20 @@ class TestConeAudit:
             calls.clear()
             run()
             assert len(calls) == len(used)
+
+    def test_ball_integrands_equal_the_whole_field_values(self, audit_case):
+        # _slice builds each integrand from norms._Pieces.inside, at the ball's
+        # points only: every value must be the whole field's value there, bit for bit
+        traj, cone, which = audit_case
+        s = [s for s in traj.snapshots if 0.0 < s.time <= cone.top_time][-1]
+        pc = _Pieces(s, traj.nl_coeff, cone.vertex)
+        inside = radial_distance(s.grid, cone.vertex) < s.time
+        ins = pc.inside(lambda a: a[inside])
+        kind = tensor_kind("combined", s) if which == "Z" else TensorKind("mod_dilation")
+        pairs = [(_density(ins, kind), _density(pc, kind)), (ins.energy_density, pc.energy_density),
+                 (ins.u_r, pc.u_r), *zip(ins.angular, pc.angular)]
+        for got, whole in pairs:
+            assert np.array_equal(got, whole[inside])
 
     def test_flux_needs_three_snapshots_above_floor(self, audit_case):
         traj, cone, which = audit_case

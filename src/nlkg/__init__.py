@@ -19,14 +19,11 @@ from .blowup import (
 from .cones import (
     ConeSpec,
     DiagnosticSeries,
-    L_functional,
-    Z_functional,
     averaged_gradient_bound,
     cone_audit,
     cone_monitor,
     energy_flux_check,
     lyapunov_series,
-    radial_angular_split,
 )
 from .conslaws import (
     TensorKind,

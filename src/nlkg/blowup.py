@@ -23,6 +23,7 @@ __all__ = [
     "mass_diagnostics",
     "MassDiagnostics",
     "concavity_check",
+    "ConcavityReport",
     "truncated_mass",
     "critical_norm_series",
     "lower_bound_check",
@@ -218,6 +219,8 @@ def truncated_mass(traj: Trajectory, R: float, center=None) -> MassSeries:
     extra['m2_gap'].  The cutoff's support radius 2(R + t_max) must fit the
     box with a 3h margin.
     """
+    if not R > 0.0:
+        raise DomainError(f"cutoff radius R must be positive, got {R}")
     g = traj.snapshots[0].grid
     center = np.full(g.d, 0.5 * g.box_length) if center is None else np.asarray(center)
     t_max = traj.snapshots[-1].time

@@ -16,16 +16,13 @@ import numpy as np
 
 from .conslaws import TensorKind, _density, tensor_kind
 from .errors import DomainError
-from .grid import Field, GridSpec, State
+from .grid import GridSpec, State
 from .norms import _energy_density, _Pieces, ball_integral, critical_exponent
 from .solver import Trajectory
 
 __all__ = [
     "ConeSpec",
     "DiagnosticSeries",
-    "radial_angular_split",
-    "L_functional",
-    "Z_functional",
     "lyapunov_series",
     "energy_flux_check",
     "averaged_gradient_bound",
@@ -83,16 +80,6 @@ class DiagnosticSeries:
         object.__setattr__(self, "values", v)
 
 
-def radial_angular_split(gradient: list[Field], vertex) -> tuple[Field, list[Field]]:
-    """Split a gradient into radial and angular parts about a vertex.
-
-    u_r = (x/|x|) . grad u (defined as 0 at the vertex point) and the
-    angular remainder; u_r^2 + |angular|^2 = |grad u|^2 pointwise.
-    """
-    split = _Pieces(None, apex=vertex, grad=gradient)
-    return Field(split.grid, split.u_r), [Field(split.grid, a) for a in split.angular]
-
-
 def _slice(state: State, cone: ConeSpec, nl_coeff: float, want) -> dict:
     """The quantities named in `want` on the slice |x - x0| < t, all from one
     norms._Pieces (one gradient), each integrand built inside its ball only:
@@ -145,45 +132,27 @@ def _slice(state: State, cone: ConeSpec, nl_coeff: float, want) -> dict:
     return out
 
 
-def L_functional(state: State, cone: ConeSpec, nl_coeff: float = 1.0) -> float:
-    """L(t): the modified-dilation density integrated over the cone slice.
-
-    Nondecreasing in t for p >= 4/(d-1) and nonnegative for s_c >= 1/2
-    (for solutions defined in the cone).
-    """
-    return _functional(state, cone, nl_coeff, "L")
-
-
-def Z_functional(state: State, cone: ConeSpec, nl_coeff: float = 1.0) -> float:
-    """Z(t): combined density integrated over the slice with weight (t^2-|x|^2)^alpha.
-
-    Requires the sub-conformal regime (alpha = 1/2 - s_c > 0); nondecreasing
-    in t and nonnegative for solutions defined in the cone.
-    """
-    return _functional(state, cone, nl_coeff, "Z")
-
-
-def _functional(state: State, cone: ConeSpec, nl_coeff: float, which: str) -> float:
-    t = state.time
-    if not (0.0 < t <= cone.top_time):
-        raise DomainError(f"state time {t} outside the cone's (0, {cone.top_time}]")
-    cone.validate_against(state.grid, t)
-    return _slice(state, cone, nl_coeff, {which})[which]
-
-
-def _check_which(which: str) -> None:
+def _check_window(which: str, t_floor: float) -> None:
     if which not in ("L", "Z"):
         raise DomainError(f"which must be 'L' or 'Z', got {which!r}")
+    if not t_floor >= 0.0:
+        raise DomainError(f"t_floor must be >= 0, got {t_floor}")
 
 
 def lyapunov_series(traj: Trajectory, cone: ConeSpec, which: str = "L",
                     t_floor: float = 0.0) -> DiagnosticSeries:
-    """L(t) or Z(t) sampled over a trajectory's snapshots inside the cone."""
-    _check_which(which)
+    """L(t) or Z(t) on each snapshot with t_floor < t <= top_time.  For solutions
+    defined in the cone, L (the modified-dilation density over |x - x0| < t) is
+    nondecreasing for p >= 4/(d-1) and nonnegative for s_c >= 1/2; Z (the combined
+    density weighted by (t^2 - |x - x0|^2)^alpha) needs the sub-conformal regime,
+    alpha = 1/2 - s_c > 0, and is nondecreasing and nonnegative there."""
+    _check_window(which, t_floor)
     sel = [s for s in traj.snapshots if t_floor < s.time <= cone.top_time]
+    if sel:
+        cone.validate_against(sel[-1].grid, sel[-1].time)
     s0 = traj.snapshots[0]
     return _series(critical_exponent(s0.grid.d, s0.exponent), cone, which, [s.time for s in sel],
-                   [_functional(s, cone, traj.nl_coeff, which) for s in sel])
+                   [_slice(s, cone, traj.nl_coeff, {which})[which] for s in sel])
 
 
 def _series(params, cone: ConeSpec, which: str, times, values) -> DiagnosticSeries:
@@ -199,6 +168,8 @@ def energy_flux_check(traj: Trajectory, cone: ConeSpec, t0: float, t1: float):
     1/4 (1+|x|/t)^2 (u_t+u_r)^2 + 1/4 (1-|x|/t)^2 (u_t-u_r)^2
     + (1+|x|^2/t^2) (1/2 |angular grad|^2 + m^2/2 u^2 - 1/(p+2)|u|^{p+2}).
     """
+    if not (t0 >= 0.0 and t1 <= cone.top_time):
+        raise DomainError(f"window t0={t0}, t1={t1} outside the cone's [0, {cone.top_time}]")
     sel = [s for s in traj.snapshots if t0 - 1e-12 <= s.time <= t1 + 1e-12]
     if len(sel) < 3:
         raise DomainError("need at least 3 snapshots between t0 and t1")
@@ -324,7 +295,7 @@ class ConeAudit:
 
     def __init__(self, cone: ConeSpec, which: str = "L", t_floor: float = 0.0,
                  nl_coeff: float = 1.0):
-        _check_which(which)
+        _check_window(which, t_floor)
         self.cone, self.which, self.t_floor, self.nl = cone, which, t_floor, nl_coeff
         self.params, self.times, self.rows = None, [], []  # a row per slice in the cone
 

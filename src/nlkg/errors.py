@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["CorruptionError", "DomainError", "StagnationError"]
+
 
 class CorruptionError(ValueError):
     """A field contains NaN/Inf, or a binary snapshot failed validation."""

@@ -242,22 +242,20 @@ class _Pieces:
     """One snapshot's pointwise fields, built once for every diagnostic that
     reads them (the energy, the mass and lower-bound audits, the tensors, the
     cone slices): outside grid, the one place that takes a gradient.  x and
-    S = x . grad u exist only about an `apex`; with `state` None, `grad`
-    (Fields) stands in for the gradient and only the gradient's fields exist."""
+    S = x . grad u exist only about an `apex`."""
 
-    def __init__(self, state: State | None, nl_coeff: float = 1.0, apex=None, grad=None):
-        grad = spectral_gradient(state.u) if grad is None else grad
-        self.grid, self.apex, self.grad = grad[0].grid, apex, [g.values for g in grad]
+    def __init__(self, state: State, nl_coeff: float = 1.0, apex=None):
+        self.grid, self.apex = state.grid, apex
+        self.grad = [g.values for g in spectral_gradient(state.u)]
         self.grad_sq = np.zeros(self.grid.shape)  # |grad u|^2, accumulated in place
         for g in self.grad:
             self.grad_sq += g**2
         if apex is not None:
             self.x = displacement(self.grid, apex)
             self.S = sum(xi * gi for xi, gi in zip(self.x, self.grad))  # x . grad u
-        if state is not None:
-            self.t, self.u, self.v = state.time, state.u.values, state.v.values
-            self.m, self.p, self.d = state.mass_param, state.exponent, state.grid.d
-            self.nl = nl_coeff
+        self.t, self.u, self.v = state.time, state.u.values, state.v.values
+        self.m, self.p, self.d = state.mass_param, state.exponent, state.grid.d
+        self.nl = nl_coeff
 
     @cached_property
     def r_sq(self):

@@ -132,9 +132,7 @@ def linear_propagator(state: State, dt: float) -> State:
     u -> cos(dt w) u + sin(dt w)/w v,  v -> -w sin(dt w) u + cos(dt w) v,
     with the w = 0 mode using the limits (u + dt v, v).
     """
-    if not np.isfinite(dt):
-        raise DomainError("dt must be finite")
-    return _one_step(state, dt, 0.0, "none")
+    return strang_step(state, dt, 0.0)
 
 
 def _check_dealias(dealias_pad: str, p: float) -> None:
@@ -229,12 +227,6 @@ class SpectralStepper:
                      self.time, self.m, self.p)
 
 
-def _one_step(state: State, dt: float, nl_coeff: float, dealias_pad: str) -> State:
-    stepper = SpectralStepper(state, nl_coeff, dealias_pad)
-    stepper.step(dt)
-    return stepper.state()
-
-
 def strang_step(state: State, dt: float, nl_coeff: float = 1.0,
                 dealias_pad: str = "none") -> State:
     """Second-order split step: half kick, exact linear flow, half kick.
@@ -246,7 +238,9 @@ def strang_step(state: State, dt: float, nl_coeff: float = 1.0,
     """
     if not np.isfinite(dt):
         raise DomainError("dt must be finite")
-    return _one_step(state, dt, nl_coeff, dealias_pad)
+    stepper = SpectralStepper(state, nl_coeff, dealias_pad)
+    stepper.step(dt)
+    return stepper.state()
 
 
 def _choose_dt(config: SolverConfig, amp: float, h: float, p: float, t_left: float) -> float:

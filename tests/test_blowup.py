@@ -194,6 +194,15 @@ class TestTruncatedMass:
         with pytest.raises(DomainError):
             truncated_mass(traj, R=3.0)
 
+    @pytest.mark.parametrize("R", [0.0, -1.0, np.nan])
+    def test_cutoff_radius_must_be_positive(self, grid2d, R):
+        z = Field(grid2d, np.zeros(grid2d.shape))
+        snaps = [State(z, z, t, 0.0, 2.0) for t in (0.0, 0.1, 0.2)]
+        traj = Trajectory(snapshots=snaps, termination="reached_t_max",
+                          scalar_series={"sup_norm": (np.array([0, 0.1, 0.2]), np.zeros(3))})
+        with pytest.raises(DomainError, match="R must be positive"):
+            truncated_mass(traj, R=R)
+
 
 class TestOneGradientPerSnapshot:
     # every per-snapshot diagnostic reads one gradient per snapshot it uses,

@@ -5,14 +5,11 @@ from scipy import integrate
 from nlkg.cones import (
     ConeSpec,
     DiagnosticSeries,
-    L_functional,
-    Z_functional,
     averaged_gradient_bound,
     cone_audit,
     cone_monitor,
     energy_flux_check,
     lyapunov_series,
-    radial_angular_split,
 )
 from nlkg.conslaws import TensorKind, _density, tensor_kind
 from nlkg.errors import DomainError
@@ -30,6 +27,19 @@ def zero_traj(grid, times, m=0.5, p=2.0):
     snaps = [State(z, z, t, m, p) for t in times]
     return Trajectory(snapshots=snaps, termination="reached_t_max",
                       scalar_series={"sup_norm": (np.asarray(times), np.zeros(len(times)))})
+
+
+def one_slice(st, cone, which):
+    """L or Z on the one state's slice: the lyapunov_series of a one-snapshot trajectory."""
+    traj = Trajectory(snapshots=[st], termination="reached_t_max",
+                      scalar_series={"sup_norm": (np.array([st.time]), np.zeros(1))})
+    return lyapunov_series(traj, cone, which).values[0]
+
+
+def split(f, vertex):
+    """(u_r, angular) of f's gradient about the vertex, from the one field view."""
+    pc = _Pieces(State(f, Field(f.grid, np.zeros(f.grid.shape)), 0.0, 0.0, 2.0), apex=vertex)
+    return pc.u_r, pc.angular
 
 
 class TestConeSpec:
@@ -52,8 +62,8 @@ class TestRadialAngularSplit:
     def test_pointwise_identity(self, grid2d, rng):
         f = random_field(grid2d, rng)
         grad = spectral_gradient(f)
-        u_r, angular = radial_angular_split(grad, CENTER2)
-        total = u_r.values**2 + sum(a.values**2 for a in angular)
+        u_r, angular = split(f, CENTER2)
+        total = u_r**2 + sum(a**2 for a in angular)
         grad_sq = sum(g.values**2 for g in grad)
         assert np.max(np.abs(total - grad_sq)) < 1e-12 * np.max(grad_sq)
 
@@ -62,16 +72,15 @@ class TestRadialAngularSplit:
         r = radial_distance(grid2d, CENTER2)
         f = Field(grid2d, np.exp(-(r**2) / (2 * 0.5**2)))
         grad = spectral_gradient(f)
-        u_r, angular = radial_angular_split(grad, CENTER2)
-        ang_norm = np.sqrt(sum(np.sum(a.values**2) for a in angular))
+        u_r, angular = split(f, CENTER2)
+        ang_norm = np.sqrt(sum(np.sum(a**2) for a in angular))
         grad_norm = np.sqrt(sum(np.sum(g.values**2) for g in grad))
         assert ang_norm <= 1e-8 * grad_norm
 
     def test_vertex_value_defined(self, grid2d, rng):
-        grad = spectral_gradient(random_field(grid2d, rng))
-        u_r, _ = radial_angular_split(grad, CENTER2)
+        u_r, _ = split(random_field(grid2d, rng), CENTER2)
         idx = tuple(int(round(c / grid2d.spacing)) for c in CENTER2)
-        assert u_r.values[idx] == 0.0
+        assert u_r[idx] == 0.0
 
 
 class TestLyapunovFunctionals:
@@ -79,8 +88,8 @@ class TestLyapunovFunctionals:
         cone = ConeSpec(CENTER2, top_time=1.5)
         z = Field(grid2d, np.zeros(grid2d.shape))
         st = State(z, z, 1.0, 0.5, 2.0)
-        assert L_functional(st, cone) == 0.0
-        assert Z_functional(st, cone) == 0.0
+        assert one_slice(st, cone, "L") == 0.0
+        assert one_slice(st, cone, "Z") == 0.0
 
     def test_constant_state_L_reduction(self, grid2d):
         A, B, t, m, p, d = 0.9, 0.4, 1.2, 0.3, 4.0, 2
@@ -92,7 +101,7 @@ class TestLyapunovFunctionals:
             + t * m**2 * A**2 / 2.0
         ball_measure = np.count_nonzero(
             radial_distance(grid2d, CENTER2) < t) * grid2d.cell_volume
-        assert L_functional(st, cone) == pytest.approx(dens_const * ball_measure, rel=1e-12)
+        assert one_slice(st, cone, "L") == pytest.approx(dens_const * ball_measure, rel=1e-12)
 
     def test_constant_state_Z_weight_integral(self, grid2d):
         # weight integral cross-checked by 1-d radial quadrature
@@ -106,20 +115,29 @@ class TestLyapunovFunctionals:
         radial, _ = integrate.quad(lambda rho: rho ** (d - 1) * (t**2 - rho**2) ** alpha,
                                    0.0, t)
         weight_integral = 2.0 * np.pi * radial
-        assert Z_functional(st, cone) == pytest.approx(dens_const * weight_integral, rel=0.02)
+        assert one_slice(st, cone, "Z") == pytest.approx(dens_const * weight_integral, rel=0.02)
 
     def test_Z_requires_sub_conformal(self, grid2d):
         cone = ConeSpec(CENTER2, top_time=1.5)
         st = State(Field(grid2d, np.ones(grid2d.shape)),
                    Field(grid2d, np.zeros(grid2d.shape)), 1.0, 0.0, 4.0)
         with pytest.raises(DomainError):
-            Z_functional(st, cone)
+            one_slice(st, cone, "Z")
 
-    def test_time_outside_cone_rejected(self, grid2d):
+    def test_slice_past_top_time_left_out(self, grid2d):
+        traj = zero_traj(grid2d, [0.5, 1.0, 1.5])
+        series = lyapunov_series(traj, ConeSpec(CENTER2, top_time=1.0), "L")
+        assert list(series.times) == [0.5, 1.0]
+
+    @pytest.mark.parametrize("t_floor", [-1.0, -1e-300, np.nan])
+    def test_negative_floor_rejected(self, grid2d, t_floor):
+        # a t = 0 snapshot must not be what rejects it
+        traj = zero_traj(grid2d, [0.5, 1.0])
         cone = ConeSpec(CENTER2, top_time=1.0)
-        z = Field(grid2d, np.zeros(grid2d.shape))
-        with pytest.raises(DomainError):
-            L_functional(State(z, z, 1.5, 0.5, 2.0), cone)
+        with pytest.raises(DomainError, match="t_floor"):
+            lyapunov_series(traj, cone, "L", t_floor)
+        with pytest.raises(DomainError, match="t_floor"):
+            cone_audit(traj, cone, "L", t_floor)
 
 
 class TestEnergyFlux:
@@ -146,6 +164,12 @@ class TestEnergyFlux:
         traj = zero_traj(grid2d, [0.5, 1.0])
         with pytest.raises(DomainError):
             energy_flux_check(traj, ConeSpec(CENTER2, 1.2), 0.5, 1.0)
+
+    @pytest.mark.parametrize("t0, t1", [(0.1, 0.6), (-0.1, 0.3)])
+    def test_window_outside_cone_rejected(self, grid2d, t0, t1):
+        traj = zero_traj(grid2d, [-0.1, 0.1, 0.2, 0.3, 0.6])
+        with pytest.raises(DomainError, match=f"t0={t0}, t1={t1}.*0.3"):
+            energy_flux_check(traj, ConeSpec(CENTER2, 0.3), t0, t1)
 
 
 class TestAveragedGradientBound:
@@ -293,9 +317,7 @@ class TestConeAudit:
                 (lambda: lyapunov_series(traj, cone, which, T_FLOOR), window),
                 (lambda: cone_monitor(traj, cone), in_cone),
                 (lambda: energy_flux_check(traj, cone, window[0].time, window[-1].time),
-                 window),
-                (lambda: (L_functional if which == "L" else Z_functional)(in_cone[-1], cone),
-                 in_cone[-1:])):
+                 window)):
             calls.clear()
             run()
             assert len(calls) == len(used)

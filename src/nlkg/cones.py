@@ -198,7 +198,8 @@ def averaged_gradient_bound(traj: Trajectory, cone: ConeSpec, t0: float,
     t in [t0, (1+alpha) t0], |x| < alpha t, divided by alpha t0^{d+1}.
     Sub-conformal: (t-|x|)^{d+2-2s_c} |grad_{t,x} u|^2 +
     (t-|x|)^{d-2s_c} u^2 over t in [t0, 2 t0], |x| < t, divided by t0^{d+1}.
-    A bounded-in-refinement monitor, not an asserted constant.
+    A bounded-in-refinement monitor, not an asserted constant.  The window
+    [t0, t_hi] must lie in the cone and end by the run's last snapshot.
     """
     if not (0.0 < alpha <= 1.0):
         raise DomainError("alpha must lie in (0, 1]")
@@ -206,6 +207,10 @@ def averaged_gradient_bound(traj: Trajectory, cone: ConeSpec, t0: float,
     params = critical_exponent(g.d, traj.snapshots[0].exponent)
     subc = params.s_c < 0.5
     t_hi = 2.0 * t0 if subc else (1.0 + alpha) * t0
+    t_end = traj.snapshots[-1].time
+    if not (t0 > 0.0 and t_hi <= min(cone.top_time, t_end) + 1e-12):
+        raise DomainError(f"window t0={t0}, t_hi={t_hi} outside the cone's (0, {cone.top_time}] "
+                          f"or past the run's end time {t_end}")
     sel = [s for s in traj.snapshots if t0 - 1e-12 <= s.time <= t_hi + 1e-12]
     if len(sel) < 2:
         raise DomainError(f"need at least 2 snapshots in [{t0}, {t_hi}]")

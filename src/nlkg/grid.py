@@ -4,10 +4,11 @@ dyadic (Littlewood-Paley style) frequency projections.
 All fields live on a d-dimensional periodic box [0, L)^d sampled on n
 points per axis (n a power of two), as float64 arrays in physical space.
 There is one spectral layout, the real half-spectrum: the
-``scipy.fft.rfftn`` coefficients, which keep only the wavenumbers 0..n/2
-of the last axis because the rest follow from Hermitian symmetry.  The
-public :class:`SpectralField` holds exactly that array, and every kernel
-works on it.
+``rfftn`` coefficients, which keep only the wavenumbers 0..n/2 of the
+last axis because the rest follow from Hermitian symmetry.  The public
+:class:`SpectralField` holds exactly that array, and every kernel works
+on it.  One transform pair makes it, ``numpy.fft.rfftn`` / ``irfftn``
+(see :func:`_forward_array`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sfft
 
 from .errors import CorruptionError, DomainError
 
@@ -179,8 +179,8 @@ class State:
 def _wavenumber_mesh(grid: GridSpec) -> tuple:
     """Per-axis wavenumbers broadcastable to the half-spectrum: fftfreq on
     every axis but the last, rfftfreq on the last."""
-    k = 2.0 * np.pi * sfft.fftfreq(grid.n, d=grid.spacing)
-    axes = [k] * (grid.d - 1) + [2.0 * np.pi * sfft.rfftfreq(grid.n, d=grid.spacing)]
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
+    axes = [k] * (grid.d - 1) + [2.0 * np.pi * np.fft.rfftfreq(grid.n, d=grid.spacing)]
     return tuple(
         kk.reshape((1,) * ax + (kk.size,) + (1,) * (grid.d - ax - 1))
         for ax, kk in enumerate(axes)
@@ -217,15 +217,24 @@ def _half_multiplicity(grid: GridSpec) -> np.ndarray:
 
 def _forward_array(values: np.ndarray) -> np.ndarray:
     """Unnormalized real-input DFT (the half-spectrum), without validation.
-    With :func:`_inverse_array`, the one transform pair every kernel uses."""
-    return sfft.rfftn(values)
+    With :func:`_inverse_array`, the one transform pair every kernel uses.
+    numpy runs the complex passes in reverse order of `axes`: listing them
+    d-2, ..., 0 gives pocketfft's n-d order 0, ..., d-2, and so the
+    coefficients of ``scipy.fft.rfftn`` bit for bit.  Passing `s` spares
+    numpy an array-valued shape lookup that costs a quarter of a 64^2 call."""
+    d = values.ndim
+    axes = (*range(d - 2, -1, -1), d - 1)
+    out = np.empty(values.shape[:-1] + (values.shape[-1] // 2 + 1,), dtype=np.complex128)
+    return np.fft.rfftn(values, s=[values.shape[a] for a in axes], axes=axes, out=out)
 
 
 def _inverse_array(coefficients: np.ndarray, shape: tuple) -> np.ndarray:
     """The real array of `shape` with half-spectrum `coefficients`, without
-    validation.  Only the Hermitian part of the last axis's zero and Nyquist
-    planes is read."""
-    return sfft.irfftn(coefficients, s=shape)
+    validation; `coefficients` is left untouched.  Only the Hermitian part
+    of the last axis's zero and Nyquist planes is read.  Each pass scales by
+    its 1/n, exact for a power of two, so this is ``scipy.fft.irfftn`` (one
+    1/n^d) bit for bit on a grid."""
+    return np.fft.irfftn(coefficients, s=shape, axes=tuple(range(len(shape))))
 
 
 def forward_transform(f: Field) -> SpectralField:
@@ -277,11 +286,14 @@ def lp_bump(r):
 
     The blend is the unique quintic matching value and first two
     derivatives at both ends, so the profile is C^2 and reproducible
-    bit-exactly.
+    bit-exactly.  It is evaluated on the blend shell only; NaN stays NaN.
     """
     r = np.asarray(r, dtype=np.float64)
-    s = np.clip((r - 1.0) / 0.1, 0.0, 1.0)
-    return 1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
+    out = np.where(r <= 1.0, 1.0, np.where(r >= 1.1, 0.0, r))  # keeps NaN
+    shell = (r > 1.0) & (r < 1.1)
+    s = (r[shell] - 1.0) / 0.1  # in (0, 1) on the shell
+    out[shell] = 1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
+    return out[()]  # a scalar for a scalar r
 
 
 def _lp_multiplier(grid: GridSpec, n_dyadic: float, mode: str) -> np.ndarray:

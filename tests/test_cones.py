@@ -203,6 +203,20 @@ class TestAveragedGradientBound:
         v2 = averaged_gradient_bound(run(0.1), cone, 0.5, alpha=0.5)
         assert v2 == pytest.approx(4.0 * v1, rel=0.05)
 
+    @pytest.mark.parametrize("t0", [0.2, 0.4])
+    def test_window_past_cone_or_run_rejected(self, grid2d, t0):
+        # p = 2 in d = 2 is sub-conformal: the window is [t0, 2 t0], past the
+        # 0.3 cone for t0 = 0.2 and past the run's end 0.6 as well for t0 = 0.4
+        traj = zero_traj(grid2d, np.linspace(0.0, 0.6, 13), p=2.0)
+        with pytest.raises(DomainError, match=f"t0={t0}, t_hi={2 * t0}.*0.3.*0.6"):
+            averaged_gradient_bound(traj, ConeSpec(CENTER2, 0.3), t0)
+
+    @pytest.mark.parametrize("t0", [0.0, -0.1])
+    def test_window_from_nonpositive_time_rejected(self, grid2d, t0):
+        traj = zero_traj(grid2d, np.linspace(-0.2, 0.6, 17), p=2.0)
+        with pytest.raises(DomainError, match=f"t0={t0}"):
+            averaged_gradient_bound(traj, ConeSpec(CENTER2, 0.3), t0)
+
 
 class TestConeMonitor:
     def test_zero_trajectory_all_zero(self, grid2d):

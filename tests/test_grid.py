@@ -161,6 +161,24 @@ class TestLittlewoodPaley:
         vals = lp_bump(r)
         assert np.all(np.diff(vals) <= 0)
 
+    def test_bump_equals_the_whole_range_formula(self):
+        # lp_bump evaluates its quintic on the blend shell 1 < r < 1.1 only;
+        # everywhere it must equal the clipped formula on all of r, bit for bit
+        def whole_range(r):
+            s = np.clip((r - 1.0) / 0.1, 0.0, 1.0)
+            return 1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
+
+        ends = np.array([1.0, 1.1])
+        near = [ends]
+        for _ in range(4):
+            near += [np.nextafter(near[-1], 2.0), np.nextafter(near[-1], 0.0)]
+        r = np.concatenate(near + [np.linspace(0.9, 1.2, 300_001),
+                                   [0.0, -0.0, -1.0, 1.05, 2.0, 1e300, np.inf, -np.inf, np.nan]])
+        assert lp_bump(r).tobytes() == whole_range(r).tobytes()
+        assert np.isnan(lp_bump(np.nan))
+        for x in (0.5, 1.0, 1.05, 1.1, 3.0):
+            assert np.ndim(lp_bump(x)) == 0 and lp_bump(x) == whole_range(np.float64(x))
+
     def test_band_kills_constants(self, grid2d):
         f = Field(grid2d, np.full(grid2d.shape, 2.0))
         for N in dyadic_range(grid2d):

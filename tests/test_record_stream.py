@@ -1,6 +1,6 @@
 """The evolve record hook and the audits it feeds: the streamed reducers give
 the stored-trajectory results exactly, `nlkg cones` holds no trajectory, and
-`import nlkg` loads no ODE or optimisation code."""
+neither `import nlkg` nor a run of any pipeline subcommand loads scipy."""
 
 import json
 import os
@@ -120,12 +120,35 @@ def test_cones_peak_memory_does_not_grow_with_run_length(tmp_path):
     assert long - short <= one_state, (short, long)
 
 
-def test_import_loads_no_ode_or_optimisation_code():
+RUN_PATH_CONFIG = {
+    "grid": {"d": 2, "n": 16, "box_length": 8.0}, "physics": {"m": 0.0, "p": 2.0},
+    "data": {"kind": "gaussian", "params": {"A": 0.4, "w": 0.8}},
+    "solver": {"dt_init": 1e-2, "t_max": 0.1, "adapt_theta": None, "snapshot_stride": 2},
+    "audits": {"cones": {"top_time": 0.05},
+               "profiles": {"j_max": 1, "synthetic": {
+                   "n_members": 2, "separation_base": 4,
+                   "bubbles": [{"width": 1.5, "amplitude": 1.0}]}}},
+}
+
+
+def test_run_path_loads_no_scipy(tmp_path):
+    # import nlkg, then one tiny run of each pipeline subcommand, all in one
+    # fresh interpreter: no scipy module may be loaded at the end
+    argvs = []
+    for command in ("simulate", "cones", "fit", "decompose"):
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(dict(RUN_PATH_CONFIG,
+                                        output={"directory": str(tmp_path / command)})))
+        argvs.append([command, str(path)])
+    argvs[2] += ["--trajectory", str(tmp_path / "simulate" / "trajectory")]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
-    code = ("import sys, nlkg, nlkg.cli; "
-            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
-    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+    code = ("import json, sys, nlkg; from nlkg.cli import main; "
+            f"codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))")
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    codes, loaded = json.loads(done.stdout.strip().splitlines()[-1])
+    assert codes == [0, 0, 0, 0], done.stderr
+    assert loaded == []

@@ -187,14 +187,15 @@ def cmd_simulate(cfg: ScenarioConfig) -> dict:
         "energy": lambda s: energy(s, nl),
         "l2_norm": lambda s: lebesgue_norm(s.u, 2.0),
     }
-    traj = evolve(cfg.initial_state(), cfg.solver, monitors)
-    for name in traj.scalar_series:
-        t, v = traj.series(name)
-        snapshots.write_series_csv(cfg.out_dir / f"{name}.csv", {"time": t, "value": v},
-                                   sidecar={"series": name, "config": cfg.raw,
-                                            "termination": traj.termination})
-    snapshots.write_trajectory(cfg.out_dir / "trajectory", traj)
-    return {"termination": traj.termination, "snapshots": len(traj.snapshots)}
+    with snapshots.TrajectoryWriter(cfg.out_dir / "trajectory") as store:
+        traj = evolve(cfg.initial_state(), cfg.solver, monitors, on_record=store.add)
+        for name in traj.scalar_series:
+            t, v = traj.series(name)
+            snapshots.write_series_csv(cfg.out_dir / f"{name}.csv", {"time": t, "value": v},
+                                       sidecar={"series": name, "config": cfg.raw,
+                                                "termination": traj.termination})
+        store.commit(traj)
+    return {"termination": traj.termination, "snapshots": store.count}
 
 
 def _tensor_window(cfg: ScenarioConfig, scale: int):
@@ -275,10 +276,10 @@ def cmd_fit(cfg: ScenarioConfig, trajectory_dir=None) -> dict:
     if trajectory_dir is None:
         stream = blowup_mod.MassDiagnostics(cfg.solver.nonlinearity)
         traj = evolve(cfg.initial_state(), cfg.solver, on_record=stream.add)
-        mass = stream.finish()
-    else:
-        traj = snapshots.read_trajectory(trajectory_dir)
-        mass = blowup_mod.mass_diagnostics(traj)
+    else:  # the stored run's own coefficient, as mass_diagnostics(traj) takes
+        stream = blowup_mod.MassDiagnostics(snapshots.read_meta(trajectory_dir)["nl_coeff"])
+        traj = snapshots.read_trajectory(trajectory_dir, on_record=stream.add)
+    mass = stream.finish()
     fit_cfg = cfg.audits.get("blowup", {})
     report = blowup_mod.detect_and_fit(traj, k_fit=fit_cfg.get("k_fit", 20))
     conc = blowup_mod.concavity_check(mass)

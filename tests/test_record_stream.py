@@ -1,7 +1,11 @@
 """The evolve record hook and the audits it feeds: the streamed reducers give
-the stored-trajectory results exactly, `nlkg cones` holds no trajectory, and
-neither `import nlkg` nor a run of any pipeline subcommand loads scipy."""
+the stored-trajectory results exactly, `nlkg cones`, `nlkg simulate` and
+`nlkg fit --trajectory` hold no trajectory, the store streams back what the
+run recorded, and neither `import nlkg` nor a run of any pipeline
+subcommand loads scipy."""
 
+import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -12,10 +16,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlkg.blowup import MassDiagnostics, mass_diagnostics
-from nlkg.cli import main
+import nlkg.cli
+from nlkg.blowup import MassDiagnostics, concavity_check, detect_and_fit, mass_diagnostics
+from nlkg.cli import ScenarioConfig, main
 from nlkg.cones import ConeAudit, ConeSpec, cone_audit
+from nlkg.errors import CorruptionError
 from nlkg.grid import GridSpec
+from nlkg.snapshots import read_trajectory, write_series_csv
 from nlkg.solver import SolverConfig, evolve, initial_data
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -152,3 +159,124 @@ def test_run_path_loads_no_scipy(tmp_path):
     codes, loaded = json.loads(done.stdout.strip().splitlines()[-1])
     assert codes == [0, 0, 0, 0], done.stderr
     assert loaded == []
+
+
+# the C07 scenario at n = 32 (perfbench's refit2d at smoke size): a blowup
+# run whose store `nlkg fit --trajectory` reads back
+STORE_CONFIG = {
+    "grid": {"d": 2, "n": 32, "box_length": 8.0}, "physics": {"m": 0.0, "p": 2.0},
+    "data": {"kind": "negative_energy", "params": {"A": 1.0, "w": 0.6}},
+    "solver": {"dt_init": 1e-3, "t_max": 8.0, "adapt_theta": 0.5, "blowup_threshold": 8.0,
+               "snapshot_stride": 10},
+}
+
+
+def write_config(tmp_path, name, cfg, out):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(dict(cfg, output={"directory": str(out)})))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def stored_run(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("stored")
+    assert main(["simulate", write_config(tmp, "sim", STORE_CONFIG, tmp / "sim")]) == 0
+    return tmp, tmp / "sim" / "trajectory"
+
+
+class TestTrajectoryStore:
+    def test_streamed_states_equal_the_whole_store_and_the_run(self, stored_run):
+        _, store = stored_run
+        seen = []
+        hooked = read_trajectory(store, on_record=seen.append)
+        cfg = ScenarioConfig(STORE_CONFIG)
+        fresh = evolve(cfg.initial_state(), cfg.solver)
+        assert fresh.termination == "blowup_detected" and len(fresh.snapshots) > 20
+        for states in (read_trajectory(store).snapshots, fresh.snapshots):
+            assert len(states) == len(seen)
+            for a, b in zip(seen, states):
+                assert (a.time, a.mass_param, a.exponent) == (b.time, b.mass_param, b.exponent)
+                assert a.u.values.tobytes() == b.u.values.tobytes()
+                assert a.v.values.tobytes() == b.v.values.tobytes()
+        assert len(hooked.snapshots) == 1 and hooked.snapshots[0] is seen[-1]
+        assert hooked.termination == fresh.termination
+        for name in fresh.scalar_series:
+            assert all(np.array_equal(a, b) for a, b in zip(hooked.series(name),
+                                                              fresh.series(name))), name
+
+    def test_manifest_counts_the_stored_states(self, stored_run):
+        tmp, store = stored_run
+        manifest = json.loads((tmp / "sim" / "MANIFEST.json").read_text())
+        meta = json.loads((store / "meta.json").read_text())
+        assert manifest["snapshots"] == meta["count"] == len(read_trajectory(store).snapshots)
+        assert sorted(p.name for p in store.iterdir()) == ["meta.json", "states.bin"]
+
+    def test_fit_folds_with_the_stored_coefficient(self, stored_run):
+        # the fit config's own nonlinearity differs from the stored run's: the
+        # mass series and report are those of mass_diagnostics on the whole store
+        tmp, store = stored_run
+        fit_cfg = dict(STORE_CONFIG, solver={**STORE_CONFIG["solver"], "nonlinearity": 0.5})
+        path = write_config(tmp, "fit", fit_cfg, tmp / "fit")
+        assert main(["fit", path, "--trajectory", str(store)]) == 0
+        traj = read_trajectory(store)
+        mass = mass_diagnostics(traj)
+        assert traj.nl_coeff == 1.0
+        assert not np.array_equal(mass_diagnostics(dataclasses.replace(traj, nl_coeff=0.5)).M_dprime,
+                                  mass.M_dprime)
+        write_series_csv(tmp / "want.csv", {"time": mass.times, "M": mass.M,
+                                            "M_prime": mass.M_prime, "M_dprime": mass.M_dprime},
+                         sidecar={"config": json.loads(Path(path).read_text())})
+        for suffix in ("", ".json"):
+            assert ((tmp / "fit" / f"mass_series.csv{suffix}").read_bytes()
+                    == (tmp / f"want.csv{suffix}").read_bytes())
+        report = json.loads((tmp / "fit" / "blowup_report.json").read_text())
+        want = detect_and_fit(traj)
+        assert report["detected"] is want.detected is True
+        assert (report["t_star"], report["fit_residual"]) == (want.t_star, want.fit_residual)
+        assert report["concavity"] == dataclasses.asdict(concavity_check(mass))
+
+    def test_failed_run_leaves_no_readable_store(self, tmp_path, monkeypatch):
+        # a monitor fails part-way through a run over a complete older store
+        path = write_config(tmp_path, "sim", STORE_CONFIG, tmp_path / "sim")
+        assert main(["simulate", path]) == 0
+        calls = itertools.count()
+        real_energy = nlkg.cli.energy
+
+        def failing_energy(state, nl):
+            if next(calls) == 5:
+                raise RuntimeError("monitor failed")
+            return real_energy(state, nl)
+
+        monkeypatch.setattr(nlkg.cli, "energy", failing_energy)
+        with pytest.raises(RuntimeError, match="monitor failed"):
+            main(["simulate", path])
+        assert json.loads((tmp_path / "sim" / "MANIFEST.json").read_text())["status"] == "failed"
+        with pytest.raises(CorruptionError, match="meta.json"):
+            read_trajectory(tmp_path / "sim" / "trajectory")
+
+
+def store_peak_bytes(tmp_path, t_max: float, tag: str) -> int:
+    """Peak traced memory of `nlkg simulate` of length t_max, then `nlkg fit
+    --trajectory` on its store."""
+    cfg = {"grid": {"d": 2, "n": 64, "box_length": 8.0}, "physics": {"m": 0.0, "p": 4.0},
+           "data": {"kind": "gaussian", "params": {"A": 0.8, "w": 0.6}},
+           "solver": {"dt_init": 5e-3, "t_max": t_max, "adapt_theta": None}}
+    sim = write_config(tmp_path, f"{tag}_sim", cfg, tmp_path / tag / "sim")
+    fit = write_config(tmp_path, f"{tag}_fit", cfg, tmp_path / tag / "fit")
+    tracemalloc.start()
+    try:
+        assert main(["simulate", sim]) == 0
+        assert main(["fit", fit, "--trajectory", str(tmp_path / tag / "sim" / "trajectory")]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stored_run_peak_memory_does_not_grow_with_run_length(tmp_path):
+    # after a warm-up run, doubling the run (50 more stored states) may not
+    # add a state's worth of memory to simulate and fit --trajectory
+    store_peak_bytes(tmp_path, 0.1, "warm")
+    short = store_peak_bytes(tmp_path, 0.25, "short")
+    long = store_peak_bytes(tmp_path, 0.5, "long")
+    one_state = 2 * 64**2 * 8
+    assert long - short <= one_state, (short, long)

@@ -1,12 +1,15 @@
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlkg.errors import CorruptionError, DomainError
 from nlkg.grid import Field, GridSpec, State
 from nlkg.snapshots import (
+    TrajectoryWriter,
     read_field_snapshot,
     read_state_checkpoint,
     read_trajectory,
@@ -16,7 +19,7 @@ from nlkg.snapshots import (
     write_state_checkpoint,
     write_trajectory,
 )
-from nlkg.solver import SolverConfig, evolve, initial_data
+from nlkg.solver import SolverConfig, Trajectory, evolve, initial_data
 
 from conftest import random_field
 
@@ -107,11 +110,177 @@ class TestTrajectoryStore:
         g = GridSpec(1, 16, 4.0)
         traj = evolve(initial_data(g, "gaussian", m=0.0, p=2.0, A=0.4, w=0.4),
                       SolverConfig(dt_init=1e-2, t_max=0.02))
-        write_trajectory(tmp_path / "traj", traj)
+        write_v0_store(tmp_path / "traj", traj)
         missing = tmp_path / "traj" / f"snap000001_{part}.snap"
         missing.unlink()
         with pytest.raises(CorruptionError, match=f"snap000001_{part}.snap"):
             read_trajectory(tmp_path / "traj")
+
+
+def write_v0_store(directory, traj):
+    """A format v0 store, as written before states.bin: a u/v snapshot file
+    pair per state and meta.json."""
+    for i, s in enumerate(traj.snapshots):
+        write_state_checkpoint(directory, f"snap{i:06d}", s)
+    write_json(directory / "meta.json", {
+        "count": len(traj.snapshots), "termination": traj.termination,
+        "nl_coeff": traj.nl_coeff, "config": None,
+        "scalar_series": {k: [list(map(float, t)), list(map(float, v))]
+                          for k, (t, v) in traj.scalar_series.items()}})
+
+
+def short_run(n_states=3):
+    g = GridSpec(1, 16, 4.0)
+    traj = evolve(initial_data(g, "gaussian", m=0.2, p=2.0, A=0.4, w=0.4),
+                  SolverConfig(dt_init=1e-2, t_max=0.01 * (n_states - 1), adapt_theta=None))
+    assert len(traj.snapshots) == n_states
+    return traj
+
+
+FRAME = 48 + 16 * 8 + 4  # one frame of short_run: header, payload, CRC
+MAGIC = 12  # b"NLKGTRAJ" and version 1 as uint32
+
+
+def assert_states_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.time, a.mass_param, a.exponent) == (b.time, b.mass_param, b.exponent)
+        assert a.u.values.tobytes() == b.u.values.tobytes()
+        assert a.v.values.tobytes() == b.v.values.tobytes()
+
+
+@st.composite
+def trajectories(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    g = GridSpec(d, 8, draw(st.floats(0.5, 20.0)))
+    count = draw(st.integers(1, 4))
+    m, p = draw(st.floats(0.0, 1.0)), draw(st.floats(0.1, 3.9))
+    times = np.cumsum(draw(st.lists(st.floats(1e-6, 1.0), min_size=count, max_size=count)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-300, 300, size=(count, 2, 1))
+    states = [State(Field(g, rng.standard_normal(g.shape) * scale[i, 0]),
+                    Field(g, rng.standard_normal(g.shape) * scale[i, 1]), float(t), m, p)
+              for i, t in enumerate(times)]
+    series = {"sup_norm": (times, rng.standard_normal(count))}
+    return Trajectory(snapshots=states, termination=draw(st.sampled_from(
+        ["reached_t_max", "blowup_detected"])), scalar_series=series,
+        nl_coeff=draw(st.floats(0.0, 2.0)))
+
+
+class TestTrajectoryFormat:
+    @settings(max_examples=40, deadline=None)
+    @given(traj=trajectories(), v0=st.booleans())
+    def test_round_trip_v0_and_v1(self, tmp_path_factory, traj, v0):
+        directory = tmp_path_factory.mktemp("store")
+        (write_v0_store if v0 else write_trajectory)(directory, traj)
+        assert (directory / "states.bin").exists() is not v0
+        back = read_trajectory(directory)
+        assert_states_equal(back.snapshots, traj.snapshots)
+        seen = []
+        hooked = read_trajectory(directory, on_record=seen.append)
+        assert_states_equal(seen, traj.snapshots)
+        assert len(hooked.snapshots) == 1 and hooked.snapshots[0] is seen[-1]
+        for got in (back, hooked):
+            assert (got.termination, got.nl_coeff) == (traj.termination, traj.nl_coeff)
+            t, v = got.series("sup_norm")
+            assert np.array_equal(t, traj.series("sup_norm")[0])
+            assert np.array_equal(v, traj.series("sup_norm")[1])
+
+    def test_layout(self, tmp_path):
+        traj = short_run()
+        write_trajectory(tmp_path, traj)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["meta.json", "states.bin"]
+        raw = (tmp_path / "states.bin").read_bytes()
+        assert raw[:MAGIC] == b"NLKGTRAJ" + struct.pack("<I", 1)
+        assert len(raw) == MAGIC + 6 * FRAME
+        for i, s in enumerate(traj.snapshots):
+            for j, f in enumerate((s.u, s.v)):
+                frame = raw[MAGIC + (2 * i + j) * FRAME:][:FRAME]
+                assert struct.unpack("<QQdddd", frame[:48]) == (1, 16, 4.0, s.time, 0.2, 2.0)
+                assert frame[48:-4] == f.values.astype("<f8").tobytes()
+                assert struct.unpack("<I", frame[-4:])[0] == zlib.crc32(frame[:-4])
+        assert json.loads((tmp_path / "meta.json").read_text())["count"] == 3
+
+    def test_missing_meta_is_corruption(self, tmp_path):
+        write_trajectory(tmp_path, short_run())
+        (tmp_path / "meta.json").unlink()
+        with pytest.raises(CorruptionError, match="meta.json"):
+            read_trajectory(tmp_path)
+
+    @pytest.mark.parametrize("offset, frame", [(0, 0), (9, 0)])
+    def test_bad_magic_or_version(self, tmp_path, offset, frame):
+        write_trajectory(tmp_path, short_run())
+        path = tmp_path / "states.bin"
+        raw = bytearray(path.read_bytes())
+        raw[offset] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptionError, match=f"frame {frame}: bad magic or version"):
+            read_trajectory(tmp_path)
+
+    def test_flipped_payload_byte_fails_its_crc(self, tmp_path):
+        write_trajectory(tmp_path, short_run())
+        path = tmp_path / "states.bin"
+        raw = bytearray(path.read_bytes())
+        raw[MAGIC + 3 * FRAME + 48 + 17] ^= 0x10
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptionError, match="frame 3: CRC mismatch"):
+            read_trajectory(tmp_path)
+
+    def test_flipped_header_byte(self, tmp_path):
+        write_trajectory(tmp_path, short_run())
+        path = tmp_path / "states.bin"
+        raw = bytearray(path.read_bytes())
+        raw[MAGIC + 2 * FRAME] ^= 0x04  # d = 5
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptionError, match="frame 2: spatial dimension"):
+            read_trajectory(tmp_path)
+
+    @pytest.mark.parametrize("cut", [1, 4, FRAME - 48, FRAME - 20])
+    def test_truncated_last_frame(self, tmp_path, cut):
+        write_trajectory(tmp_path, short_run())
+        path = tmp_path / "states.bin"
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(CorruptionError, match="frame 5.*truncated"):
+            read_trajectory(tmp_path)
+
+    def test_fewer_frames_than_counted(self, tmp_path):
+        write_trajectory(tmp_path, short_run())
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        meta["count"] += 1
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(CorruptionError, match="frame 6 is missing"):
+            read_trajectory(tmp_path)
+
+    @pytest.mark.parametrize("change", ["grid", "m", "p"])
+    def test_frame_unlike_the_first(self, tmp_path, change):
+        traj = short_run()
+        s = traj.snapshots[1]
+        if change == "grid":
+            g = GridSpec(1, 8, 4.0)
+            s = State(Field(g, s.u.values[::2]), Field(g, s.v.values[::2]), s.time, 0.2, 2.0)
+        else:
+            s = State(s.u, s.v, s.time, 0.3 if change == "m" else 0.2, 2.5 if change == "p" else 2.0)
+        with TrajectoryWriter(tmp_path) as store:
+            store.add(traj.snapshots[0])
+            store.add(s)
+            store.commit(traj)
+        with pytest.raises(CorruptionError, match="frame 2: grid, m or p differs"):
+            read_trajectory(tmp_path)
+
+    @pytest.mark.parametrize("v0", [False, True])
+    def test_time_that_does_not_increase(self, tmp_path, v0):
+        traj = short_run()
+        traj.snapshots[1:] = traj.snapshots[:0:-1]  # order 0, 2, 1
+        if v0:
+            write_v0_store(tmp_path, traj)
+        else:
+            with TrajectoryWriter(tmp_path) as store:  # Trajectory itself refuses the order
+                for s in traj.snapshots:
+                    store.add(s)
+                store.commit(traj)
+        with pytest.raises(CorruptionError, match=r"frame 4\)?: time .* does not increase"):
+            read_trajectory(tmp_path)
 
 
 class TestCsvJson:

@@ -18,7 +18,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -413,6 +412,7 @@ def cmd_sweep(cfg_path) -> int:
         ScenarioConfig(merged)  # validate before any compute
         jobs.append((merged, i))
     if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # deferred: sweep alone uses it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cases = list(pool.map(_sweep_one, jobs))
     else:

@@ -100,12 +100,16 @@ class TrajectoryWriter:
     """Appends each State given to :meth:`add` (say as evolve's `on_record`)
     to `directory`/states.bin; :meth:`commit` then writes meta.json.  An
     older store there loses its meta.json first, so a run that fails
-    part-way leaves no readable store."""
+    part-way leaves no readable store; an older v0 store's
+    snapNNNNNN_{u,v}.snap files go next."""
 
     def __init__(self, directory):
         self.directory, self.count = Path(directory), 0
         self.directory.mkdir(parents=True, exist_ok=True)
         (self.directory / "meta.json").unlink(missing_ok=True)
+        for old in self.directory.glob("snap*_[uv].snap"):
+            if old.name[4:-7].isdigit():
+                old.unlink()
         self._fh = open(self.directory / "states.bin", "wb")
         self._fh.write(_MAGIC)
 

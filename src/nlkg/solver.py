@@ -113,11 +113,10 @@ def _omega(grid: GridSpec, m: float):
     return values, at.reshape(w.shape)
 
 
-@lru_cache(maxsize=8)
 def _propagator_tables(grid: GridSpec, m: float, dt: float):
     """cos(dt w), sin(dt w)/w with the w->0 limit dt, and w sin(dt w), on
-    the half-spectrum.  Cached for fixed-dt runs; an adaptive step, whose dt
-    changes every time, evaluates cos and sin on the distinct w alone."""
+    the half-spectrum, with cos and sin evaluated on the distinct w alone.
+    Not cached: a :class:`SpectralStepper` holds those of its current dt."""
     w, at = _omega(grid, m)
     c = np.cos(dt * w)
     s = np.sin(dt * w)
@@ -186,6 +185,8 @@ class SpectralStepper:
     (first same as last); v is inverted only by :meth:`state`.  This is
     Strang splitting with an exact linear flow in its trigonometric form
     (Hairer, Lubich & Wanner, Geometric Numerical Integration, XIII).
+    The propagator tables of the current dt are held and rebuilt whenever
+    dt changes, so nothing keyed by dt outlives the stepper.
     """
 
     def __init__(self, state: State, nl_coeff: float = 1.0, dealias_pad: str = "none"):
@@ -197,12 +198,15 @@ class SpectralStepper:
         self.U = _forward_array(self.u)
         self.V = _forward_array(state.v.values)
         self.S = None
+        self.dt = self.tables = None
 
     def step(self, dt: float) -> None:
         """Advance by dt.  No validation: :func:`evolve` inspects u and V
         itself.  Overflow in |u|^p u raises CorruptionError and leaves the
         stepper at its last state."""
-        c, sinc, wsin = _propagator_tables(self.grid, self.m, dt)
+        if dt != self.dt:
+            self.tables, self.dt = _propagator_tables(self.grid, self.m, dt), dt
+        c, sinc, wsin = self.tables
         kick = 0.5 * dt * self.nl
         U, V, S = self.U, self.V, self.S
         if self.nl != 0.0:
@@ -265,6 +269,7 @@ def evolve(state: State, config: SolverConfig, monitors: dict | None = None,
     nl = config.nonlinearity
     t_end = state.time + config.t_max
     stepper = SpectralStepper(state, nl, config.dealias_pad)
+    del state  # the stepper has taken its spectra: u0, v0 need not live to the end
 
     snapshots: list[State] = []
     series = {name: ([], []) for name in ("sup_norm", *monitors)}

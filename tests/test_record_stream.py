@@ -2,7 +2,7 @@
 the stored-trajectory results exactly, `nlkg cones`, `nlkg simulate` and
 `nlkg fit --trajectory` hold no trajectory, the store streams back what the
 run recorded, and neither `import nlkg` nor a run of any pipeline
-subcommand loads scipy."""
+subcommand loads scipy or the process pool."""
 
 import dataclasses
 import itertools
@@ -140,7 +140,8 @@ RUN_PATH_CONFIG = {
 
 def test_run_path_loads_no_scipy(tmp_path):
     # import nlkg, then one tiny run of each pipeline subcommand, all in one
-    # fresh interpreter: no scipy module may be loaded at the end
+    # fresh interpreter: no scipy module may be loaded at the end, nor the
+    # process pool that only `nlkg sweep` uses
     argvs = []
     for command in ("simulate", "cones", "fit", "decompose"):
         path = tmp_path / f"{command}.json"
@@ -152,7 +153,8 @@ def test_run_path_loads_no_scipy(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
     code = ("import json, sys, nlkg; from nlkg.cli import main; "
             f"codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
-            "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))")
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("
+            "('scipy', 'multiprocessing', 'concurrent.futures.process')))]))")
     done = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

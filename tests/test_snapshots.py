@@ -252,6 +252,18 @@ class TestTrajectoryFormat:
         with pytest.raises(CorruptionError, match="frame 6 is missing"):
             read_trajectory(tmp_path)
 
+    def test_writer_removes_an_older_v0_store(self, tmp_path):
+        write_v0_store(tmp_path, short_run())
+        assert len(list(tmp_path.glob("*.snap"))) == 6
+        traj = short_run(4)
+        write_trajectory(tmp_path, traj)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["meta.json", "states.bin"]
+        assert_states_equal(read_trajectory(tmp_path).snapshots, traj.snapshots)
+        # only that name pattern goes: a file that merely resembles it stays
+        (tmp_path / "snapshot_u.snap").write_bytes(b"")
+        write_trajectory(tmp_path, traj)
+        assert (tmp_path / "snapshot_u.snap").exists()
+
     @pytest.mark.parametrize("change", ["grid", "m", "p"])
     def test_frame_unlike_the_first(self, tmp_path, change):
         traj = short_run()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -206,7 +208,7 @@ class TestEvolve:
         assert np.array_equal(a.snapshots[-1].u.values, b.snapshots[-1].u.values)
 
     @staticmethod
-    def _evolve_recording_dts(monkeypatch, d, n, p, A):
+    def _evolve_recording_dts(monkeypatch, d, n, p, A, theta=0.5):
         grid = GridSpec(d, n, 8.0)
         st = initial_data(grid, "gaussian", m=0.3, p=p, A=A, w=0.8)
         dts = []
@@ -217,16 +219,20 @@ class TestEvolve:
             return dts[-1]
 
         monkeypatch.setattr(solver_mod, "_choose_dt", recording)
-        traj = evolve(st, SolverConfig(dt_init=5e-3, t_max=0.1, adapt_theta=0.5))
-        assert len(set(dts)) > 2  # the amplitude rule really varied dt
+        traj = evolve(st, SolverConfig(dt_init=5e-3, t_max=0.1, adapt_theta=theta))
+        # the amplitude rule really varied dt, or a fixed dt really held
+        assert (len(set(dts)) > 2) is (theta is not None)
         assert len(traj.snapshots) == len(dts) + 1
         return st, traj, dts
 
-    @pytest.mark.parametrize("d,n,p,A", [(2, 64, 2.0, 1.5), (3, 16, 1.8, 2.0)])
-    def test_snapshots_equal_iterated_stepper(self, monkeypatch, d, n, p, A):
+    @pytest.mark.parametrize("d,n,p,A,theta", [(2, 64, 2.0, 1.5, 0.5), (3, 16, 1.8, 2.0, 0.5),
+                                               (2, 64, 2.0, 1.5, None)],
+                             ids=["2-64-2.0-1.5", "3-16-1.8-2.0", "2-64-2.0-1.5-fixed_dt"])
+    def test_snapshots_equal_iterated_stepper(self, monkeypatch, d, n, p, A, theta):
         # evolve is a loop over the one public stepper: replaying evolve's
-        # own (adaptive) dt sequence through it gives the same bits
-        st, traj, dts = self._evolve_recording_dts(monkeypatch, d, n, p, A)
+        # own dt sequence through it gives the same bits, whether the
+        # stepper rebuilds its tables at each step (adaptive) or holds them
+        st, traj, dts = self._evolve_recording_dts(monkeypatch, d, n, p, A, theta)
         stepper = SpectralStepper(st)
         for snap, dt in zip(traj.snapshots[1:], dts):
             stepper.step(dt)
@@ -250,21 +256,19 @@ class TestEvolve:
                 assert np.max(np.abs(a.values - b.values)) <= 1e-12 * scale
 
     def test_non_finite_velocity_is_corruption(self, grid2d, monkeypatch):
-        # a NaN in one coefficient of the propagator's w sin(dt w) table
-        # reaches V alone: u stays finite, so only V's check can see it
-        tables = solver_mod._propagator_tables
+        # a NaN in one coefficient of the stepper's w sin(dt w) table before
+        # its fourth step reaches V alone: u stays finite, so only V's check
+        # can see it.  At fixed dt the stepper holds the poisoned table.
+        step = SpectralStepper.step
         calls = []
 
-        def poisoned(*args):
-            c, sinc, wsin = tables(*args)
-            calls.append(args)
-            if len(calls) < 4:
-                return c, sinc, wsin
-            wsin = wsin.copy()
-            wsin.flat[1] = np.nan
-            return c, sinc, wsin
+        def poisoned(stepper, dt):
+            calls.append(dt)
+            if len(calls) == 4:
+                stepper.tables[2].flat[1] = np.nan
+            step(stepper, dt)
 
-        monkeypatch.setattr(solver_mod, "_propagator_tables", poisoned)
+        monkeypatch.setattr(SpectralStepper, "step", poisoned)
         st = initial_data(grid2d, "gaussian", m=0.5, p=2.0, A=0.5, w=0.8)
         traj = evolve(st, SolverConfig(dt_init=1e-2, t_max=0.2, adapt_theta=None))
         assert traj.termination == "corruption"
@@ -284,6 +288,25 @@ class TestEvolve:
         assert traj.series("sup_norm")[0][-1] == last.time
         with pytest.raises(CorruptionError):
             strang_step(last, cfg.dt_init)
+
+    def test_adaptive_run_leaves_no_propagator_tables_behind(self):
+        # dt changes at every step of this run; after a warm-up run has
+        # filled the per-grid tables, a second run, once dropped, may leave
+        # at most a state's worth of traced memory (no tables kept by dt)
+        st = initial_data(GridSpec(3, 16, 8.0), "gaussian", m=0.3, p=1.8, A=2.0, w=0.8)
+        cfg = SolverConfig(dt_init=1e-2, t_max=0.15, adapt_theta=1.0)
+        evolve(st, cfg)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = evolve(st, cfg)
+            assert len(set(np.diff(traj.times))) > 8
+            del traj
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        one_state = 2 * 16**3 * 8
+        assert left <= one_state, left
 
     def test_dt_underflow_termination(self, grid1d):
         st = initial_data(grid1d, "constant", m=0.0, p=2.0, A=1.0)

@@ -325,8 +325,16 @@ def cmd_decompose(cfg: ScenarioConfig) -> dict:
     if "synthetic" in prof_cfg:
         family = _synthetic_family(cfg, prof_cfg["synthetic"])
     else:
-        paths = prof_cfg["snapshots"]
-        fields = [snapshots.read_field_snapshot(p)[0] for p in paths]
+        fields = []
+        for path in prof_cfg["snapshots"]:
+            field, _, _, p = snapshots.read_field_snapshot(path)
+            g = field.grid
+            if g != cfg.grid or p != cfg.p:
+                raise DomainError(f"config precondition violated: snapshot {path} holds "
+                                  f"(d, n, box_length) = ({g.d}, {g.n}, {g.box_length}) and "
+                                  f"p = {p}, the config ({cfg.grid.d}, {cfg.grid.n}, "
+                                  f"{cfg.grid.box_length}) and p = {cfg.p}")
+            fields.append(field)
         family = profiles.FunctionFamily(tuple(fields))
     dec = profiles.bubble_decompose(family, params,
                                     j_max=prof_cfg.get("j_max", 8),

@@ -8,7 +8,8 @@ There is one spectral layout, the real half-spectrum: the
 last axis because the rest follow from Hermitian symmetry.  The public
 :class:`SpectralField` holds exactly that array, and every kernel works
 on it.  One transform pair makes it, ``numpy.fft.rfftn`` / ``irfftn``
-(see :func:`_forward_array`).
+(see :func:`_forward_array`); the projections run that inverse as its
+per-axis passes, pruned to the weights' support (see :func:`_project_into`).
 """
 
 from __future__ import annotations
@@ -237,6 +238,24 @@ def _inverse_array(coefficients: np.ndarray, shape: tuple) -> np.ndarray:
     return np.fft.irfftn(coefficients, s=shape, axes=tuple(range(len(shape))))
 
 
+def _project_into(coefficients: np.ndarray, weights: np.ndarray, work: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """``_inverse_array(coefficients * weights, out.shape)`` bit for bit, in
+    buffers the caller owns: the product goes to `work` (a half-spectrum
+    array, which may be `coefficients` itself), the passes over every axis
+    but the last run there in place, and the last axis's pass writes `out`.
+    Those passes cover only the last-axis columns up to the last one where
+    `weights` is nonzero: past it the product is zero, and so is its
+    transform (a pruned FFT).  All-zero `weights` are not pruned, so that
+    the signs of the zeros agree too.  `weights` is left untouched."""
+    np.multiply(coefficients, weights, out=work)
+    live = np.flatnonzero(weights.reshape(-1, weights.shape[-1]).any(axis=0))
+    head = work[..., :live[-1] + 1 if live.size else None]
+    for ax in range(work.ndim - 1):
+        np.fft.ifft(head, axis=ax, out=head)
+    return np.fft.irfft(work, out.shape[-1], axis=-1, out=out)
+
+
 def forward_transform(f: Field) -> SpectralField:
     """Unnormalized discrete Fourier transform of a real field, as its
     half-spectrum: the validated :func:`_forward_array`."""
@@ -289,7 +308,8 @@ def lp_bump(r):
     bit-exactly.  It is evaluated on the blend shell only; NaN stays NaN.
     """
     r = np.asarray(r, dtype=np.float64)
-    out = np.where(r <= 1.0, 1.0, np.where(r >= 1.1, 0.0, r))  # keeps NaN
+    out = np.where(r >= 1.1, 0.0, r)  # keeps NaN
+    out[r <= 1.0] = 1.0
     shell = (r > 1.0) & (r < 1.1)
     s = (r[shell] - 1.0) / 0.1  # in (0, 1) on the shell
     out[shell] = 1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
@@ -328,8 +348,9 @@ def lp_project(f: Field, n_dyadic: float, mode: str = "band") -> Field:
     telescope: summing bands above N up to the grid's top dyadic
     reproduces P_{>N} on the finite grid.
     """
-    weights = _lp_multiplier(f.grid, n_dyadic, mode)
-    return Field(f.grid, _inverse_array(_forward_array(f.values) * weights, f.grid.shape))
+    F = _forward_array(f.values)
+    return Field(f.grid, _project_into(F, _lp_multiplier(f.grid, n_dyadic, mode), F,
+                                       np.empty(f.grid.shape)))
 
 
 def dyadic_range(grid: GridSpec, lo: float | None = None, hi: float | None = None) -> np.ndarray:

@@ -184,16 +184,23 @@ def _even_integer(q: float) -> bool:
     return q > 0 and float(q).is_integer() and int(q) % 2 == 0
 
 
-def _power_sum(values: np.ndarray, q: float) -> float:
+def _power_sum(values: np.ndarray, q: float, out: np.ndarray | None = None) -> float:
     """sum |v|^q; for an even integer q = 2k, (v * v)^k by repeated squaring
-    (q = 2: bit for bit np.abs(v) ** 2), as the solver's even-p source."""
+    (q = 2: bit for bit np.abs(v) ** 2), as the solver's even-p source.
+    Given `out`, an array of values' shape, the powers are formed in it and
+    in `values` (both may be overwritten) and no array is allocated; the sum
+    is the same bit for bit."""
     if not _even_integer(q):
-        return float(np.sum(np.abs(values) ** q))
-    out = values * values
-    for bit in bin(int(q) // 2)[3:]:  # the binary digits of k after the leading 1
+        out = np.abs(values, out=out)
+        return float(np.sum(np.power(out, q, out=out)))
+    bits = bin(int(q) // 2)[3:]  # the binary digits of k after the leading 1
+    scratch = None if out is None else values
+    out = np.multiply(values, values, out=out)
+    square = np.multiply(values, values, out=scratch) if "1" in bits else None
+    for bit in bits:
         out *= out
         if bit == "1":
-            out *= values * values
+            out *= square
     return float(np.sum(out))
 
 

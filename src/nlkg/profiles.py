@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StagnationError
-from .grid import (Field, GridSpec, _band_multipliers, _forward_array, _inverse_array,
-                   _lp_multiplier, _transient_distance, dyadic_range, lp_bump)
+from .grid import (Field, GridSpec, _band_multipliers, _forward_array, _project_into,
+                   _transient_distance, dyadic_range, lp_bump)
 from .norms import CriticalParams, _power_sum, _spectral_sobolev_norm, lebesgue_norm
 
 __all__ = [
@@ -107,6 +107,10 @@ def inverse_gn_extract(family: FunctionFamily, params: CriticalParams,
     member) feed the window-radius rule.  Returns status 'exhausted' when
     the family's minimum L^{p+2} norm is at or below the floor.
     Each member is transformed once, for M and every band of the scan.
+    The scan works in one workspace per call: each P_N f is inverted there
+    by per-axis passes pruned to the band's nonzero columns, and its mass
+    and the argmax of |P_N f| are both taken from it, so the centres come
+    from the scan and no band is inverted twice.
     """
     g = family.grid
     p, s_c = params.p, params.s_c
@@ -125,28 +129,39 @@ def inverse_gn_extract(family: FunctionFamily, params: CriticalParams,
     if band.size == 0:
         band = dyadic_range(g)
 
-    # the L^{p+2} mass of each member (columns) in each band (rows)
-    mass = np.array([[_power_sum(_inverse_array(F * weight, g.shape), p2) * g.cell_volume
-                      for F in spectra] for weight in _band_multipliers(g, band)])
+    # the L^{p+2} mass and the argmax of |P_N f| of each member (columns) in
+    # each band (rows), all in one workspace
+    work = np.empty_like(spectra[0])
+    proj, scratch = np.empty(g.shape), np.empty(g.shape)
+    mass = np.empty((band.size, len(spectra)))
+    peak = np.empty((band.size, len(spectra)), dtype=np.intp)
+    weights = _band_multipliers(g, band)
+    for b in range(band.size):
+        weight = next(weights)
+        for m, F in enumerate(spectra):
+            _project_into(F, weight, work, proj)
+            peak[b, m] = np.argmax(np.abs(proj, out=scratch))
+            mass[b, m] = _power_sum(proj, p2, out=scratch) * g.cell_volume
+        del weight  # not held while the next band's weights are built
+    del spectra, work, proj, scratch
     # per member the first band of largest mass; the modal band over members,
     # ties resolved toward the higher frequency
     uniq, counts = np.unique(band[np.argmax(mass, axis=0)], return_counts=True)
     N_sel = float(uniq[counts == counts.max()].max())
 
-    weight = _lp_multiplier(g, N_sel, "band")
-    idx = [np.unravel_index(np.argmax(np.abs(_inverse_array(F * weight, g.shape))), g.shape)
-           for F in spectra]
-    del spectra, weight  # peak memory sits in the average below
-    centers = np.array(idx) * g.spacing
-    recentered = [_roll_to_center(f.values, i, g) for f, i in zip(family.members, idx)]
-
+    idx = np.array(np.unravel_index(peak[band == N_sel][0], g.shape)).T
+    centers = idx * g.spacing
     known = centers[-1:].copy()
     if prior_centers is not None and len(prior_centers):
         known = np.vstack([prior_centers, known])
     R_w = _window_radius(g, known)
-    window = lp_bump(_transient_distance(g, np.full(g.d, g.n // 2) * g.spacing) / R_w)
-    avg = window * np.mean(recentered, axis=0)
-    profile = Field(g, np.ascontiguousarray(avg))
+    # np.mean of the recentered members, bit for bit, as a running sum
+    avg = _roll_to_center(family.members[0].values, idx[0], g)
+    for f, i in zip(family.members[1:], idx[1:]):
+        avg += _roll_to_center(f.values, i, g)
+    avg /= family.n_count
+    avg *= lp_bump(_transient_distance(g, np.full(g.d, g.n // 2) * g.spacing) / R_w)
+    profile = Field(g, avg)
 
     F = _forward_array(profile.values)
     stats = {

@@ -68,10 +68,12 @@ def count_gradients(monkeypatch) -> list:
 
 
 def count_transforms(monkeypatch) -> dict:
-    """Wrap _forward_array and _inverse_array in every nlkg module that binds
-    them; returns the call logs {"forward": [...], "inverse": [...]}."""
-    calls = {"forward": [], "inverse": []}
+    """Wrap _forward_array, _inverse_array and _project_into in every nlkg
+    module that binds them; returns the call logs {"forward": [...],
+    "inverse": [...], "project": [...]}."""
+    calls = {"forward": [], "inverse": [], "project": []}
     real_forward, real_inverse = grid_mod._forward_array, grid_mod._inverse_array
+    real_project = grid_mod._project_into
 
     def forward(values):
         calls["forward"].append(values.shape)
@@ -81,9 +83,15 @@ def count_transforms(monkeypatch) -> dict:
         calls["inverse"].append(shape)
         return real_inverse(coefficients, shape)
 
+    def project(coefficients, weights, work, out):
+        calls["project"].append(out.shape)
+        return real_project(coefficients, weights, work, out)
+
+    wrappers = (("_forward_array", forward), ("_inverse_array", inverse),
+                ("_project_into", project))
     for name, mod in list(sys.modules.items()):
         if name == "nlkg" or name.startswith("nlkg."):
-            for attr, wrapper in (("_forward_array", forward), ("_inverse_array", inverse)):
+            for attr, wrapper in wrappers:
                 if hasattr(mod, attr):
                     monkeypatch.setattr(mod, attr, wrapper)
     return calls

@@ -368,6 +368,25 @@ class TestDecompose:
         assert manifest["n_bubbles"] >= 1
         assert (out / "decomposition" / "profile0.snap").exists()
 
+    @pytest.mark.parametrize("grid, p", [
+        ({"d": 2, "n": 64, "box_length": 8.0}, 2.0),
+        ({"d": 2, "n": 32, "box_length": 16.0}, 2.0),
+        ({"d": 2, "n": 32, "box_length": 8.0}, 3.0),
+    ])
+    def test_snapshot_family_off_the_config_is_named(self, tmp_path, capsys, grid, p):
+        from nlkg.grid import Field, GridSpec
+        from nlkg.snapshots import write_field_snapshot
+
+        good, bad = tmp_path / "good.snap", tmp_path / "bad.snap"
+        for path, g, q in ((good, GridSpec(2, 32, 8.0), 2.0), (bad, GridSpec(**grid), p)):
+            write_field_snapshot(path, Field(g, np.ones(g.shape)), 0.0, 0.0, q)
+        out = tmp_path / "out"
+        cfg = base_config(out, audits={"profiles": {"snapshots": [str(good), str(bad), str(bad)]}})
+        assert main(["decompose", str(write_cfg(tmp_path, cfg))]) == 2
+        err = capsys.readouterr().err
+        assert f"snapshot {bad} holds" in err and "good.snap" not in err
+        assert not (out / "decomposition").exists()
+
 
     def test_synthetic_family_leaves_distance_cache_alone(self, tmp_path):
         # one distance table per planted bubble would otherwise stay cached

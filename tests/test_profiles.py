@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -172,8 +174,9 @@ def scan_band(grid, K):
 
 
 class TestTransformCounts:
-    """One forward transform per member per level, counted where every
-    kernel transforms (_forward_array / _inverse_array)."""
+    """One forward transform per member per level and one band projection
+    per member per scanned band, counted where every kernel transforms
+    (_forward_array / _inverse_array / _project_into)."""
 
     @pytest.fixture
     def family(self, rng):
@@ -188,8 +191,10 @@ class TestTransformCounts:
         n = family.n_count
         # one per member (M and the scan) and one for the profile's stats
         assert len(calls["forward"]) == n + 1
-        # every band of the scan, then the selected band, for each member
-        assert len(calls["inverse"]) == n * (len(scan_band(family.grid, res.stats["K"])) + 1)
+        # every band of the scan for each member; the centres come from the
+        # scan, so the selected band is not inverted again
+        assert len(calls["project"]) == n * len(scan_band(family.grid, res.stats["K"]))
+        assert len(calls["inverse"]) == 0
 
     def test_decomposition_and_audit(self, family, monkeypatch):
         from conftest import count_transforms
@@ -209,13 +214,31 @@ class TestTransformCounts:
         # each level: its extraction's n + 1, whose M is that level's Sobolev
         # bound; then n for the last level's bound
         assert len(calls["forward"]) == dec.n_bubbles * (n + 1) + n
-        assert len(calls["inverse"]) == sum(n * (len(scan_band(family.grid, r.stats["K"])) + 1)
+        assert len(calls["project"]) == sum(n * len(scan_band(family.grid, r.stats["K"]))
                                             for r in extractions[:dec.n_bubbles])
+        assert len(calls["inverse"]) == 0
         for log in calls.values():
             log.clear()
         decoupling_audit(dec, family, PARAMS)
         # one per field: the last member, each bubble and the residual
-        assert (len(calls["forward"]), len(calls["inverse"])) == (dec.n_bubbles + 2, 0)
+        assert [len(log) for log in calls.values()] == [dec.n_bubbles + 2, 0, 0]
+
+
+def test_extraction_traced_peak_in_fields(rng):
+    # the members' values are the caller's; the spectra, the scan's one
+    # workspace (a half-spectrum and two fields), a band's weights, and later
+    # the running sum of the recentered members are the extraction's own
+    g = GridSpec(2, 256, 16.0)
+    family = make_family(g, {"bubbles": [(1.0, 2.5), (0.7, 2.0), (0.5, 1.5)], "base_sep": 20},
+                         3, rng)
+    inverse_gn_extract(family, PARAMS)  # fill the wavenumber caches
+    tracemalloc.start()
+    try:
+        assert inverse_gn_extract(family, PARAMS).status == "ok"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.9 * g.num_points * 8
 
 
 class TestDecouplingAudit:

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlkg.grid import (Field, GridSpec, _band_multipliers, _lp_multiplier, dyadic_range,
-                       lp_project, radial_distance)
+from nlkg.grid import (Field, GridSpec, _band_multipliers, _forward_array, _inverse_array,
+                       _lp_multiplier, _project_into, dyadic_range, lp_project,
+                       radial_distance)
 from nlkg.norms import critical_exponent, lebesgue_norm, sobolev_norm
 from nlkg.profiles import FunctionFamily, inverse_gn_extract
 
@@ -60,6 +61,30 @@ def test_band_weights_are_the_projection_weights_bit_for_bit(grid, lo, hi):
         assert len(weights) == band.size
         for N, w in zip(band, weights):
             assert w.tobytes() == _lp_multiplier(grid, N, "band").tobytes()
+
+
+@examples
+@given(dims, st.sampled_from([8, 16, 32]), st.floats(2.0, 40.0), seeds)
+def test_projection_kernel_is_the_inverse_of_the_product_bit_for_bit(d, n, L, seed):
+    grid = GridSpec(d, n, L)
+    rng = np.random.default_rng(seed)
+    F = _forward_array(rng.standard_normal(grid.shape))
+    weights = [_lp_multiplier(grid, N, mode) for N in dyadic_range(grid)
+               for mode in ("leq", "gt", "band")]
+    for J in (1, n // 2 + 1):  # nonzero on the first J last-axis columns
+        w = np.zeros(F.shape)
+        w[..., :J] = rng.uniform(0.5, 1.5, size=w[..., :J].shape)
+        weights.append(w)
+    kept_F = F.copy()
+    work, out = np.empty_like(F), np.empty(grid.shape)
+    for w in weights:
+        kept_w = w.copy()
+        expected = _inverse_array(F * w, grid.shape).tobytes()
+        assert _project_into(F, w, work, out) is out
+        assert out.tobytes() == expected
+        assert F.tobytes() == kept_F.tobytes() and w.tobytes() == kept_w.tobytes()
+        in_place = F.copy()  # the work array may be the coefficients themselves
+        assert _project_into(in_place, w, in_place, np.empty(grid.shape)).tobytes() == expected
 
 
 def reference_scan(family: FunctionFamily, params) -> tuple:

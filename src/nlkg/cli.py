@@ -270,15 +270,25 @@ def cmd_cones(cfg: ScenarioConfig) -> dict:
     return {"termination": traj.termination}
 
 
+def _check_like_config(cfg: ScenarioConfig, what: str, g: GridSpec, p: float) -> None:
+    """A DomainError unless `what` (read from disk) has the config's grid and p."""
+    if g != cfg.grid or p != cfg.p:
+        raise DomainError(f"config precondition violated: {what} holds (d, n, box_length) = "
+                          f"({g.d}, {g.n}, {g.box_length}) and p = {p}, the config "
+                          f"({cfg.grid.d}, {cfg.grid.n}, {cfg.grid.box_length}) and p = {cfg.p}")
+
+
 def cmd_fit(cfg: ScenarioConfig, trajectory_dir=None) -> dict:
     out = cfg.out_dir
     if trajectory_dir is None:
         stream = blowup_mod.MassDiagnostics(cfg.solver.nonlinearity)
         traj = evolve(cfg.initial_state(), cfg.solver, on_record=stream.add)
-    else:  # the stored run's own coefficient, as mass_diagnostics(traj) takes
-        stream = blowup_mod.MassDiagnostics(snapshots.read_meta(trajectory_dir)["nl_coeff"])
-        traj = snapshots.read_trajectory(trajectory_dir, on_record=stream.add)
-    mass = stream.finish()
+        mass = stream.finish()
+    else:  # folded with the stored run's own coefficient
+        traj = snapshots.read_trajectory(trajectory_dir)
+        _check_like_config(cfg, f"stored trajectory {trajectory_dir}", traj.snapshots.grid,
+                           traj.snapshots.exponent)
+        mass = blowup_mod.mass_diagnostics(traj)
     fit_cfg = cfg.audits.get("blowup", {})
     report = blowup_mod.detect_and_fit(traj, k_fit=fit_cfg.get("k_fit", 20))
     conc = blowup_mod.concavity_check(mass)
@@ -328,12 +338,7 @@ def cmd_decompose(cfg: ScenarioConfig) -> dict:
         fields = []
         for path in prof_cfg["snapshots"]:
             field, _, _, p = snapshots.read_field_snapshot(path)
-            g = field.grid
-            if g != cfg.grid or p != cfg.p:
-                raise DomainError(f"config precondition violated: snapshot {path} holds "
-                                  f"(d, n, box_length) = ({g.d}, {g.n}, {g.box_length}) and "
-                                  f"p = {p}, the config ({cfg.grid.d}, {cfg.grid.n}, "
-                                  f"{cfg.grid.box_length}) and p = {cfg.p}")
+            _check_like_config(cfg, f"snapshot {path}", field.grid, p)
             fields.append(field)
         family = profiles.FunctionFamily(tuple(fields))
     dec = profiles.bubble_decompose(family, params,

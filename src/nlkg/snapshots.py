@@ -2,10 +2,10 @@
 
 Snapshot layout (little-endian): d and n as unsigned 64-bit, then
 box_length, time, m, p as IEEE-754 float64, then the n^d row-major
-float64 payload.  A State checkpoint is a pair of snapshots (u and v).
-A stored trajectory (v1) is states.bin: b"NLKGTRAJ" and version 1 as
-uint32, then a u and a v frame per state, each a snapshot and the uint32
-CRC32 of its bytes; meta.json, written last, marks it complete.
+float64 payload.  A stored trajectory is states.bin: b"NLKGTRAJ" and
+version 1 as uint32, then a u and a v frame per state, each a snapshot
+and the uint32 CRC32 of its bytes; meta.json, written last, marks it
+complete.  It reads back lazily, as a StoredStates.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import json
 import os
 import struct
 import zlib
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +27,10 @@ from .grid import Field, GridSpec, State
 __all__ = [
     "write_field_snapshot",
     "read_field_snapshot",
-    "write_state_checkpoint",
-    "read_state_checkpoint",
     "TrajectoryWriter",
     "write_trajectory",
     "read_meta",
+    "StoredStates",
     "read_trajectory",
     "write_series_csv",
     "write_json",
@@ -78,38 +78,16 @@ def read_field_snapshot(path):
     return _field(grid, raw[_HEADER.size:], path), time, m, p
 
 
-def write_state_checkpoint(directory, stem: str, state: State) -> tuple:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    u_path = directory / f"{stem}_u.snap"
-    v_path = directory / f"{stem}_v.snap"
-    write_field_snapshot(u_path, state.u, state.time, state.mass_param, state.exponent)
-    write_field_snapshot(v_path, state.v, state.time, state.mass_param, state.exponent)
-    return u_path, v_path
-
-
-def read_state_checkpoint(u_path, v_path) -> State:
-    u, time, m, p = read_field_snapshot(u_path)
-    v, time_v, m_v, p_v = read_field_snapshot(v_path)
-    if (time, m, p) != (time_v, m_v, p_v):
-        raise CorruptionError("u/v checkpoint headers disagree")
-    return State(u, v, time, m, p)
-
-
 class TrajectoryWriter:
-    """Appends each State given to :meth:`add` (say as evolve's `on_record`)
+    """Appends each State given to :meth:`add` (say as evolve's record hook)
     to `directory`/states.bin; :meth:`commit` then writes meta.json.  An
     older store there loses its meta.json first, so a run that fails
-    part-way leaves no readable store; an older v0 store's
-    snapNNNNNN_{u,v}.snap files go next."""
+    part-way leaves no readable store."""
 
     def __init__(self, directory):
         self.directory, self.count = Path(directory), 0
         self.directory.mkdir(parents=True, exist_ok=True)
         (self.directory / "meta.json").unlink(missing_ok=True)
-        for old in self.directory.glob("snap*_[uv].snap"):
-            if old.name[4:-7].isdigit():
-                old.unlink()
         self._fh = open(self.directory / "states.bin", "wb")
         self._fh.write(_MAGIC)
 
@@ -155,71 +133,82 @@ def read_meta(directory) -> dict:
     path = Path(directory) / "meta.json"
     if not path.exists():
         raise CorruptionError(f"{path}: missing, so the stored trajectory is incomplete")
-    return json.loads(path.read_text())
+    try:
+        meta = json.loads(path.read_text())
+    except ValueError as exc:
+        raise CorruptionError(f"{path}: not valid JSON ({exc})") from None
+    for key in ("count", "termination", "nl_coeff", "scalar_series"):
+        if not isinstance(meta, dict) or key not in meta:
+            raise CorruptionError(f"{path}: no {key!r} key")
+    return meta
 
 
-def _v0_frames(directory: Path, count: int):
-    """(where, Field, time, m, p) of v0's snapshot files, u before v."""
-    for i in range(count):
-        path = directory / f"snap{i // 2:06d}_{'uv'[i % 2]}.snap"
-        if not path.exists():
-            raise CorruptionError(f"{path}: missing from the stored trajectory")
-        yield (f"{path} (frame {i})", *read_field_snapshot(path))
+class StoredStates(Sequence):
+    """The states of a states.bin, each read and CRC-checked when accessed (by
+    index, negative or a slice, or by iteration), with no cache or open file.
+    Opening checks the magic and every frame header, seeking past the
+    payloads, and takes `times`, `grid`, `mass_param`, `exponent` from them."""
+
+    def __init__(self, path, count: int):
+        self.path, times, first = Path(path), [], None
+        if not self.path.exists():
+            raise CorruptionError(f"{self.path}: missing, so the stored trajectory is incomplete")
+        with open(self.path, "rb") as fh:
+            if fh.read(len(_MAGIC)) != _MAGIC:
+                raise CorruptionError(f"{self.path}: frame 0: bad magic or version")
+            size = os.fstat(fh.fileno()).st_size
+            for i in range(2 * count):
+                where, raw = f"{self.path}: frame {i}", fh.read(_HEADER.size)
+                if not raw:
+                    raise CorruptionError(f"{where} is missing; meta.json counts {2 * count} frames")
+                grid, time, m, p = _header(raw, where)
+                first = first or (grid, m, p)
+                if (grid, m, p) != first:
+                    raise CorruptionError(f"{where}: grid, m or p differs from the first frame")
+                t_u = times[-1] if times else -np.inf
+                if not (time == t_u if i % 2 else time > t_u):
+                    raise CorruptionError(f"{where}: time {time} " + (f"is not its u frame's {t_u}"
+                                          if i % 2 else f"does not increase past {t_u}"))
+                if i % 2 == 0:
+                    times.append(time)
+                if fh.seek(grid.num_points * 8 + _CRC.size, os.SEEK_CUR) > size:
+                    raise CorruptionError(f"{where} is truncated")
+        self.grid, self.mass_param, self.exponent = first or (None, None, None)
+        self.times = np.array(times)
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        k, g, m, p = range(len(self))[k], self.grid, self.mass_param, self.exponent
+        size = _HEADER.size + g.num_points * 8 + _CRC.size
+        header = _HEADER.pack(g.d, g.n, g.box_length, self.times[k], m, p)
+        with open(self.path, "rb") as fh:
+            fh.seek(len(_MAGIC) + 2 * k * size)
+            u, v = (self._checked(fh.read(size), header, 2 * k + j) for j in (0, 1))
+        return State(u, v, float(self.times[k]), m, p)
+
+    def _checked(self, raw: bytes, header: bytes, i: int) -> Field:
+        """Frame i's field; its CRC must cover `header`, as checked at open."""
+        where, payload = f"{self.path}: frame {i}", memoryview(raw)[_HEADER.size:-_CRC.size]
+        if raw[-_CRC.size:] != _CRC.pack(zlib.crc32(payload, zlib.crc32(header))):
+            raise CorruptionError(f"{where}: CRC mismatch")
+        return _field(self.grid, payload, where)
 
 
-def _v1_frames(directory: Path, count: int):
-    """(where, Field, time, m, p) of the first `count` frames of states.bin,
-    each checked against its CRC."""
-    path = directory / "states.bin"
-    with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise CorruptionError(f"{path}: frame 0: bad magic or version")
-        for i in range(count):
-            where, raw = f"{path}: frame {i}", fh.read(_HEADER.size)
-            if not raw:
-                raise CorruptionError(f"{where} is missing; meta.json counts {count} frames")
-            grid, time, m, p = _header(raw, where)
-            size = grid.num_points * 8
-            body = memoryview(fh.read(size + _CRC.size))
-            if len(body) != size + _CRC.size:
-                raise CorruptionError(f"{where} is truncated")
-            if _CRC.unpack(body[size:])[0] != zlib.crc32(body[:size], zlib.crc32(raw)):
-                raise CorruptionError(f"{where}: CRC mismatch")
-            yield where, _field(grid, body[:size], where), time, m, p
-
-
-def read_trajectory(directory, on_record=None):
-    """The stored trajectory (v1 or v0), checked frame by frame.  `on_record`,
-    when given, is called with each state as it is read, and the trajectory
-    then keeps only the last one (and every series), as evolve's does.  A
+def read_trajectory(directory):
+    """The stored trajectory, its states a :class:`StoredStates`: every
+    frame header is checked now, each state's payload when it is read.  A
     meta.json without a "config" key (an older store) reads with config None."""
     from .solver import SolverConfig, Trajectory
 
     directory, meta = Path(directory), read_meta(directory)
-    v1 = (directory / "states.bin").exists()
-    frames = (_v1_frames if v1 else _v0_frames)(directory, 2 * meta["count"])
-    snapshots, first, t_u = [], None, -np.inf
-    for i, (where, field, time, m, p) in enumerate(frames):
-        first = first or (field.grid, m, p)
-        if (field.grid, m, p) != first:
-            raise CorruptionError(f"{where}: grid, m or p differs from the first frame")
-        if not (time == t_u if i % 2 else time > t_u):
-            raise CorruptionError(f"{where}: time {time} " + (f"is not its u frame's {t_u}" if i % 2
-                                  else f"does not increase past {t_u}"))
-        if i % 2 == 0:
-            u, t_u = field, time
-            continue
-        state = State(u, field, time, m, p)
-        if on_record is None:
-            snapshots.append(state)
-        else:
-            snapshots = [state]
-            on_record(state)
     series = {k: (np.array(t), np.array(v)) for k, (t, v) in meta["scalar_series"].items()}
     config = meta.get("config")
-    return Trajectory(snapshots=snapshots, termination=meta["termination"],
-                      scalar_series=series, nl_coeff=meta["nl_coeff"],
-                      config=None if config is None else SolverConfig(**config))
+    return Trajectory(StoredStates(directory / "states.bin", meta["count"]), meta["termination"],
+                      series, meta["nl_coeff"], None if config is None else SolverConfig(**config))
 
 
 def write_series_csv(path, columns: dict, sidecar: dict | None = None) -> None:

@@ -4,6 +4,7 @@ initial-data library."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -72,9 +73,9 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Stored snapshots plus named scalar time series from one evolution."""
+    """Snapshots (a list of States, or a StoredStates with checked times) and scalar series."""
 
-    snapshots: list
+    snapshots: Sequence
     termination: str
     scalar_series: dict
     nl_coeff: float = 1.0
@@ -85,6 +86,8 @@ class Trajectory:
             raise DomainError(f"unknown termination {self.termination!r}")
         if not self.snapshots:
             raise DomainError("trajectory needs at least one snapshot")
+        if hasattr(self.snapshots, "times"):  # a StoredStates checked its headers at open
+            return
         times = self.times
         if np.any(np.diff(times) <= 0.0):
             raise DomainError("snapshot times must be strictly increasing")
@@ -96,6 +99,8 @@ class Trajectory:
 
     @property
     def times(self) -> np.ndarray:
+        if hasattr(self.snapshots, "times"):
+            return self.snapshots.times.copy()
         return np.array([s.time for s in self.snapshots])
 
     def series(self, name: str):

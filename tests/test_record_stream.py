@@ -1,8 +1,9 @@
 """The evolve record hook and the audits it feeds: the streamed reducers give
 the stored-trajectory results exactly, `nlkg cones`, `nlkg simulate` and
-`nlkg fit --trajectory` hold no trajectory, the store streams back what the
-run recorded, and neither `import nlkg` nor a run of any pipeline
-subcommand loads scipy or the process pool."""
+`nlkg fit --trajectory` hold no trajectory, the store reads back lazily what
+the run recorded, every fold over it equals the fold over the run in RAM,
+and neither `import nlkg` nor a run of any pipeline subcommand loads scipy
+or the process pool."""
 
 import dataclasses
 import itertools
@@ -17,12 +18,13 @@ import numpy as np
 import pytest
 
 import nlkg.cli
-from nlkg.blowup import MassDiagnostics, concavity_check, detect_and_fit, mass_diagnostics
+from nlkg.blowup import (MassDiagnostics, concavity_check, critical_norm_series, detect_and_fit,
+                         lower_bound_check, mass_diagnostics)
 from nlkg.cli import ScenarioConfig, main
 from nlkg.cones import ConeAudit, ConeSpec, cone_audit
 from nlkg.errors import CorruptionError
 from nlkg.grid import GridSpec
-from nlkg.snapshots import read_trajectory, write_series_csv
+from nlkg.snapshots import StoredStates, read_trajectory, write_series_csv, write_trajectory
 from nlkg.solver import SolverConfig, evolve, initial_data
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -99,6 +101,47 @@ class TestRecordHook:
         assert got.extra["p"] == ref.extra["p"]
         for name in ("energy", "grad_sq"):
             assert np.array_equal(got.extra[name], ref.extra[name]), name
+
+
+def assert_bit_equal(a, b):
+    """a and b are the same nested result, every number and array bit for bit."""
+    assert type(a) is type(b)
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_bit_equal(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, dict):
+        assert list(a) == list(b)
+        for k in a:
+            assert_bit_equal(a[k], b[k])
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_bit_equal(x, y)
+    elif isinstance(a, (np.ndarray, float)):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    else:
+        assert a == b
+
+
+# each fold a stored run is read through: (trajectory, cone, functional) -> result
+FOLDS = {
+    "mass_diagnostics": lambda traj, cone, which: mass_diagnostics(traj),
+    "critical_norm_series": lambda traj, cone, which: critical_norm_series(traj),
+    "lower_bound_check": lambda traj, cone, which: lower_bound_check(traj, 1.5, cone.vertex),
+    "cone_audit": lambda traj, cone, which: cone_audit(traj, cone, which, T_FLOOR),
+}
+
+
+@pytest.mark.parametrize("fold", list(FOLDS))
+def test_fold_over_the_store_equals_the_fold_in_ram(stream_case, tmp_path, fold):
+    _, cone, which, in_ram = stream_case
+    write_trajectory(tmp_path, in_ram)
+    stored = read_trajectory(tmp_path)
+    assert isinstance(stored.snapshots, StoredStates)
+    got, want = FOLDS[fold](stored, cone, which), FOLDS[fold](in_ram, cone, which)
+    assert_bit_equal(got, want)
+    if fold == "lower_bound_check":
+        assert len(want.times) > 3
 
 
 def cones_peak_bytes(tmp_path, t_max: float, tag: str) -> int:
@@ -189,21 +232,20 @@ def stored_run(tmp_path_factory):
 class TestTrajectoryStore:
     def test_streamed_states_equal_the_whole_store_and_the_run(self, stored_run):
         _, store = stored_run
-        seen = []
-        hooked = read_trajectory(store, on_record=seen.append)
+        back = read_trajectory(store)
         cfg = ScenarioConfig(STORE_CONFIG)
         fresh = evolve(cfg.initial_state(), cfg.solver)
         assert fresh.termination == "blowup_detected" and len(fresh.snapshots) > 20
-        for states in (read_trajectory(store).snapshots, fresh.snapshots):
-            assert len(states) == len(seen)
-            for a, b in zip(seen, states):
-                assert (a.time, a.mass_param, a.exponent) == (b.time, b.mass_param, b.exponent)
-                assert a.u.values.tobytes() == b.u.values.tobytes()
-                assert a.v.values.tobytes() == b.v.values.tobytes()
-        assert len(hooked.snapshots) == 1 and hooked.snapshots[0] is seen[-1]
-        assert hooked.termination == fresh.termination
+        assert isinstance(back.snapshots, StoredStates)
+        assert np.array_equal(back.times, fresh.times)
+        assert len(back.snapshots) == len(fresh.snapshots)
+        for a, b in zip(back.snapshots, fresh.snapshots):  # read one state at a time
+            assert (a.time, a.mass_param, a.exponent) == (b.time, b.mass_param, b.exponent)
+            assert a.u.values.tobytes() == b.u.values.tobytes()
+            assert a.v.values.tobytes() == b.v.values.tobytes()
+        assert back.termination == fresh.termination
         for name in fresh.scalar_series:
-            assert all(np.array_equal(a, b) for a, b in zip(hooked.series(name),
+            assert all(np.array_equal(a, b) for a, b in zip(back.series(name),
                                                               fresh.series(name))), name
 
     def test_manifest_counts_the_stored_states(self, stored_run):
@@ -237,6 +279,21 @@ class TestTrajectoryStore:
         assert (report["t_star"], report["fit_residual"]) == (want.t_star, want.fit_residual)
         assert report["concavity"] == dataclasses.asdict(concavity_check(mass))
 
+    @pytest.mark.parametrize("change", ["grid", "p"])
+    def test_fit_rejects_a_store_unlike_its_config(self, stored_run, capsys, change):
+        # the store's grid and p come from its first frame header: a config
+        # that differs is a validation failure naming the store, not a report
+        tmp, store = stored_run
+        physics, grid = STORE_CONFIG["physics"], STORE_CONFIG["grid"]
+        fit_cfg = dict(STORE_CONFIG, **({"grid": {**grid, "n": 16}} if change == "grid"
+                                        else {"physics": {**physics, "p": 3.0}}))
+        out = tmp / f"unlike_{change}"
+        assert main(["fit", write_config(tmp, f"unlike_{change}", fit_cfg, out),
+                     "--trajectory", str(store)]) == 2
+        assert f"stored trajectory {store} holds" in capsys.readouterr().err
+        assert json.loads((out / "MANIFEST.json").read_text())["status"] == "failed"
+        assert not (out / "blowup_report.json").exists()
+
     def test_failed_run_leaves_no_readable_store(self, tmp_path, monkeypatch):
         # a monitor fails part-way through a run over a complete older store
         path = write_config(tmp_path, "sim", STORE_CONFIG, tmp_path / "sim")
@@ -259,7 +316,8 @@ class TestTrajectoryStore:
 
 def store_peak_bytes(tmp_path, t_max: float, tag: str) -> int:
     """Peak traced memory of `nlkg simulate` of length t_max, then `nlkg fit
-    --trajectory` on its store."""
+    --trajectory` on its store, then the critical-norm and lower-bound folds
+    over the store read back."""
     cfg = {"grid": {"d": 2, "n": 64, "box_length": 8.0}, "physics": {"m": 0.0, "p": 4.0},
            "data": {"kind": "gaussian", "params": {"A": 0.8, "w": 0.6}},
            "solver": {"dt_init": 5e-3, "t_max": t_max, "adapt_theta": None}}
@@ -269,6 +327,9 @@ def store_peak_bytes(tmp_path, t_max: float, tag: str) -> int:
     try:
         assert main(["simulate", sim]) == 0
         assert main(["fit", fit, "--trajectory", str(tmp_path / tag / "sim" / "trajectory")]) == 0
+        traj = read_trajectory(tmp_path / tag / "sim" / "trajectory")
+        assert len(critical_norm_series(traj).values) == len(traj.snapshots)
+        assert len(lower_bound_check(traj, t_max + 1.0, (4.0, 4.0)).values) == len(traj.snapshots)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -276,7 +337,8 @@ def store_peak_bytes(tmp_path, t_max: float, tag: str) -> int:
 
 def test_stored_run_peak_memory_does_not_grow_with_run_length(tmp_path):
     # after a warm-up run, doubling the run (50 more stored states) may not
-    # add a state's worth of memory to simulate and fit --trajectory
+    # add a state's worth of memory to simulate, fit --trajectory and the
+    # critical-norm and lower-bound folds over the stored run
     store_peak_bytes(tmp_path, 0.1, "warm")
     short = store_peak_bytes(tmp_path, 0.25, "short")
     long = store_peak_bytes(tmp_path, 0.5, "long")

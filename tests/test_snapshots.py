@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 import zlib
@@ -9,14 +10,13 @@ from hypothesis import given, settings, strategies as st
 from nlkg.errors import CorruptionError, DomainError
 from nlkg.grid import Field, GridSpec, State
 from nlkg.snapshots import (
+    StoredStates,
     TrajectoryWriter,
     read_field_snapshot,
-    read_state_checkpoint,
     read_trajectory,
     write_field_snapshot,
     write_json,
     write_series_csv,
-    write_state_checkpoint,
     write_trajectory,
 )
 from nlkg.solver import SolverConfig, Trajectory, evolve, initial_data
@@ -52,14 +52,6 @@ class TestFieldSnapshot:
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(CorruptionError):
             read_field_snapshot(path)
-
-    def test_state_checkpoint_round_trip(self, grid2d, rng, tmp_path):
-        st = State(random_field(grid2d, rng), random_field(grid2d, rng), 0.75, 0.3, 2.0)
-        u_path, v_path = write_state_checkpoint(tmp_path, "ck", st)
-        back = read_state_checkpoint(u_path, v_path)
-        assert back.time == st.time
-        assert np.array_equal(back.u.values, st.u.values)
-        assert np.array_equal(back.v.values, st.v.values)
 
 
 class TestTrajectoryStore:
@@ -105,28 +97,23 @@ class TestTrajectoryStore:
         with pytest.raises(DomainError, match="at least one snapshot"):
             read_trajectory(tmp_path / "traj")
 
-    @pytest.mark.parametrize("part", ["u", "v"])
-    def test_missing_snapshot_file_is_corruption(self, tmp_path, part):
-        g = GridSpec(1, 16, 4.0)
-        traj = evolve(initial_data(g, "gaussian", m=0.0, p=2.0, A=0.4, w=0.4),
-                      SolverConfig(dt_init=1e-2, t_max=0.02))
-        write_v0_store(tmp_path / "traj", traj)
-        missing = tmp_path / "traj" / f"snap000001_{part}.snap"
-        missing.unlink()
-        with pytest.raises(CorruptionError, match=f"snap000001_{part}.snap"):
-            read_trajectory(tmp_path / "traj")
-
-
-def write_v0_store(directory, traj):
-    """A format v0 store, as written before states.bin: a u/v snapshot file
-    pair per state and meta.json."""
-    for i, s in enumerate(traj.snapshots):
-        write_state_checkpoint(directory, f"snap{i:06d}", s)
-    write_json(directory / "meta.json", {
-        "count": len(traj.snapshots), "termination": traj.termination,
-        "nl_coeff": traj.nl_coeff, "config": None,
-        "scalar_series": {k: [list(map(float, t)), list(map(float, v))]
-                          for k, (t, v) in traj.scalar_series.items()}})
+    @pytest.mark.parametrize("damage", ["truncated", "not_an_object", "count", "termination",
+                                        "nl_coeff", "scalar_series"])
+    def test_damaged_meta_names_itself(self, tmp_path, damage):
+        write_trajectory(tmp_path, short_run())
+        path = tmp_path / "meta.json"
+        text = path.read_text()
+        if damage == "truncated":
+            path.write_text(text[:len(text) // 2])
+        elif damage == "not_an_object":
+            path.write_text("[]")
+        else:
+            meta = json.loads(text)
+            del meta[damage]
+            path.write_text(json.dumps(meta))
+        key = {"truncated": "not valid JSON", "not_an_object": "'count'"}.get(damage, repr(damage))
+        with pytest.raises(CorruptionError, match=f"meta.json: .*{key}"):
+            read_trajectory(tmp_path)
 
 
 def short_run(n_states=3):
@@ -170,22 +157,26 @@ def trajectories(draw):
 
 class TestTrajectoryFormat:
     @settings(max_examples=40, deadline=None)
-    @given(traj=trajectories(), v0=st.booleans())
-    def test_round_trip_v0_and_v1(self, tmp_path_factory, traj, v0):
+    @given(traj=trajectories(), cut=st.tuples(*[st.none() | st.integers(-5, 5)] * 2,
+                                             st.none() | st.sampled_from([-3, -2, -1, 1, 2, 3])))
+    def test_round_trip_as_a_lazy_sequence(self, tmp_path_factory, traj, cut):
         directory = tmp_path_factory.mktemp("store")
-        (write_v0_store if v0 else write_trajectory)(directory, traj)
-        assert (directory / "states.bin").exists() is not v0
+        write_trajectory(directory, traj)
         back = read_trajectory(directory)
-        assert_states_equal(back.snapshots, traj.snapshots)
-        seen = []
-        hooked = read_trajectory(directory, on_record=seen.append)
-        assert_states_equal(seen, traj.snapshots)
-        assert len(hooked.snapshots) == 1 and hooked.snapshots[0] is seen[-1]
-        for got in (back, hooked):
-            assert (got.termination, got.nl_coeff) == (traj.termination, traj.nl_coeff)
-            t, v = got.series("sup_norm")
-            assert np.array_equal(t, traj.series("sup_norm")[0])
-            assert np.array_equal(v, traj.series("sup_norm")[1])
+        states, count = back.snapshots, len(traj.snapshots)
+        assert isinstance(states, StoredStates)
+        assert np.array_equal(back.times, traj.times)
+        assert_states_equal(states, traj.snapshots)
+        assert_states_equal([states[k] for k in range(-count, 0)], traj.snapshots)
+        assert_states_equal(states[slice(*cut)], traj.snapshots[slice(*cut)])
+        assert_states_equal(list(reversed(states)), traj.snapshots[::-1])
+        for k in (count, -count - 1):
+            with pytest.raises(IndexError):
+                states[k]
+        assert (back.termination, back.nl_coeff) == (traj.termination, traj.nl_coeff)
+        t, v = back.series("sup_norm")
+        assert np.array_equal(t, traj.series("sup_norm")[0])
+        assert np.array_equal(v, traj.series("sup_norm")[1])
 
     def test_layout(self, tmp_path):
         traj = short_run()
@@ -224,8 +215,35 @@ class TestTrajectoryFormat:
         raw = bytearray(path.read_bytes())
         raw[MAGIC + 3 * FRAME + 48 + 17] ^= 0x10
         path.write_bytes(bytes(raw))
+        states = read_trajectory(tmp_path).snapshots  # the headers are intact
         with pytest.raises(CorruptionError, match="frame 3: CRC mismatch"):
-            read_trajectory(tmp_path)
+            states[1]
+
+    def test_flipped_byte_in_the_last_frame_fails_only_that_state(self, tmp_path):
+        traj = short_run()
+        write_trajectory(tmp_path, traj)
+        path = tmp_path / "states.bin"
+        raw = bytearray(path.read_bytes())
+        raw[MAGIC + 5 * FRAME + 48 + 3] ^= 0x01
+        path.write_bytes(bytes(raw))
+        back = read_trajectory(tmp_path)
+        assert np.array_equal(back.times, traj.times)
+        assert_states_equal(back.snapshots[:2], traj.snapshots[:2])
+        for k in (2, -1):
+            with pytest.raises(CorruptionError, match="frame 5: CRC mismatch"):
+                back.snapshots[k]
+        with pytest.raises(CorruptionError, match="frame 5: CRC mismatch"):
+            list(back.snapshots)
+
+    def test_store_rewritten_with_other_headers_fails_on_access(self, tmp_path):
+        # each access checks its frames' CRCs against the headers checked at open
+        write_trajectory(tmp_path, short_run())
+        states = read_trajectory(tmp_path).snapshots
+        traj = short_run()
+        traj.snapshots[:] = [dataclasses.replace(s, mass_param=0.3) for s in traj.snapshots]
+        write_trajectory(tmp_path, traj)
+        with pytest.raises(CorruptionError, match="frame 0: CRC mismatch"):
+            states[0]
 
     def test_flipped_header_byte(self, tmp_path):
         write_trajectory(tmp_path, short_run())
@@ -252,18 +270,6 @@ class TestTrajectoryFormat:
         with pytest.raises(CorruptionError, match="frame 6 is missing"):
             read_trajectory(tmp_path)
 
-    def test_writer_removes_an_older_v0_store(self, tmp_path):
-        write_v0_store(tmp_path, short_run())
-        assert len(list(tmp_path.glob("*.snap"))) == 6
-        traj = short_run(4)
-        write_trajectory(tmp_path, traj)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["meta.json", "states.bin"]
-        assert_states_equal(read_trajectory(tmp_path).snapshots, traj.snapshots)
-        # only that name pattern goes: a file that merely resembles it stays
-        (tmp_path / "snapshot_u.snap").write_bytes(b"")
-        write_trajectory(tmp_path, traj)
-        assert (tmp_path / "snapshot_u.snap").exists()
-
     @pytest.mark.parametrize("change", ["grid", "m", "p"])
     def test_frame_unlike_the_first(self, tmp_path, change):
         traj = short_run()
@@ -280,18 +286,14 @@ class TestTrajectoryFormat:
         with pytest.raises(CorruptionError, match="frame 2: grid, m or p differs"):
             read_trajectory(tmp_path)
 
-    @pytest.mark.parametrize("v0", [False, True])
-    def test_time_that_does_not_increase(self, tmp_path, v0):
+    def test_time_that_does_not_increase(self, tmp_path):
         traj = short_run()
         traj.snapshots[1:] = traj.snapshots[:0:-1]  # order 0, 2, 1
-        if v0:
-            write_v0_store(tmp_path, traj)
-        else:
-            with TrajectoryWriter(tmp_path) as store:  # Trajectory itself refuses the order
-                for s in traj.snapshots:
-                    store.add(s)
-                store.commit(traj)
-        with pytest.raises(CorruptionError, match=r"frame 4\)?: time .* does not increase"):
+        with TrajectoryWriter(tmp_path) as store:  # Trajectory itself refuses the order
+            for s in traj.snapshots:
+                store.add(s)
+            store.commit(traj)
+        with pytest.raises(CorruptionError, match="frame 4: time .* does not increase"):
             read_trajectory(tmp_path)
 
 

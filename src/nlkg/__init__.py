@@ -57,7 +57,6 @@ from .grid import (
 )
 from .norms import (
     CriticalParams,
-    Region,
     critical_exponent,
     energy,
     gn_ratio,

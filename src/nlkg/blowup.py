@@ -65,7 +65,7 @@ def detect_and_fit(traj: Trajectory, k_fit: int = 20, fit_series: tuple = ()) ->
     if k_fit < MIN_K_FIT:
         raise DomainError(f"k_fit must be at least {MIN_K_FIT}, got {k_fit}")
     times, sup = traj.series("sup_norm")
-    p = traj.snapshots[0].exponent
+    p = traj.exponent
 
     def failed(msg: str) -> BlowupReport:
         return BlowupReport(False, np.nan, np.array([]), np.nan, {}, diagnostics=msg)
@@ -221,9 +221,9 @@ def truncated_mass(traj: Trajectory, R: float, center=None) -> MassSeries:
     """
     if not R > 0.0:
         raise DomainError(f"cutoff radius R must be positive, got {R}")
-    g = traj.snapshots[0].grid
+    g = traj.grid
     center = np.full(g.d, 0.5 * g.box_length) if center is None else np.asarray(center)
-    t_max = traj.snapshots[-1].time
+    t_max = float(traj.times[-1])
     if 2.0 * (R + t_max) > g.max_fit_radius:
         raise DomainError("cutoff support 2(R + t_max) does not fit the box with margin")
     nl = traj.nl_coeff
@@ -257,14 +257,13 @@ def truncated_mass(traj: Trajectory, R: float, center=None) -> MassSeries:
     scale = float(np.max(np.abs(rhs))) + 1e-300
     m2_gap = float(np.max(gaps)) / scale if gaps.size else np.nan
     return MassSeries(times, M, np.array(Mp), rhs,
-                      extra={"m2_gap": m2_gap, "R": R, "p": traj.snapshots[0].exponent})
+                      extra={"m2_gap": m2_gap, "R": R, "p": traj.exponent})
 
 
 def critical_norm_series(traj: Trajectory) -> DiagnosticSeries:
     """||u||_{H^{s_c}, homogeneous} + ||u_t||_{H^{s_c-1}, inhomogeneous, m=1}
     along the trajectory."""
-    s0 = traj.snapshots[0]
-    params = critical_exponent(s0.grid.d, s0.exponent)
+    params = critical_exponent(traj.grid.d, traj.exponent)
     vals = [sobolev_norm(s.u, params.s_c, homogeneous=True)
             + sobolev_norm(s.v, params.s_c - 1.0, homogeneous=False, m=1.0)
             for s in traj.snapshots]
@@ -279,18 +278,17 @@ def lower_bound_check(traj: Trajectory, t_star: float, x0) -> DiagnosticSeries:
     least two cells) and fits the box; the monitored claim is a positive
     floor, never a specific constant.
     """
-    s0 = traj.snapshots[0]
-    g = s0.grid
-    params = critical_exponent(g.d, s0.exponent)
+    g = traj.grid
+    params = critical_exponent(g.d, traj.exponent)
     times, vals = [], []
-    for s in traj.snapshots:
-        rad = t_star - s.time
+    for i, t in enumerate(traj.times.tolist()):
+        rad = t_star - t
         if rad <= 2.0 * g.spacing or rad > g.max_fit_radius:
             continue
-        pc = _Pieces(s)
+        pc = _Pieces(traj.snapshots[i])
         integ = ball_integral(lambda at: at(pc.u) ** 2 + rad**2 * (at(pc.v) ** 2 + at(pc.grad_sq)),
                               g, x0, rad)
-        times.append(s.time)
+        times.append(t)
         vals.append(rad ** (-2.0 * params.s_c) * integ)
     return DiagnosticSeries("local_lower_bound", np.array(times), np.array(vals),
                             regime=params.regime,
@@ -321,7 +319,7 @@ def blowup_surface_estimate(traj: Trajectory, threshold: float = 1e3) -> Field:
     Points that never cross start at +inf and are filled in by the
     envelope; if no point crosses at all, that is an error.
     """
-    g = traj.snapshots[0].grid
+    g = traj.grid
     sigma = np.full(g.shape, np.inf)
     for s in traj.snapshots:
         crossed = (np.abs(s.u.values) > threshold) & ~np.isfinite(sigma)

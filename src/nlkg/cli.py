@@ -270,12 +270,13 @@ def cmd_cones(cfg: ScenarioConfig) -> dict:
     return {"termination": traj.termination}
 
 
-def _check_like_config(cfg: ScenarioConfig, what: str, g: GridSpec, p: float) -> None:
-    """A DomainError unless `what` (read from disk) has the config's grid and p."""
-    if g != cfg.grid or p != cfg.p:
+def _check_like_config(cfg: ScenarioConfig, what: str, g: GridSpec, p: float, m: float) -> None:
+    """A DomainError unless `what` (read from disk) has the config's grid, p and m."""
+    if g != cfg.grid or p != cfg.p or m != cfg.m:
         raise DomainError(f"config precondition violated: {what} holds (d, n, box_length) = "
-                          f"({g.d}, {g.n}, {g.box_length}) and p = {p}, the config "
-                          f"({cfg.grid.d}, {cfg.grid.n}, {cfg.grid.box_length}) and p = {cfg.p}")
+                          f"({g.d}, {g.n}, {g.box_length}), p = {p} and m = {m}, the config "
+                          f"({cfg.grid.d}, {cfg.grid.n}, {cfg.grid.box_length}), p = {cfg.p} "
+                          f"and m = {cfg.m}")
 
 
 def cmd_fit(cfg: ScenarioConfig, trajectory_dir=None) -> dict:
@@ -286,8 +287,8 @@ def cmd_fit(cfg: ScenarioConfig, trajectory_dir=None) -> dict:
         mass = stream.finish()
     else:  # folded with the stored run's own coefficient
         traj = snapshots.read_trajectory(trajectory_dir)
-        _check_like_config(cfg, f"stored trajectory {trajectory_dir}", traj.snapshots.grid,
-                           traj.snapshots.exponent)
+        _check_like_config(cfg, f"stored trajectory {trajectory_dir}", traj.grid, traj.exponent,
+                           traj.mass_param)
         mass = blowup_mod.mass_diagnostics(traj)
     fit_cfg = cfg.audits.get("blowup", {})
     report = blowup_mod.detect_and_fit(traj, k_fit=fit_cfg.get("k_fit", 20))
@@ -337,8 +338,8 @@ def cmd_decompose(cfg: ScenarioConfig) -> dict:
     else:
         fields = []
         for path in prof_cfg["snapshots"]:
-            field, _, _, p = snapshots.read_field_snapshot(path)
-            _check_like_config(cfg, f"snapshot {path}", field.grid, p)
+            field, _, m, p = snapshots.read_field_snapshot(path)
+            _check_like_config(cfg, f"snapshot {path}", field.grid, p, m)
             fields.append(field)
         family = profiles.FunctionFamily(tuple(fields))
     dec = profiles.bubble_decompose(family, params,

@@ -147,12 +147,11 @@ def lyapunov_series(traj: Trajectory, cone: ConeSpec, which: str = "L",
     density weighted by (t^2 - |x - x0|^2)^alpha) needs the sub-conformal regime,
     alpha = 1/2 - s_c > 0, and is nondecreasing and nonnegative there."""
     _check_window(which, t_floor)
-    sel = [s for s in traj.snapshots if t_floor < s.time <= cone.top_time]
-    if sel:
-        cone.validate_against(sel[-1].grid, sel[-1].time)
-    s0 = traj.snapshots[0]
-    return _series(critical_exponent(s0.grid.d, s0.exponent), cone, which, [s.time for s in sel],
-                   [_slice(s, cone, traj.nl_coeff, {which})[which] for s in sel])
+    sel = np.flatnonzero((traj.times > t_floor) & (traj.times <= cone.top_time))
+    if sel.size:
+        cone.validate_against(traj.grid, float(traj.times[sel[-1]]))
+    return _series(critical_exponent(traj.grid.d, traj.exponent), cone, which, traj.times[sel],
+                   [_slice(traj.snapshots[i], cone, traj.nl_coeff, {which})[which] for i in sel])
 
 
 def _series(params, cone: ConeSpec, which: str, times, values) -> DiagnosticSeries:
@@ -170,16 +169,16 @@ def energy_flux_check(traj: Trajectory, cone: ConeSpec, t0: float, t1: float):
     """
     if not (t0 >= 0.0 and t1 <= cone.top_time):
         raise DomainError(f"window t0={t0}, t1={t1} outside the cone's [0, {cone.top_time}]")
-    sel = [s for s in traj.snapshots if t0 - 1e-12 <= s.time <= t1 + 1e-12]
+    sel = traj.window(t0, t1)
+    times = traj.times[sel]
     if len(sel) < 3:
         raise DomainError("need at least 3 snapshots between t0 and t1")
-    if abs(sel[0].time - t0) > 1e-9 or abs(sel[-1].time - t1) > 1e-9:
+    if abs(times[0] - t0) > 1e-9 or abs(times[-1] - t1) > 1e-9:
         raise DomainError("t0 and t1 must be snapshot times")
-    cone.validate_against(sel[-1].grid, t1)
-    ends = (0, len(sel) - 1)
-    return _flux([s.time for s in sel],
-                 [_slice(s, cone, traj.nl_coeff, {"bulk", "boundary"} if i in ends else {"bulk"})
-                  for i, s in enumerate(sel)])
+    cone.validate_against(traj.grid, t1)
+    ends = (sel[0], sel[-1])
+    return _flux(times, [_slice(traj.snapshots[i], cone, traj.nl_coeff,
+                                {"bulk", "boundary"} if i in ends else {"bulk"}) for i in sel])
 
 
 def _flux(times, rows) -> tuple:
@@ -203,15 +202,15 @@ def averaged_gradient_bound(traj: Trajectory, cone: ConeSpec, t0: float,
     """
     if not (0.0 < alpha <= 1.0):
         raise DomainError("alpha must lie in (0, 1]")
-    g = traj.snapshots[0].grid
-    params = critical_exponent(g.d, traj.snapshots[0].exponent)
+    g = traj.grid
+    params = critical_exponent(g.d, traj.exponent)
     subc = params.s_c < 0.5
     t_hi = 2.0 * t0 if subc else (1.0 + alpha) * t0
-    t_end = traj.snapshots[-1].time
+    t_end = float(traj.times[-1])
     if not (t0 > 0.0 and t_hi <= min(cone.top_time, t_end) + 1e-12):
         raise DomainError(f"window t0={t0}, t_hi={t_hi} outside the cone's (0, {cone.top_time}] "
                           f"or past the run's end time {t_end}")
-    sel = [s for s in traj.snapshots if t0 - 1e-12 <= s.time <= t_hi + 1e-12]
+    sel = traj.window(t0, t_hi)
     if len(sel) < 2:
         raise DomainError(f"need at least 2 snapshots in [{t0}, {t_hi}]")
     cone.validate_against(g, t_hi)
@@ -228,8 +227,7 @@ def averaged_gradient_bound(traj: Trajectory, cone: ConeSpec, t0: float,
                 + ball_integral(lambda at: at(pc.u) ** 2, g, cone.vertex, lim,
                                 lambda r: (t - r) ** w_mass))
 
-    ts = np.array([s.time for s in sel])
-    total = float(np.trapezoid([slice_value(s) for s in sel], ts))
+    total = float(np.trapezoid([slice_value(traj.snapshots[i]) for i in sel], traj.times[sel]))
     norm = alpha * t0 ** (d + 1.0) if not subc else t0 ** (d + 1.0)
     return total / norm
 

@@ -254,27 +254,26 @@ def charge_slab_identity(traj: Trajectory, t0: float, t1: float) -> SlabIdentity
     rhs: int u u_t dx evaluated at t1 minus at t0.  Also reports the two
     virial time-averages (kinetic, and gradient + mass - potential).
     """
-    sel = [s for s in traj.snapshots if t0 - 1e-12 <= s.time <= t1 + 1e-12]
+    sel = traj.window(t0, t1)
+    ts = traj.times[sel]
     if len(sel) < 3:
         raise DomainError(f"need at least 3 snapshots in [{t0}, {t1}], found {len(sel)}")
-    if abs(sel[0].time - t0) > 1e-9 or abs(sel[-1].time - t1) > 1e-9:
+    if abs(ts[0] - t0) > 1e-9 or abs(ts[-1] - t1) > 1e-9:
         raise DomainError("t0 and t1 must be snapshot times")
     nl = traj.nl_coeff
 
-    cell = sel[0].grid.cell_volume
-    integrand, kinetic = [], []
-    for s in sel:
+    cell = traj.grid.cell_volume
+    integrand, kinetic, q0 = [], [], []
+    for i in sel:
+        s = traj.snapshots[i]
         pc = _Pieces(s, nl)
         integrand.append(float(np.sum(pc.charge_source)) * cell)
         kinetic.append(float(np.sum(pc.v**2)) * cell)
-    ts = np.array([s.time for s in sel])
+        if i in (sel[0], sel[-1]):  # int u u_t dx at the two ends
+            q0.append(float(np.sum(s.u.values * s.v.values)) * cell)
     lhs = float(np.trapezoid(integrand, ts))
     kin_avg = float(np.trapezoid(kinetic, ts)) / (t1 - t0)
-
-    def q0_total(s: State) -> float:
-        return float(np.sum(s.u.values * s.v.values)) * cell
-
-    rhs = q0_total(sel[-1]) - q0_total(sel[0])
+    rhs = q0[-1] - q0[0]
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     # virial reading: time-average of u_t^2 vs |grad u|^2 + m^2 u^2 - |u|^{p+2}
     pot_avg = kin_avg - lhs / (t1 - t0)

@@ -1,5 +1,5 @@
 """Lebesgue and fractional Sobolev norms, the one ball quadrature (every
-region or cone integral: a sum over the open ball |x - c| < R on the cached
+ball or cone integral: a sum over the open ball |x - c| < R on the cached
 minimal-image distance), the energy functional, the one per-snapshot field
 view every diagnostic reads, and Gagliardo-Nirenberg ratios."""
 
@@ -29,60 +29,15 @@ from .grid import (
 )
 
 __all__ = [
-    "Region",
     "CriticalParams",
     "critical_exponent",
     "ball_integral",
-    "region_weight",
     "lebesgue_norm",
     "sobolev_norm",
     "energy",
     "gn_ratio",
     "gn_second_ratio",
 ]
-
-
-@dataclass(frozen=True)
-class Region:
-    """A spatial integration region with a sharp indicator.
-
-    Kinds: 'whole_box'; 'ball' (center, radius); 'annulus' (center,
-    r_inner, r_outer); 'half_cone_slice' (center, radius_at_time,
-    weight_exponent) which restricts to |x-c| < r/2 and weights the
-    integrand by (1 - |x-c|/r)^w.
-    """
-
-    kind: str
-    center: tuple = ()
-    radius: float = 0.0
-    r_inner: float = 0.0
-    r_outer: float = 0.0
-    weight_exponent: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("whole_box", "ball", "annulus", "half_cone_slice"):
-            raise DomainError(f"unknown region kind {self.kind!r}")
-        if self.kind in ("ball", "half_cone_slice") and self.radius <= 0.0:
-            raise DomainError("region radius must be positive")
-        if self.kind == "annulus" and not (0.0 <= self.r_inner < self.r_outer):
-            raise DomainError("annulus needs 0 <= r_inner < r_outer")
-
-    def validate_against(self, grid: GridSpec) -> None:
-        """The region (plus a 3h margin) must fit inside the periodic box."""
-        limit = grid.max_fit_radius
-        r = {"ball": self.radius, "annulus": self.r_outer, "half_cone_slice": self.radius}.get(
-            self.kind, 0.0
-        )
-        if r > limit:
-            raise DomainError(f"region radius {r} does not fit in the box (limit {limit})")
-
-    def ball(self) -> tuple:
-        """(R, w): the region as the open ball |x-c| < R weighted by w(|x-c|) (None: 1)."""
-        if self.kind == "ball":
-            return self.radius, None
-        if self.kind == "annulus":
-            return self.r_outer, lambda r: (r >= self.r_inner).astype(np.float64)
-        return 0.5 * self.radius, lambda r: (1.0 - r / self.radius) ** self.weight_exponent
 
 
 def _inside(grid: GridSpec, center, radius: float) -> tuple:
@@ -115,17 +70,6 @@ def ball_integral(values, grid: GridSpec, center, radius: float, weight=None) ->
     if weight is not None:
         f = f * weight(r[inside])
     return float(np.sum(f)) * grid.cell_volume
-
-
-def region_weight(region: Region, grid: GridSpec) -> np.ndarray:
-    """Pointwise quadrature weight: the region's radial weight on its ball, 0 outside."""
-    if region.kind == "whole_box":
-        return np.ones(grid.shape)
-    radius, weight = region.ball()
-    inside, r = _inside(grid, region.center, radius)
-    out = np.zeros(grid.shape)
-    out[inside] = 1.0 if weight is None else weight(r[inside])
-    return out
 
 
 @dataclass(frozen=True)
@@ -162,21 +106,13 @@ def critical_exponent(d: int, p: float) -> CriticalParams:
     return CriticalParams(d=d, p=p)
 
 
-_WHOLE = Region("whole_box")
-
-
-def lebesgue_norm(f: Field, q: float, region: Region = _WHOLE) -> float:
-    """L^q norm over a region: (h^d sum_region w |f|^q)^{1/q}; q=inf is the grid max."""
+def lebesgue_norm(f: Field, q: float) -> float:
+    """L^q norm over the box: (h^d sum |f|^q)^{1/q}; q=inf is the grid max."""
     if q < 1.0:
         raise DomainError(f"Lebesgue exponent must be >= 1, got {q}")
     if np.isinf(q):
-        return float(np.max(np.abs(f.values)[region_weight(region, f.grid) > 0.0], initial=0.0))
-    if region.kind == "whole_box":
-        total = _power_sum(f.values, q) * f.grid.cell_volume
-    else:
-        total = ball_integral(lambda at: np.abs(at(f.values)) ** q, f.grid, region.center,
-                              *region.ball())
-    return total ** (1.0 / q)
+        return float(np.max(np.abs(f.values)))
+    return (_power_sum(f.values, q) * f.grid.cell_volume) ** (1.0 / q)
 
 
 def _even_integer(q: float) -> bool:

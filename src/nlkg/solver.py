@@ -5,7 +5,7 @@ initial-data library."""
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -73,35 +73,45 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Snapshots (a list of States, or a StoredStates with checked times) and scalar series."""
+    """A run's states (a list of States, or a StoredStates) and scalar series.
+
+    `times` (read-only), `grid`, `mass_param` and `exponent` are set once,
+    from a StoredStates' checked headers with no payload read, or from the
+    listed states, which must agree; a fold picks its states by index from
+    `times` (say through :meth:`window`) and reads only those."""
 
     snapshots: Sequence
     termination: str
     scalar_series: dict
     nl_coeff: float = 1.0
     config: SolverConfig | None = None
+    times: np.ndarray = field(init=False, repr=False, compare=False)
+    grid: GridSpec = field(init=False, repr=False, compare=False)
+    mass_param: float = field(init=False, repr=False, compare=False)
+    exponent: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.termination not in TERMINATIONS:
             raise DomainError(f"unknown termination {self.termination!r}")
         if not self.snapshots:
             raise DomainError("trajectory needs at least one snapshot")
-        if hasattr(self.snapshots, "times"):  # a StoredStates checked its headers at open
-            return
-        times = self.times
-        if np.any(np.diff(times) <= 0.0):
-            raise DomainError("snapshot times must be strictly increasing")
-        g = self.snapshots[0].grid
-        m, p = self.snapshots[0].mass_param, self.snapshots[0].exponent
-        for s in self.snapshots:
-            if s.grid != g or s.mass_param != m or s.exponent != p:
+        states = self.snapshots
+        if hasattr(states, "times"):  # a StoredStates checked its headers at open
+            times, head = np.array(states.times), states
+        else:
+            times, head = np.array([s.time for s in states]), states[0]
+            if np.any(np.diff(times) <= 0.0):
+                raise DomainError("snapshot times must be strictly increasing")
+            first = (head.grid, head.mass_param, head.exponent)
+            if any((s.grid, s.mass_param, s.exponent) != first for s in states):
                 raise DomainError("all snapshots must share one grid and one (m, p)")
+        times.flags.writeable = False
+        self.times, self.grid = times, head.grid
+        self.mass_param, self.exponent = head.mass_param, head.exponent
 
-    @property
-    def times(self) -> np.ndarray:
-        if hasattr(self.snapshots, "times"):
-            return self.snapshots.times.copy()
-        return np.array([s.time for s in self.snapshots])
+    def window(self, t0: float, t1: float) -> np.ndarray:
+        """Indices of the states with t0 - 1e-12 <= t <= t1 + 1e-12."""
+        return np.flatnonzero((self.times >= t0 - 1e-12) & (self.times <= t1 + 1e-12))
 
     def series(self, name: str):
         t, vals = self.scalar_series[name]
@@ -119,13 +129,14 @@ def _omega(grid: GridSpec, m: float):
 
 
 def _propagator_tables(grid: GridSpec, m: float, dt: float):
-    """cos(dt w), sin(dt w)/w with the w->0 limit dt, and w sin(dt w), on
-    the half-spectrum, with cos and sin evaluated on the distinct w alone.
-    Not cached: a :class:`SpectralStepper` holds those of its current dt."""
+    """cos(dt w), sin(dt w)/w with its limit dt where dt w is 0 or subnormal,
+    and w sin(dt w), on the half-spectrum, with cos and sin evaluated on the
+    distinct w alone.  Not cached: a :class:`SpectralStepper` holds those of
+    its current dt."""
     w, at = _omega(grid, m)
-    c = np.cos(dt * w)
-    s = np.sin(dt * w)
-    sinc = np.divide(s, w, out=np.full(w.shape, dt), where=w != 0.0)
+    x = dt * w
+    c, s = np.cos(x), np.sin(x)
+    sinc = np.divide(s, w, out=np.full(w.shape, dt), where=np.abs(x) >= np.finfo(np.float64).tiny)
     return c[at], sinc[at], (w * s)[at]
 
 

@@ -368,18 +368,20 @@ class TestDecompose:
         assert manifest["n_bubbles"] >= 1
         assert (out / "decomposition" / "profile0.snap").exists()
 
-    @pytest.mark.parametrize("grid, p", [
-        ({"d": 2, "n": 64, "box_length": 8.0}, 2.0),
-        ({"d": 2, "n": 32, "box_length": 16.0}, 2.0),
-        ({"d": 2, "n": 32, "box_length": 8.0}, 3.0),
+    @pytest.mark.parametrize("grid, p, m", [
+        pytest.param({"d": 2, "n": 64, "box_length": 8.0}, 2.0, 0.0, id="grid0-2.0"),
+        pytest.param({"d": 2, "n": 32, "box_length": 16.0}, 2.0, 0.0, id="grid1-2.0"),
+        pytest.param({"d": 2, "n": 32, "box_length": 8.0}, 3.0, 0.0, id="grid2-3.0"),
+        pytest.param({"d": 2, "n": 32, "box_length": 8.0}, 2.0, 0.5, id="m0.5"),
     ])
-    def test_snapshot_family_off_the_config_is_named(self, tmp_path, capsys, grid, p):
+    def test_snapshot_family_off_the_config_is_named(self, tmp_path, capsys, grid, p, m):
         from nlkg.grid import Field, GridSpec
         from nlkg.snapshots import write_field_snapshot
 
         good, bad = tmp_path / "good.snap", tmp_path / "bad.snap"
-        for path, g, q in ((good, GridSpec(2, 32, 8.0), 2.0), (bad, GridSpec(**grid), p)):
-            write_field_snapshot(path, Field(g, np.ones(g.shape)), 0.0, 0.0, q)
+        for path, g, q, mass in ((good, GridSpec(2, 32, 8.0), 2.0, 0.0),
+                                 (bad, GridSpec(**grid), p, m)):
+            write_field_snapshot(path, Field(g, np.ones(g.shape)), 0.0, mass, q)
         out = tmp_path / "out"
         cfg = base_config(out, audits={"profiles": {"snapshots": [str(good), str(bad), str(bad)]}})
         assert main(["decompose", str(write_cfg(tmp_path, cfg))]) == 2

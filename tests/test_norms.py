@@ -5,7 +5,7 @@ from nlkg.errors import DomainError
 from nlkg.grid import Field, GridSpec, State, axis_coordinates, radial_distance, spectral_gradient
 from nlkg.norms import (
     CriticalParams,
-    Region,
+    ball_integral,
     critical_exponent,
     energy,
     gn_ratio,
@@ -69,35 +69,27 @@ class TestLebesgueNorm:
         f = Field(g, np.exp(-(r**2) / 2.0))
         assert lebesgue_norm(f, 2.0) == pytest.approx(np.sqrt(np.pi), rel=1e-4)
 
+    # the norm over part of the box is the one ball quadrature, norms.ball_integral
     def test_ball_region(self, grid2d):
         f = Field(grid2d, np.ones(grid2d.shape))
-        ball = Region("ball", center=(4.0, 4.0), radius=1.5)
-        vol = lebesgue_norm(f, 1.0, ball)
+        vol = ball_integral(np.abs(f.values), grid2d, (4.0, 4.0), 1.5)
         assert vol == pytest.approx(np.pi * 1.5**2, rel=0.05)
 
     def test_empty_region_returns_zero(self, grid2d):
         f = Field(grid2d, np.ones(grid2d.shape))
-        tiny = Region("ball", center=(4.03, 4.03), radius=1e-6)
-        assert lebesgue_norm(f, 2.0, tiny) == 0.0
+        assert ball_integral(np.abs(f.values) ** 2, grid2d, (4.03, 4.03), 1e-6) == 0.0
 
     def test_half_cone_slice_region(self, grid2d):
-        # restricts to half the slice radius and tapers by (1 - r/R)^w
+        # half the slice radius, tapered by (1 - r/R)^w
         f = Field(grid2d, np.ones(grid2d.shape))
         R = 2.0
-        plain = Region("half_cone_slice", center=(4.0, 4.0), radius=R)
-        weighted = Region("half_cone_slice", center=(4.0, 4.0), radius=R,
-                          weight_exponent=2.0)
-        vol_half = lebesgue_norm(f, 1.0, plain)
+        vol_half = ball_integral(np.abs(f.values), grid2d, (4.0, 4.0), R / 2.0)
         assert vol_half == pytest.approx(np.pi * (R / 2.0) ** 2, rel=0.05)
         # closed-form weighted volume: 2 pi int_0^{R/2} (1 - r/R)^2 r dr
         expected = 2.0 * np.pi * (R**2 / 8.0 - 2.0 * R**2 / 24.0 + R**2 / 64.0)
-        assert lebesgue_norm(f, 1.0, weighted) == pytest.approx(expected, rel=0.05)
-
-    def test_region_validation(self, grid2d):
-        with pytest.raises(DomainError):
-            Region("annulus", center=(0, 0), r_inner=2.0, r_outer=1.0)
-        with pytest.raises(DomainError):
-            Region("ball", center=(4, 4), radius=30.0).validate_against(grid2d)
+        weighted = ball_integral(np.abs(f.values), grid2d, (4.0, 4.0), R / 2.0,
+                                 lambda r: (1.0 - r / R) ** 2.0)
+        assert weighted == pytest.approx(expected, rel=0.05)
 
     def test_holder_monotonicity(self, grid2d, rng):
         # volume-normalized q-norms are nondecreasing in q

@@ -1,9 +1,9 @@
 """The evolve record hook and the audits it feeds: the streamed reducers give
 the stored-trajectory results exactly, `nlkg cones`, `nlkg simulate` and
 `nlkg fit --trajectory` hold no trajectory, the store reads back lazily what
-the run recorded, every fold over it equals the fold over the run in RAM,
-and neither `import nlkg` nor a run of any pipeline subcommand loads scipy
-or the process pool."""
+the run recorded, every fold over it equals the fold over the run in RAM
+and reads only the states it uses, and neither `import nlkg` nor a run of
+any pipeline subcommand loads scipy or the process pool."""
 
 import dataclasses
 import itertools
@@ -18,10 +18,13 @@ import numpy as np
 import pytest
 
 import nlkg.cli
-from nlkg.blowup import (MassDiagnostics, concavity_check, critical_norm_series, detect_and_fit,
-                         lower_bound_check, mass_diagnostics)
+from nlkg.blowup import (MassDiagnostics, blowup_surface_estimate, concavity_check,
+                         critical_norm_series, detect_and_fit, lower_bound_check,
+                         mass_diagnostics, truncated_mass)
 from nlkg.cli import ScenarioConfig, main
-from nlkg.cones import ConeAudit, ConeSpec, cone_audit
+from nlkg.cones import (ConeAudit, ConeSpec, averaged_gradient_bound, cone_audit,
+                        energy_flux_check, lyapunov_series)
+from nlkg.conslaws import charge_slab_identity
 from nlkg.errors import CorruptionError
 from nlkg.grid import GridSpec
 from nlkg.snapshots import StoredStates, read_trajectory, write_series_csv, write_trajectory
@@ -123,12 +126,28 @@ def assert_bit_equal(a, b):
         assert a == b
 
 
+# the windows of the windowed folds: states 2..6 of the 16 a stream case
+# records, and [0.2, 0.4] for the averaged gradient bound (t_hi = 2 t0 when
+# sub-conformal, (1 + alpha) t0 with alpha = 1 otherwise)
+WINDOW = (2, 6)
+AVERAGED_T0 = 0.2
+
 # each fold a stored run is read through: (trajectory, cone, functional) -> result
 FOLDS = {
     "mass_diagnostics": lambda traj, cone, which: mass_diagnostics(traj),
     "critical_norm_series": lambda traj, cone, which: critical_norm_series(traj),
     "lower_bound_check": lambda traj, cone, which: lower_bound_check(traj, 1.5, cone.vertex),
     "cone_audit": lambda traj, cone, which: cone_audit(traj, cone, which, T_FLOOR),
+    "lyapunov_series": lambda traj, cone, which: lyapunov_series(traj, cone, which, T_FLOOR),
+    "energy_flux_check": lambda traj, cone, which: energy_flux_check(
+        traj, cone, *traj.times[list(WINDOW)]),
+    "averaged_gradient_bound": lambda traj, cone, which: averaged_gradient_bound(
+        traj, cone, AVERAGED_T0),
+    "charge_slab_identity": lambda traj, cone, which: charge_slab_identity(
+        traj, *traj.times[list(WINDOW)]),
+    "truncated_mass": lambda traj, cone, which: truncated_mass(traj, 0.5),
+    "blowup_surface_estimate": lambda traj, cone, which: blowup_surface_estimate(traj, 0.5),
+    "detect_and_fit": lambda traj, cone, which: detect_and_fit(traj, k_fit=5),
 }
 
 
@@ -142,6 +161,53 @@ def test_fold_over_the_store_equals_the_fold_in_ram(stream_case, tmp_path, fold)
     assert_bit_equal(got, want)
     if fold == "lower_bound_check":
         assert len(want.times) > 3
+
+
+def test_folds_read_only_the_states_they_use(stream_case, tmp_path, monkeypatch):
+    # every state index a fold reads from the store, in order: a windowed fold
+    # reads its window's states once each, picked from the times; the T* fit
+    # reads the sup-norm series alone
+    _, cone, which, in_ram = stream_case
+    write_trajectory(tmp_path, in_ram)
+    stored = read_trajectory(tmp_path)
+    reads, read = [], StoredStates.__getitem__
+    monkeypatch.setattr(StoredStates, "__getitem__",
+                        lambda states, k: reads.append(int(k)) or read(states, k))
+    t, g = stored.times, stored.grid
+    t0, t1 = t[list(WINDOW)]
+    t_star = g.max_fit_radius + t[5]  # the ball of the first five states is too large
+    t_hi = 2.0 * AVERAGED_T0
+    windows = {
+        "lyapunov_series": (t > T_FLOOR) & (t <= cone.top_time),
+        "energy_flux_check": (t >= t0) & (t <= t1),
+        "averaged_gradient_bound": (t >= AVERAGED_T0 - 1e-12) & (t <= t_hi + 1e-12),
+        "charge_slab_identity": (t >= t0) & (t <= t1),
+        "lower_bound_check": (t_star - t > 2.0 * g.spacing) & (t_star - t <= g.max_fit_radius),
+        "detect_and_fit": np.zeros(len(t), dtype=bool),
+    }
+    for fold, window in windows.items():
+        reads.clear()
+        if fold == "lower_bound_check":
+            lower_bound_check(stored, t_star, cone.vertex)
+        else:
+            FOLDS[fold](stored, cone, which)
+        assert reads == np.flatnonzero(window).tolist(), fold
+        assert fold == "detect_and_fit" or 0 < len(reads) < len(t) - 3, fold
+
+
+def test_trajectory_times_are_read_only_and_follow_its_states(stream_case, tmp_path):
+    _, _, _, in_ram = stream_case
+    write_trajectory(tmp_path, in_ram)
+    stored = read_trajectory(tmp_path)
+    for traj in (in_ram, stored):
+        with pytest.raises(ValueError, match="read-only"):
+            traj.times[0] = 1.0
+        shorter = dataclasses.replace(traj, snapshots=traj.snapshots[1:4])
+        assert np.array_equal(shorter.times, traj.times[1:4])
+        head = in_ram.snapshots[0]
+        for t in (traj, shorter):
+            assert (t.grid, t.mass_param, t.exponent) == (head.grid, 0.5, head.exponent)
+    assert np.array_equal(stored.times, in_ram.times)
 
 
 def cones_peak_bytes(tmp_path, t_max: float, tag: str) -> int:
@@ -279,14 +345,15 @@ class TestTrajectoryStore:
         assert (report["t_star"], report["fit_residual"]) == (want.t_star, want.fit_residual)
         assert report["concavity"] == dataclasses.asdict(concavity_check(mass))
 
-    @pytest.mark.parametrize("change", ["grid", "p"])
+    @pytest.mark.parametrize("change", ["grid", "p", "m"])
     def test_fit_rejects_a_store_unlike_its_config(self, stored_run, capsys, change):
-        # the store's grid and p come from its first frame header: a config
+        # the store's grid, p and m come from its first frame header: a config
         # that differs is a validation failure naming the store, not a report
         tmp, store = stored_run
         physics, grid = STORE_CONFIG["physics"], STORE_CONFIG["grid"]
-        fit_cfg = dict(STORE_CONFIG, **({"grid": {**grid, "n": 16}} if change == "grid"
-                                        else {"physics": {**physics, "p": 3.0}}))
+        unlike = {"grid": {"grid": {**grid, "n": 16}}, "p": {"physics": {**physics, "p": 3.0}},
+                  "m": {"physics": {**physics, "m": 0.5}}}
+        fit_cfg = dict(STORE_CONFIG, **unlike[change])
         out = tmp / f"unlike_{change}"
         assert main(["fit", write_config(tmp, f"unlike_{change}", fit_cfg, out),
                      "--trajectory", str(store)]) == 2

@@ -7,13 +7,14 @@ The fields are white noise, so every Nyquist plane carries weight.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nlkg.grid import (Field, GridSpec, State, _pad2x_power, apply_multiplier, bessel_derivative,
                        bessel_symbol, forward_transform, fractional_derivative,
                        inverse_transform, lp_bump, lp_project, spectral_divergence,
                        spectral_gradient)
-from nlkg.solver import SpectralStepper, linear_propagator
+from nlkg.solver import SpectralStepper, _propagator_tables, linear_propagator
 
 from conftest import full_magnitude, full_mesh
 
@@ -165,9 +166,18 @@ def _close(a: State, b: State) -> bool:
 
 @examples
 @given(grids, seeds, masses, steps, steps)
+@example(GridSpec(1, 8, 2.0), 0, 5e-324, 1.0, 0.5)  # a subnormal m: dt w underflows
 def test_propagator_composes(grid, seed, m, a, b):
     st0 = _state(grid, seed, m)
     assert _close(linear_propagator(linear_propagator(st0, b), a), linear_propagator(st0, a + b))
+
+
+@pytest.mark.parametrize("m", [5e-324, 1e-320])
+@pytest.mark.parametrize("dt", [0.5, 1.5])
+def test_propagator_zero_mode_at_a_subnormal_mass(m, dt):
+    # sin(dt w)/w at w = m, where dt w is subnormal, is its limit dt
+    c, sinc, ws = (table.flat[0] for table in _propagator_tables(GridSpec(2, 8, 2.0), m, dt))
+    assert (c, sinc) == (1.0, dt) and abs(ws) < 1e-300
 
 
 @examples

@@ -12,7 +12,7 @@ import numpy as np
 from .cones import DiagnosticSeries
 from .errors import DomainError
 from .grid import Field, radial_distance
-from .norms import _Pieces, ball_integral, critical_exponent, sobolev_norm
+from .norms import _Pieces, critical_exponent, sobolev_norm
 from .solver import Trajectory
 
 __all__ = [
@@ -285,9 +285,8 @@ def lower_bound_check(traj: Trajectory, t_star: float, x0) -> DiagnosticSeries:
         rad = t_star - t
         if rad <= 2.0 * g.spacing or rad > g.max_fit_radius:
             continue
-        pc = _Pieces(traj.snapshots[i])
-        integ = ball_integral(lambda at: at(pc.u) ** 2 + rad**2 * (at(pc.v) ** 2 + at(pc.grad_sq)),
-                              g, x0, rad)
+        ins = _Pieces(traj.snapshots[i], apex=x0).ball(rad)
+        integ = ins.integral(ins.u**2 + rad**2 * (ins.v**2 + ins.grad_sq))
         times.append(t)
         vals.append(rad ** (-2.0 * params.s_c) * integ)
     return DiagnosticSeries("local_lower_bound", np.array(times), np.array(vals),

@@ -18,6 +18,7 @@ import json
 import os
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -197,20 +198,20 @@ def cmd_simulate(cfg: ScenarioConfig) -> dict:
     return {"termination": traj.termination, "snapshots": store.count}
 
 
-def _tensor_window(cfg: ScenarioConfig, scale: int):
-    """Evolve at (h, dt) refined by 2^scale and cut a 3-snapshot window."""
+def _tensor_level(cfg: ScenarioConfig, scale: int, store: Path):
+    """Evolve at (h, dt) refined by 2^scale into `store`; the run read back lazily."""
     grid = GridSpec(cfg.grid.d, cfg.grid.n * 2**scale, cfg.grid.box_length)
     state = initial_data(grid, cfg.data_kind, cfg.m, cfg.p, **cfg.data_params)
     refined = dataclasses.replace(cfg.solver, dt_init=cfg.solver.dt_init / 2**scale,
                                   adapt_theta=None,
                                   snapshot_stride=cfg.solver.snapshot_stride * 2**scale)
-    traj = evolve(state, refined, {})
-    if len(traj.snapshots) < 3:
+    with snapshots.TrajectoryWriter(store) as writer:
+        writer.commit(evolve(state, refined, {}, on_record=writer.add))
+    if writer.count < 3:
         raise DomainError(
             "config precondition violated: solver.t_max/snapshot_stride leaves "
             "fewer than 3 snapshots for the tensor window")
-    k = len(traj.snapshots) // 2
-    return traj, (traj.snapshots[k - 1], traj.snapshots[k], traj.snapshots[k + 1])
+    return snapshots.read_trajectory(store)
 
 
 def cmd_audit_tensors(cfg: ScenarioConfig) -> dict:
@@ -222,31 +223,29 @@ def cmd_audit_tensors(cfg: ScenarioConfig) -> dict:
     if params.alpha <= 0.0:
         tags.remove("combined")
 
-    report = []
+    report, slab = [], []
     per_level: dict = {tag: [] for tag in tags}
-    traj0 = None
-    for scale in range(levels):
-        traj, window = _tensor_window(cfg, scale)
-        if scale == 0:
-            traj0 = traj
-        for tag in tags:
-            kind = conslaws.tensor_kind(tag, window[1])
-            res = conslaws.divergence_residual(window, kind, apex, traj.nl_coeff)
-            l2, linf = conslaws.residual_norms(res)
-            per_level[tag].append((window[1].time, l2, linf))
+    # each level's run goes to a store, read back a state at a time: no run is held in RAM
+    with tempfile.TemporaryDirectory(dir=cfg.out_dir) as work:
+        for scale in range(levels):
+            traj = _tensor_level(cfg, scale, Path(work) / f"level{scale}")
+            k = len(traj.snapshots) // 2
+            window = tuple(traj.snapshots[k - 1:k + 2])
+            for tag in tags:
+                kind = conslaws.tensor_kind(tag, window[1])
+                res = conslaws.divergence_residual(window, kind, apex, traj.nl_coeff)
+                l2, linf = conslaws.residual_norms(res)
+                per_level[tag].append((window[1].time, l2, linf))
+            if scale == 0:
+                t0, t1 = float(traj.times[0]), float(traj.times[-1])
+                res = conslaws.charge_slab_identity(traj, t0, t1)
+                slab.append({"t0": t0, "t1": t1, "lhs": res.lhs, "rhs": res.rhs, "gap": res.gap,
+                             "avg_kinetic": res.avg_kinetic, "avg_potential": res.avg_potential})
     for tag in tags:
         times, l2s, linfs = (list(col) for col in zip(*per_level[tag]))
         orders = conslaws.refinement_orders(linfs) if len(linfs) > 1 else []
         report.append({"kind": tag, "times": times, "residual_l2": l2s,
                        "residual_linf": linfs, "refinement_orders": orders})
-
-    slab = []
-    ts = traj0.times
-    if len(ts) >= 3:
-        res = conslaws.charge_slab_identity(traj0, float(ts[0]), float(ts[-1]))
-        slab.append({"t0": float(ts[0]), "t1": float(ts[-1]), "lhs": res.lhs,
-                     "rhs": res.rhs, "gap": res.gap,
-                     "avg_kinetic": res.avg_kinetic, "avg_potential": res.avg_potential})
     snapshots.write_json(cfg.out_dir / "tensor_audit.json",
                          {"tensors": report, "slab_identities": slab, "config": cfg.raw})
     return {}
@@ -259,7 +258,7 @@ def cmd_cones(cfg: ScenarioConfig) -> dict:
     cone = cones_mod.ConeSpec(vertex=tuple(vertex), top_time=cone_cfg["top_time"])
     t_floor = cone_cfg.get("t_floor", 10.0 * cfg.solver.dt_init)
     which = "Z" if critical_exponent(cfg.grid.d, cfg.p).regime == "sub_conformal" else "L"
-    audit = cones_mod.ConeAudit(cone, which, t_floor, cfg.solver.nonlinearity)
+    audit = cones_mod.ConeAudit(cone, cfg.p, which, t_floor, cfg.solver.nonlinearity)
     traj = evolve(cfg.initial_state(), cfg.solver, on_record=audit.add)
     series, monitors, flux = audit.finish()
     for s in (series, *monitors.values()):

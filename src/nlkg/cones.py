@@ -17,7 +17,7 @@ import numpy as np
 from .conslaws import TensorKind, _density, tensor_kind
 from .errors import DomainError
 from .grid import GridSpec, State
-from .norms import _energy_density, _Pieces, ball_integral, critical_exponent
+from .norms import _energy_density, _Pieces, critical_exponent
 from .solver import Trajectory
 
 __all__ = [
@@ -82,53 +82,43 @@ class DiagnosticSeries:
 
 def _slice(state: State, cone: ConeSpec, nl_coeff: float, want) -> dict:
     """The quantities named in `want` on the slice |x - x0| < t, all from one
-    norms._Pieces (one gradient), each integrand built inside its ball only:
-    "L" and "Z", "monitor" (for :func:`cone_monitor`), "boundary" and "bulk"
-    (the two sides of :func:`energy_flux_check`)."""
+    norms._Pieces (one gradient) restricted once per ball: "L" and "Z",
+    "monitor" (for :func:`cone_monitor`), "boundary" and "bulk" (the two
+    sides of :func:`energy_flux_check`)."""
+    t = state.time
     pc = _Pieces(state, nl_coeff, cone.vertex)
-    t, u, v = state.time, pc.u, pc.v
-
-    def ball(values, radius, weight=None):
-        return ball_integral(values, state.grid, cone.vertex, radius, weight)
-
+    ins = pc.ball(t)
+    r = ins.dist
     out = {}
     if "L" in want:
-        out["L"] = ball(lambda at: _density(pc.inside(at), TensorKind("mod_dilation")), t)
+        out["L"] = ins.integral(_density(ins, TensorKind("mod_dilation")))
     if "Z" in want:
         kind = tensor_kind("combined", state)
-        out["Z"] = ball(lambda at: _density(pc.inside(at), kind), t,
-                        lambda r: (t**2 - r**2) ** kind.alpha)
+        out["Z"] = ins.integral(_density(ins, kind) * (t**2 - r**2) ** kind.alpha)
     if "monitor" in want:
         # (mass, grad, pth) normalized as cone_monitor states (super-conformal grad: the
         # weighted slice integral, summed in t later), then the plain slice gradient
         s_c = critical_exponent(pc.d, pc.p).s_c
-
-        def full_grad(at):
-            return at(v) ** 2 + at(pc.grad_sq)
-
-        mass = ball(lambda at: at(u) ** 2, 0.5 * t)
-        pth = ball(lambda at: np.abs(at(u)) ** (0.5 * (pc.p + 4.0)), t)
+        half = pc.ball(0.5 * t)
+        mass = half.integral(half.u**2)
+        pth = ins.integral(np.abs(ins.u) ** (0.5 * (pc.p + 4.0)))
+        full_grad = ins.v**2 + ins.grad_sq
         if s_c > 0.5:
             row = (mass / t ** (pc.p * pc.d / (pc.p + 4.0)),
-                   ball(full_grad, t, lambda r: (1.0 - r / t) ** 2), pth)
+                   ins.integral(full_grad * (1.0 - r / t) ** 2), pth)
         else:
-            row = (mass / t ** (2.0 * s_c), ball(full_grad, 0.5 * t) * t ** (2.0 * (1.0 - s_c)),
+            row = (mass / t ** (2.0 * s_c),
+                   half.integral(half.v**2 + half.grad_sq) * t ** (2.0 * (1.0 - s_c)),
                    pth / t ** (2.0 * s_c - 1.0))
-        out["monitor"] = row + (ball(full_grad, t),)
+        out["monitor"] = row + (ins.integral(full_grad),)
     if "boundary" in want:
-        out["boundary"] = ball(lambda at: pc.inside(at).energy_density, t,
-                               lambda r: (t**2 - r**2) / t)
+        out["boundary"] = ins.integral(ins.energy_density * ((t**2 - r**2) / t))
     if "bulk" in want:
         # the last term is the energy density at rest (u_t = 0) with the angular gradient
-        def rest(at):
-            ins = pc.inside(at)
-            return _energy_density(ins.u, 0.0, sum(a**2 for a in ins.angular), pc.m, pc.p, pc.nl)
-
-        out["bulk"] = (ball(lambda at: (at(v) + pc.inside(at).u_r) ** 2, t,
-                            lambda r: 0.25 * (1.0 + r / t) ** 2)
-                       + ball(lambda at: (at(v) - pc.inside(at).u_r) ** 2, t,
-                              lambda r: 0.25 * (1.0 - r / t) ** 2)
-                       + ball(rest, t, lambda r: 1.0 + (r / t) ** 2))
+        rest = _energy_density(ins.u, 0.0, sum(a**2 for a in ins.angular), pc.m, pc.p, pc.nl)
+        out["bulk"] = (ins.integral((ins.v + ins.u_r) ** 2 * (0.25 * (1.0 + r / t) ** 2))
+                       + ins.integral((ins.v - ins.u_r) ** 2 * (0.25 * (1.0 - r / t) ** 2))
+                       + ins.integral(rest * (1.0 + (r / t) ** 2)))
     return out
 
 
@@ -220,12 +210,9 @@ def averaged_gradient_bound(traj: Trajectory, cone: ConeSpec, t0: float,
 
     def slice_value(s: State) -> float:
         t = s.time
-        lim = t if subc else alpha * t
-        pc = _Pieces(s)
-        return (ball_integral(lambda at: at(pc.v) ** 2 + at(pc.grad_sq), g, cone.vertex, lim,
-                              lambda r: (t - r) ** w_grad)
-                + ball_integral(lambda at: at(pc.u) ** 2, g, cone.vertex, lim,
-                                lambda r: (t - r) ** w_mass))
+        ins = _Pieces(s, apex=cone.vertex).ball(t if subc else alpha * t)
+        return (ins.integral((ins.v**2 + ins.grad_sq) * (t - ins.dist) ** w_grad)
+                + ins.integral(ins.u**2 * (t - ins.dist) ** w_mass))
 
     total = float(np.trapezoid([slice_value(traj.snapshots[i]) for i in sel], traj.times[sel]))
     norm = alpha * t0 ** (d + 1.0) if not subc else t0 ** (d + 1.0)
@@ -284,28 +271,32 @@ def cone_audit(traj: Trajectory, cone: ConeSpec, which: str = "L", t_floor: floa
     :func:`lyapunov_series` over t > t_floor, the monitors of
     :func:`cone_monitor`, and the :func:`energy_flux_check` dict (t0, t1,
     lhs, rhs, gap) over the series' snapshots, {} when there are fewer than 3.
-    Returns (series, monitors, flux): the snapshots folded through :class:`ConeAudit`."""
-    audit = ConeAudit(cone, which, t_floor, traj.nl_coeff)
-    for s in traj.snapshots:
-        audit.add(s)
+    Returns (series, monitors, flux): those snapshots folded through :class:`ConeAudit`."""
+    audit = ConeAudit(cone, traj.exponent, which, t_floor, traj.nl_coeff)
+    for i in np.flatnonzero((traj.times > 0.0) & (traj.times <= cone.top_time)):
+        audit.add(traj.snapshots[i])
     return audit.finish()
 
 
 class ConeAudit:
-    """:func:`cone_audit` as a reducer: :meth:`add` each state of a run in time
-    order (say from :func:`evolve`'s ``on_record``), then :meth:`finish`.  It
-    keeps each slice's scalars only, so no State outlives its :meth:`add`."""
+    """:func:`cone_audit` as a reducer for a run of nonlinearity exponent p:
+    :meth:`add` each state of the run in time order (say from :func:`evolve`'s
+    ``on_record``), then :meth:`finish`.  It keeps each slice's scalars only,
+    so no State outlives its :meth:`add`."""
 
-    def __init__(self, cone: ConeSpec, which: str = "L", t_floor: float = 0.0,
+    def __init__(self, cone: ConeSpec, exponent: float, which: str = "L", t_floor: float = 0.0,
                  nl_coeff: float = 1.0):
         _check_window(which, t_floor)
+        self.params = critical_exponent(len(cone.vertex), exponent)
         self.cone, self.which, self.t_floor, self.nl = cone, which, t_floor, nl_coeff
-        self.params, self.times, self.rows = None, [], []  # a row per slice in the cone
+        self.times, self.rows = [], []  # a row per slice in the cone
 
     def add(self, state: State) -> None:
         """Reduce one state: a slice when 0 < t <= top_time, checked against the box."""
-        self.params = critical_exponent(state.grid.d, state.exponent)
         t = state.time
+        if state.exponent != self.params.p:
+            raise DomainError(f"a state of exponent p={state.exponent} in an audit of "
+                              f"p={self.params.p}")
         if 0.0 < t <= self.cone.top_time:
             self.cone.validate_against(state.grid, t)
             want = {"monitor", self.which, "bulk", "boundary"} if t > self.t_floor else {"monitor"}

@@ -1,7 +1,7 @@
-"""Lebesgue and fractional Sobolev norms, the one ball quadrature (every
-ball or cone integral: a sum over the open ball |x - c| < R on the cached
-minimal-image distance), the energy functional, the one per-snapshot field
-view every diagnostic reads, and Gagliardo-Nirenberg ratios."""
+"""Lebesgue and fractional Sobolev norms, the energy functional, the one
+per-snapshot field view every diagnostic reads with its one ball quadrature
+(every ball or cone integral: a sum over the open ball |x - c| < R on the
+cached minimal-image distance), and Gagliardo-Nirenberg ratios."""
 
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ from .grid import (
 __all__ = [
     "CriticalParams",
     "critical_exponent",
-    "ball_integral",
     "lebesgue_norm",
     "sobolev_norm",
     "energy",
@@ -40,36 +39,20 @@ __all__ = [
 ]
 
 
-def _inside(grid: GridSpec, center, radius: float) -> tuple:
-    """Indicator of the open ball |x - center| < radius, and the distance table.
+def _inside(grid: GridSpec, center, radius: float) -> np.ndarray:
+    """Indicator of the open ball |x - center| < radius.
 
     About a lattice centre a point is inside when its integer offset k has
     k.k h^2 < R^2 in exact arithmetic, so a lattice point at exactly R is
     out whatever the rounding of the float table.
     """
-    r = radial_distance(grid, center)
     ksq = _lattice_offsets(grid, _center_key(grid, center))
     if ksq is None or not 0.0 < radius < np.inf:
-        return r < radius, r
+        return radial_distance(grid, center) < radius
     # the largest k.k with k.k h^2 < R^2, for R = a/b and h = c/e exactly
     a, b = float(radius).as_integer_ratio()
     c, e = grid.spacing.as_integer_ratio()
-    return ksq <= ((a * e) ** 2 - 1) // (b * c) ** 2, r
-
-
-def ball_integral(values, grid: GridSpec, center, radius: float, weight=None) -> float:
-    """h^d sum_{|x-c| < R} f(x) w(|x-c|): the one ball quadrature.
-
-    `values` is f on the grid, or a function that builds f inside the ball
-    from `at` (a grid array -> its values inside), so that a costly
-    integrand is evaluated only there.  `weight` is a function of the
-    distance (None for 1), evaluated only inside the ball.
-    """
-    inside, r = _inside(grid, center, radius)
-    f = values(lambda a: a[inside]) if callable(values) else values[inside]
-    if weight is not None:
-        f = f * weight(r[inside])
-    return float(np.sum(f)) * grid.cell_volume
+    return ksq <= ((a * e) ** 2 - 1) // (b * c) ** 2
 
 
 @dataclass(frozen=True)
@@ -188,21 +171,26 @@ class _Pieces:
     S = x . grad u exist only about an `apex`."""
 
     def __init__(self, state: State, nl_coeff: float = 1.0, apex=None):
-        self.grid, self.apex = state.grid, apex
+        self.grid = state.grid
+        self.apex = None if apex is None else _center_key(self.grid, apex)
         self.grad = [g.values for g in spectral_gradient(state.u)]
         self.grad_sq = np.zeros(self.grid.shape)  # |grad u|^2, accumulated in place
         for g in self.grad:
             self.grad_sq += g**2
         if apex is not None:
-            self.x = displacement(self.grid, apex)
-            self.S = sum(xi * gi for xi, gi in zip(self.x, self.grad))  # x . grad u
+            self.x = displacement(self.grid, self.apex)
         self.t, self.u, self.v = state.time, state.u.values, state.v.values
         self.m, self.p, self.d = state.mass_param, state.exponent, state.grid.d
         self.nl = nl_coeff
 
     @cached_property
+    def S(self):
+        """x . grad u about the apex."""
+        return sum(xi * gi for xi, gi in zip(self.x, self.grad))
+
+    @cached_property
     def r_sq(self):
-        return sum(np.broadcast_to(xi**2, self.grid.shape) for xi in self.x)
+        return sum(xi**2 for xi in self.x)
 
     @cached_property
     def dist(self):
@@ -222,19 +210,23 @@ class _Pieces:
         return [g - np.where(r == 0.0, 0.0, dx / safe_r) * self.u_r
                 for dx, g in zip(self.x, self.grad)]
 
-    def inside(self, at) -> _Pieces:
-        """These fields at the points `at` picks (as :func:`ball_integral`
-        passes it) alone, so that an integrand is built inside its ball only,
-        with the values the whole fields have there (r_sq only if built)."""
+    def ball(self, radius: float) -> _Pieces:
+        """These fields on the open ball |x - apex| < radius alone, with `dist`
+        the distances there: a ball integral is :meth:`integral` of a pointwise
+        expression in this view, with the values the whole fields have there."""
+        inside = _inside(self.grid, self.apex, radius)
         view = copy.copy(self)
-        if self.apex is not None:
-            view.dist = self.dist
+        view.dist = self.dist
         for name, a in list(vars(view).items()):
             if isinstance(a, np.ndarray):
-                setattr(view, name, at(a))
+                setattr(view, name, a[inside])
             elif isinstance(a, list):
-                setattr(view, name, [at(np.broadcast_to(b, self.grid.shape)) for b in a])
+                setattr(view, name, [np.broadcast_to(b, self.grid.shape)[inside] for b in a])
         return view
+
+    def integral(self, values) -> float:
+        """h^d sum values: the quadrature over this view's points."""
+        return float(np.sum(values)) * self.grid.cell_volume
 
     @cached_property
     def pot(self):
@@ -247,7 +239,7 @@ class _Pieces:
 
     @property
     def energy(self) -> float:
-        return float(np.sum(self.energy_density)) * self.grid.cell_volume
+        return self.integral(self.energy_density)
 
     @property
     def lagrangian_density(self):

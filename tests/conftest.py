@@ -1,3 +1,4 @@
+import ast
 import sys
 
 import numpy as np
@@ -95,3 +96,22 @@ def count_transforms(monkeypatch) -> dict:
                 if hasattr(mod, attr):
                     monkeypatch.setattr(mod, attr, wrapper)
     return calls
+
+
+def named_calls(tree: ast.AST, name: str) -> list:
+    """(line, enclosing class/function path) of each call of `name`, by bare
+    name or as an attribute."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == name:
+                found.append((node.lineno, ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found

@@ -1,13 +1,14 @@
 """Property tests of the one ball quadrature, d = 1, 2, 3.
 
-``norms.ball_integral`` is held against an explicit masked sum for random
-fields, centres (some within the radius of the box edge, so the ball
-wraps) and radii up to the box-fit limit, with and without a radial
-weight.  The distance table it reads is held against the distance to the
-nearest periodic image, computed here.  About a lattice centre the
-reference ball is exact: integer offsets to the nearest image, compared
-with R/h in rational arithmetic.  The ball is open, and the cached tables
-are read-only.
+A ball view ``norms._Pieces(state, apex=c).ball(R)`` and its ``integral``
+are held against an explicit masked sum for random fields, centres (some
+within the radius of the box edge, so the ball wraps) and radii up to the
+box-fit limit, with and without a radial weight of the view's distances.
+The distance table it reads is held against the distance to the nearest
+periodic image, computed here.  About a lattice centre the reference ball
+is exact: integer offsets to the nearest image, compared with R/h in
+rational arithmetic.  The ball is open, and the cached tables are
+read-only.
 """
 
 from fractions import Fraction
@@ -18,8 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nlkg.grid as grid_mod
-from nlkg.grid import GridSpec, axis_coordinates, displacement, radial_distance
-from nlkg.norms import ball_integral
+from nlkg.grid import Field, GridSpec, State, axis_coordinates, displacement, radial_distance
+from nlkg.norms import _Pieces
 
 RTOL = 1e-12
 
@@ -30,6 +31,12 @@ fractions = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 0.05
                       st.floats(0.95, 1.0, exclude_max=True))
 seeds = st.integers(0, 2**32 - 1)
 examples = settings(max_examples=40, deadline=None)
+
+
+def ball(f: np.ndarray, grid: GridSpec, center, R: float) -> _Pieces:
+    """The view of the snapshot u = f, u_t = 0 on the ball |x - center| < R."""
+    state = State(Field(grid, f), Field(grid, np.zeros(grid.shape)), 0.0, 0.0, 2.0)
+    return _Pieces(state, apex=center).ball(R)
 
 
 def image_distance(grid: GridSpec, center) -> np.ndarray:
@@ -70,16 +77,12 @@ def test_matches_explicit_masked_sum(grid, frac, radius_frac, exponent, seed):
     mask = exact_lattice_mask(grid, center, R)
     if mask is None:
         mask = dist < R
-    if exponent is None:
-        weight, w = None, np.ones(grid.shape)
-    else:
-        weight, w = (lambda r: (1.0 + r) ** exponent), (1.0 + dist) ** exponent
+    w = np.ones(grid.shape) if exponent is None else (1.0 + dist) ** exponent
     ref = np.sum(f[mask] * w[mask]) * grid.spacing**grid.d
     scale = np.sum(np.abs(f[mask] * w[mask])) * grid.spacing**grid.d
-    got = ball_integral(f, grid, center, R, weight)
+    view = ball(f, grid, center, R)
+    got = view.integral(view.u if exponent is None else view.u * (1.0 + view.dist) ** exponent)
     assert abs(got - ref) <= RTOL * scale
-    # the integrand built inside the ball is the same quadrature
-    assert ball_integral(lambda at: at(f), grid, center, R, weight) == got
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -90,8 +93,9 @@ def test_lattice_point_at_the_radius_is_excluded(d):
     f = np.zeros(g.shape)
     f[(4,) + (1,) * (d - 1)] = 1.0  # three cells from the centre along axis 0
     f[(-2,) + (1,) * (d - 1)] = 1.0  # three cells the other way, across the seam
-    assert ball_integral(f, g, center, R) == 0.0
-    assert ball_integral(f, g, center, R + 0.5 * g.spacing) == 2.0 * g.cell_volume
+    for radius, count in ((R, 0), (R + 0.5 * g.spacing, 2)):
+        view = ball(f, g, center, radius)
+        assert view.integral(view.u) == count * g.cell_volume
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -102,9 +106,22 @@ def test_lattice_membership_is_exact_where_the_float_table_rounds(d):
     # the float table rounds the six (two in d = 1) nearest neighbours onto R
     assert radial_distance(g, center)[(1,) + (0,) * (d - 1)] == R > g.spacing
     f = np.ones(g.shape)
-    assert ball_integral(f, g, center, R) == (1 + 2 * d) * g.cell_volume
-    # a lattice point at exactly R stays out
-    assert ball_integral(f, g, center, g.spacing) == g.cell_volume
+    # ... yet they are inside, and a lattice point at exactly R = h stays out
+    for radius, count in ((R, 1 + 2 * d), (g.spacing, 1)):
+        view = ball(f, g, center, radius)
+        assert view.integral(view.u) == count * g.cell_volume
+
+
+def test_an_array_apex_is_held_as_its_tuple():
+    # the view masks the fields alone, never the apex: an array apex gives the
+    # tuple apex's view
+    g = GridSpec(2, 16, 8.0)
+    f = np.random.default_rng(7).standard_normal(g.shape)
+    view, ref = ball(f, g, np.array([1.0, 7.5]), 2.5), ball(f, g, (1.0, 7.5), 2.5)
+    assert view.apex == ref.apex == (1.0, 7.5)
+    for got, want in ((view.u, ref.u), (view.dist, ref.dist), (view.S, ref.S)):
+        assert np.array_equal(got, want)
+    assert view.integral(view.u) == ref.integral(ref.u)
 
 
 def test_cached_tables_are_read_only():

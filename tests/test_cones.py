@@ -3,6 +3,7 @@ import pytest
 from scipy import integrate
 
 from nlkg.cones import (
+    ConeAudit,
     ConeSpec,
     DiagnosticSeries,
     averaged_gradient_bound,
@@ -14,7 +15,7 @@ from nlkg.cones import (
 from nlkg.conslaws import TensorKind, _density, tensor_kind
 from nlkg.errors import DomainError
 from nlkg.grid import Field, GridSpec, State, radial_distance, spectral_gradient
-from nlkg.norms import _Pieces
+from nlkg.norms import _inside, _Pieces
 from nlkg.solver import SolverConfig, Trajectory, evolve, initial_data
 
 from conftest import count_gradients, random_field
@@ -337,18 +338,32 @@ class TestConeAudit:
             assert len(calls) == len(used)
 
     def test_ball_integrands_equal_the_whole_field_values(self, audit_case):
-        # _slice builds each integrand from norms._Pieces.inside, at the ball's
+        # _slice builds each integrand from norms._Pieces.ball, at the ball's
         # points only: every value must be the whole field's value there, bit for bit
         traj, cone, which = audit_case
         s = [s for s in traj.snapshots if 0.0 < s.time <= cone.top_time][-1]
         pc = _Pieces(s, traj.nl_coeff, cone.vertex)
-        inside = radial_distance(s.grid, cone.vertex) < s.time
-        ins = pc.inside(lambda a: a[inside])
+        ins = pc.ball(s.time)
+        inside = _inside(s.grid, cone.vertex, s.time)
         kind = tensor_kind("combined", s) if which == "Z" else TensorKind("mod_dilation")
         pairs = [(_density(ins, kind), _density(pc, kind)), (ins.energy_density, pc.energy_density),
-                 (ins.u_r, pc.u_r), *zip(ins.angular, pc.angular)]
+                 (ins.u_r, pc.u_r), (ins.dist, pc.dist), *zip(ins.angular, pc.angular)]
         for got, whole in pairs:
             assert np.array_equal(got, whole[inside])
+
+    @pytest.mark.parametrize("d, p, regime", [(2, 4.0, "conformal"), (3, 1.8, "sub_conformal")])
+    def test_finish_with_no_state_gives_empty_series_of_the_regime(self, d, p, regime):
+        # the regime is the exponent's, given at construction, not read from a state
+        series, monitors, flux = ConeAudit(ConeSpec((4.0,) * d, 0.5), p, "L").finish()
+        assert flux == {} and len(monitors) == 4
+        for s in (series, *monitors.values()):
+            assert s.regime == regime and s.times.size == s.values.size == 0
+
+    def test_add_rejects_a_state_of_another_exponent(self, grid2d):
+        audit = ConeAudit(ConeSpec(CENTER2, 0.5), 4.0)
+        z = Field(grid2d, np.zeros(grid2d.shape))
+        with pytest.raises(DomainError, match="exponent"):
+            audit.add(State(z, z, 0.1, 0.5, 2.0))
 
     def test_flux_needs_three_snapshots_above_floor(self, audit_case):
         traj, cone, which = audit_case

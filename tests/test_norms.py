@@ -5,7 +5,7 @@ from nlkg.errors import DomainError
 from nlkg.grid import Field, GridSpec, State, axis_coordinates, radial_distance, spectral_gradient
 from nlkg.norms import (
     CriticalParams,
-    ball_integral,
+    _Pieces,
     critical_exponent,
     energy,
     gn_ratio,
@@ -21,6 +21,12 @@ from conftest import cosine_field, random_field
 GN_CORPUS_CEILING_D2P4 = 0.004
 GN_SECOND_CORPUS_CEILING_D2P4 = 0.21
 GN_GAUSSIAN_FAMILY_MAX = 0.2122082
+
+
+def ones_about(grid: GridSpec, apex) -> _Pieces:
+    """The field view of u = 1, u_t = 0 about `apex`."""
+    one, zero = Field(grid, np.ones(grid.shape)), Field(grid, np.zeros(grid.shape))
+    return _Pieces(State(one, zero, 0.0, 0.0, 2.0), apex=apex)
 
 
 class TestCriticalExponent:
@@ -69,26 +75,25 @@ class TestLebesgueNorm:
         f = Field(g, np.exp(-(r**2) / 2.0))
         assert lebesgue_norm(f, 2.0) == pytest.approx(np.sqrt(np.pi), rel=1e-4)
 
-    # the norm over part of the box is the one ball quadrature, norms.ball_integral
+    # the norm over part of the box is the one ball quadrature, a ball view's integral
     def test_ball_region(self, grid2d):
-        f = Field(grid2d, np.ones(grid2d.shape))
-        vol = ball_integral(np.abs(f.values), grid2d, (4.0, 4.0), 1.5)
+        ins = ones_about(grid2d, (4.0, 4.0)).ball(1.5)
+        vol = ins.integral(np.abs(ins.u))
         assert vol == pytest.approx(np.pi * 1.5**2, rel=0.05)
 
     def test_empty_region_returns_zero(self, grid2d):
-        f = Field(grid2d, np.ones(grid2d.shape))
-        assert ball_integral(np.abs(f.values) ** 2, grid2d, (4.03, 4.03), 1e-6) == 0.0
+        ins = ones_about(grid2d, (4.03, 4.03)).ball(1e-6)
+        assert ins.integral(np.abs(ins.u) ** 2) == 0.0
 
     def test_half_cone_slice_region(self, grid2d):
         # half the slice radius, tapered by (1 - r/R)^w
-        f = Field(grid2d, np.ones(grid2d.shape))
         R = 2.0
-        vol_half = ball_integral(np.abs(f.values), grid2d, (4.0, 4.0), R / 2.0)
+        ins = ones_about(grid2d, (4.0, 4.0)).ball(R / 2.0)
+        vol_half = ins.integral(np.abs(ins.u))
         assert vol_half == pytest.approx(np.pi * (R / 2.0) ** 2, rel=0.05)
         # closed-form weighted volume: 2 pi int_0^{R/2} (1 - r/R)^2 r dr
         expected = 2.0 * np.pi * (R**2 / 8.0 - 2.0 * R**2 / 24.0 + R**2 / 64.0)
-        weighted = ball_integral(np.abs(f.values), grid2d, (4.0, 4.0), R / 2.0,
-                                 lambda r: (1.0 - r / R) ** 2.0)
+        weighted = ins.integral(np.abs(ins.u) * (1.0 - ins.dist / R) ** 2.0)
         assert weighted == pytest.approx(expected, rel=0.05)
 
     def test_holder_monotonicity(self, grid2d, rng):

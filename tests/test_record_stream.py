@@ -1,9 +1,10 @@
 """The evolve record hook and the audits it feeds: the streamed reducers give
-the stored-trajectory results exactly, `nlkg cones`, `nlkg simulate` and
-`nlkg fit --trajectory` hold no trajectory, the store reads back lazily what
-the run recorded, every fold over it equals the fold over the run in RAM
-and reads only the states it uses, and neither `import nlkg` nor a run of
-any pipeline subcommand loads scipy or the process pool."""
+the stored-trajectory results exactly, `nlkg cones`, `nlkg simulate`,
+`nlkg fit --trajectory` and `nlkg audit-tensors` hold no trajectory, the
+store reads back lazily what the run recorded, every fold over it equals
+the fold over the run in RAM and reads only the states it uses, and neither
+`import nlkg` nor a run of any pipeline subcommand loads scipy or the
+process pool."""
 
 import dataclasses
 import itertools
@@ -84,7 +85,7 @@ class TestRecordHook:
 
     def test_streamed_cone_audit_equals_stored(self, stream_case):
         st, cone, which, stored = stream_case
-        audit = ConeAudit(cone, which, T_FLOOR, CONFIG.nonlinearity)
+        audit = ConeAudit(cone, st.exponent, which, T_FLOOR, CONFIG.nonlinearity)
         evolve(st, CONFIG, on_record=audit.add)
         series, monitors, flux = audit.finish()
         ref_series, ref_monitors, ref_flux = cone_audit(stored, cone, which, T_FLOOR)
@@ -179,6 +180,7 @@ def test_folds_read_only_the_states_they_use(stream_case, tmp_path, monkeypatch)
     t_hi = 2.0 * AVERAGED_T0
     windows = {
         "lyapunov_series": (t > T_FLOOR) & (t <= cone.top_time),
+        "cone_audit": (t > 0.0) & (t <= cone.top_time),
         "energy_flux_check": (t >= t0) & (t <= t1),
         "averaged_gradient_bound": (t >= AVERAGED_T0 - 1e-12) & (t <= t_hi + 1e-12),
         "charge_slab_identity": (t >= t0) & (t <= t1),
@@ -234,6 +236,38 @@ def test_cones_peak_memory_does_not_grow_with_run_length(tmp_path):
     long = cones_peak_bytes(tmp_path, 0.5, "long")
     one_state = 2 * 64**2 * 8
     assert long - short <= one_state, (short, long)
+
+
+def tensors_peak_bytes(tmp_path, t_max: float, tag: str) -> tuple:
+    """Peak traced memory of one `nlkg audit-tensors` run of length t_max
+    (two levels, n = 32 and 64), and its exit code."""
+    cfg = {"grid": {"d": 2, "n": 32, "box_length": 8.0}, "physics": {"m": 0.0, "p": 4.0},
+           "data": {"kind": "gaussian", "params": {"A": 0.8, "w": 0.6}},
+           "solver": {"dt_init": 5e-3, "t_max": t_max, "adapt_theta": None,
+                      "snapshot_stride": 2},
+           "audits": {"tensors": {"levels": 2}}}
+    path = write_config(tmp_path, tag, cfg, tmp_path / tag)
+    tracemalloc.start()
+    try:
+        code = main(["audit-tensors", path])
+        return tracemalloc.get_traced_memory()[1], code
+    finally:
+        tracemalloc.stop()
+
+
+def test_audit_tensors_peak_memory_does_not_grow_with_run_length(tmp_path):
+    # each level's run goes through a store in a work directory under the
+    # output directory, read back a state at a time, and the directory is gone
+    # when the command ends, whether it completes or fails
+    tensors_peak_bytes(tmp_path, 0.1, "warm")
+    short, _ = tensors_peak_bytes(tmp_path, 0.2, "short")
+    long, _ = tensors_peak_bytes(tmp_path, 0.8, "long")
+    one_state = 2 * 64**2 * 8
+    assert long - short <= one_state, (short, long)
+    assert tensors_peak_bytes(tmp_path, 0.01, "failed")[1] == 2  # fewer than 3 states
+    for tag in ("short", "long", "failed"):
+        assert sorted(p.name for p in (tmp_path / tag).iterdir()) == sorted(
+            ["MANIFEST.json", "config.json"] + (["tensor_audit.json"] if tag != "failed" else []))
 
 
 RUN_PATH_CONFIG = {

@@ -82,7 +82,8 @@ class DiagnosticSeries:
 
 def _slice(state: State, cone: ConeSpec, nl_coeff: float, want) -> dict:
     """The quantities named in `want` on the slice |x - x0| < t, all from one
-    norms._Pieces (one gradient) restricted once per ball: "L" and "Z",
+    norms._Pieces restricted to the slice (one gradient, at the slice's points
+    alone), and the monitors' t/2 ball restricted from that: "L" and "Z",
     "monitor" (for :func:`cone_monitor`), "boundary" and "bulk" (the two
     sides of :func:`energy_flux_check`)."""
     t = state.time
@@ -99,7 +100,7 @@ def _slice(state: State, cone: ConeSpec, nl_coeff: float, want) -> dict:
         # (mass, grad, pth) normalized as cone_monitor states (super-conformal grad: the
         # weighted slice integral, summed in t later), then the plain slice gradient
         s_c = critical_exponent(pc.d, pc.p).s_c
-        half = pc.ball(0.5 * t)
+        half = ins.ball(0.5 * t)
         mass = half.integral(half.u**2)
         pth = ins.integral(np.abs(ins.u) ** (0.5 * (pc.p + 4.0)))
         full_grad = ins.v**2 + ins.grad_sq

@@ -7,9 +7,9 @@ There is one spectral layout, the real half-spectrum: the
 ``rfftn`` coefficients, which keep only the wavenumbers 0..n/2 of the
 last axis because the rest follow from Hermitian symmetry.  The public
 :class:`SpectralField` holds exactly that array, and every kernel works
-on it.  One transform pair makes it, ``numpy.fft.rfftn`` / ``irfftn``
-(see :func:`_forward_array`); the projections run that inverse as its
-per-axis passes, pruned to the weights' support (see :func:`_project_into`).
+on it.  One transform pair makes it, numpy.fft's per-axis passes into given
+buffers (:func:`_forward_into`, :func:`_inverse_into`), pruned to the weights'
+support by the projections and to a ball's lines by its gradient.
 """
 
 from __future__ import annotations
@@ -216,26 +216,50 @@ def _half_multiplicity(grid: GridSpec) -> np.ndarray:
     return w
 
 
+def _forward_into(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The (unnormalized) half-spectrum of `values` into `out`: rfft on the
+    last axis, then fft over axes 0, ..., d-2 in place.  That is pocketfft's
+    n-d order, so the coefficients of ``scipy.fft.rfftn`` bit for bit."""
+    np.fft.rfft(values, axis=-1, out=out)
+    for ax in range(values.ndim - 1):
+        np.fft.fft(out, axis=ax, out=out)
+    return out
+
+
+def _inverse_into(coefficients: np.ndarray, work: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The real array with half-spectrum `coefficients` into `out`: ifft over
+    axes 0, ..., d-2 into `work` (`coefficients` stay as they are unless they are it), then
+    irfft, reading only the Hermitian part of the last axis's zero and Nyquist
+    planes.  Each 1/n is exact for n = 2^k: ``scipy.fft.irfftn`` bit for bit."""
+    src = coefficients
+    for ax in range(out.ndim - 1):
+        src = np.fft.ifft(src, axis=ax, out=work)
+    return np.fft.irfft(src, out.shape[-1], axis=-1, out=out)
+
+
 def _forward_array(values: np.ndarray) -> np.ndarray:
-    """Unnormalized real-input DFT (the half-spectrum), without validation.
-    With :func:`_inverse_array`, the one transform pair every kernel uses.
-    numpy runs the complex passes in reverse order of `axes`: listing them
-    d-2, ..., 0 gives pocketfft's n-d order 0, ..., d-2, and so the
-    coefficients of ``scipy.fft.rfftn`` bit for bit.  Passing `s` spares
-    numpy an array-valued shape lookup that costs a quarter of a 64^2 call."""
-    d = values.ndim
-    axes = (*range(d - 2, -1, -1), d - 1)
+    """:func:`_forward_into` a new array: the transform every kernel uses."""
     out = np.empty(values.shape[:-1] + (values.shape[-1] // 2 + 1,), dtype=np.complex128)
-    return np.fft.rfftn(values, s=[values.shape[a] for a in axes], axes=axes, out=out)
+    return _forward_into(values, out)
 
 
 def _inverse_array(coefficients: np.ndarray, shape: tuple) -> np.ndarray:
-    """The real array of `shape` with half-spectrum `coefficients`, without
-    validation; `coefficients` is left untouched.  Only the Hermitian part
-    of the last axis's zero and Nyquist planes is read.  Each pass scales by
-    its 1/n, exact for a power of two, so this is ``scipy.fft.irfftn`` (one
-    1/n^d) bit for bit on a grid."""
-    return np.fft.irfftn(coefficients, s=shape, axes=tuple(range(len(shape))))
+    """:func:`_inverse_into` a new array of `shape`; `coefficients` stay as they are."""
+    return _inverse_into(coefficients, np.empty_like(coefficients), np.empty(shape))
+
+
+def _inverse_at(spectra: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Rows ``_inverse_array(F, inside.shape)[inside]`` bit for bit, F in the stack
+    `spectra` (overwritten).  After each ifft only the slabs or lines through a
+    point of `inside` go on, and the last lines are finite-checked as in Field."""
+    a, keep = spectra[:, None], inside[None]
+    for _ in range(inside.ndim - 1):
+        a = np.fft.ifft(a, axis=2, out=a)
+        rows = keep.any(axis=tuple(range(2, keep.ndim)))
+        a, keep = a[:, rows], keep[rows]
+    lines = np.fft.irfft(a, inside.shape[-1], axis=-1)
+    _check_finite(lines, "Field")
+    return lines[:, keep]
 
 
 def _project_into(coefficients: np.ndarray, weights: np.ndarray, work: np.ndarray,
@@ -385,13 +409,20 @@ def bessel_derivative(f: Field, s: float, m: float = 1.0) -> Field:
                                               zero_mode=0.0))
 
 
-def spectral_gradient(f: Field) -> list[Field]:
-    """All first partial derivatives of f, computed spectrally.  Each axis's
-    Nyquist wavenumber is dropped, which `norms.sobolev_norm(f, 1)` keeps:
-    see there for a field on which the two values of ||grad f||_2 differ."""
+def spectral_gradient(f: Field, inside: np.ndarray | None = None) -> list:
+    """All first partial derivatives of f, spectrally (given a boolean mask `inside`,
+    arrays of their values there, in C order).  Each axis's Nyquist wavenumber is
+    dropped, which `norms.sobolev_norm(f, 1)` keeps: see there for a field where they differ."""
     F = _forward_array(f.values)
-    return [Field(f.grid, _inverse_array(F * ik, f.grid.shape))
-            for ik in _derivative_symbols(f.grid)]
+    symbols = _derivative_symbols(f.grid)
+    if inside is not None:
+        spectra = np.empty((f.grid.d, *F.shape), dtype=np.complex128)
+        for ik, G in zip(symbols, spectra):
+            np.multiply(F, ik, out=G)
+        return list(_inverse_at(spectra, inside))
+    G = np.empty_like(F)
+    return [Field(f.grid, _inverse_into(np.multiply(F, ik, out=G), G, np.empty(f.grid.shape)))
+            for ik in symbols]
 
 
 def spectral_divergence(components: list[Field]) -> Field:

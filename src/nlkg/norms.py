@@ -113,11 +113,11 @@ def _power_sum(values: np.ndarray, q: float, out: np.ndarray | None = None) -> f
         out = np.abs(values, out=out)
         return float(np.sum(np.power(out, q, out=out)))
     bits = bin(int(q) // 2)[3:]  # the binary digits of k after the leading 1
-    scratch = None if out is None else values
-    out = np.multiply(values, values, out=out)
-    square = np.multiply(values, values, out=scratch) if "1" in bits else None
-    for bit in bits:
-        out *= out
+    square = np.multiply(values, values, out=None if out is None else values)
+    out = np.multiply(square, square, out=out) if bits else square
+    for i, bit in enumerate(bits):
+        if i:
+            out *= out
         if bit == "1":
             out *= square
     return float(np.sum(out))
@@ -167,21 +167,29 @@ def _energy_density(u, v, grad_sq, m: float, p: float, nl_coeff: float, pot=None
 class _Pieces:
     """One snapshot's pointwise fields, built once for every diagnostic that
     reads them (the energy, the mass and lower-bound audits, the tensors, the
-    cone slices): outside grid, the one place that takes a gradient.  x and
-    S = x . grad u exist only about an `apex`."""
+    cone slices): outside grid, the one place that takes a gradient (on first
+    use, or by :meth:`ball`).  x and S = x . grad u exist only about an `apex`."""
 
     def __init__(self, state: State, nl_coeff: float = 1.0, apex=None):
         self.grid = state.grid
         self.apex = None if apex is None else _center_key(self.grid, apex)
-        self.grad = [g.values for g in spectral_gradient(state.u)]
-        self.grad_sq = np.zeros(self.grid.shape)  # |grad u|^2, accumulated in place
-        for g in self.grad:
-            self.grad_sq += g**2
         if apex is not None:
             self.x = displacement(self.grid, self.apex)
         self.t, self.u, self.v = state.time, state.u.values, state.v.values
         self.m, self.p, self.d = state.mass_param, state.exponent, state.grid.d
-        self.nl = nl_coeff
+        self.nl, self.field = nl_coeff, state.u
+        self.at = ...  # the grid points these arrays hold: all, or a ball view's mask
+
+    @cached_property
+    def grad(self):
+        return [g.values for g in spectral_gradient(self.field)]
+
+    @cached_property
+    def grad_sq(self):  # |grad u|^2, accumulated in place
+        out = self.grad[0] ** 2
+        for g in self.grad[1:]:
+            out += g**2
+        return out
 
     @cached_property
     def S(self):
@@ -213,15 +221,22 @@ class _Pieces:
     def ball(self, radius: float) -> _Pieces:
         """These fields on the open ball |x - apex| < radius alone, with `dist`
         the distances there: a ball integral is :meth:`integral` of a pointwise
-        expression in this view, with the values the whole fields have there."""
+        expression in this view, with the values the whole fields have there.
+        A ball of a view must lie inside it; with no gradient yet, it takes one there alone."""
         inside = _inside(self.grid, self.apex, radius)
+        keep = inside[self.at]
+        if np.count_nonzero(keep) != np.count_nonzero(inside):
+            raise DomainError(f"a ball of radius {radius} does not lie inside this ball view")
         view = copy.copy(self)
         view.dist = self.dist
         for name, a in list(vars(view).items()):
-            if isinstance(a, np.ndarray):
-                setattr(view, name, a[inside])
+            if isinstance(a, np.ndarray) and name != "at":
+                setattr(view, name, a[keep])
             elif isinstance(a, list):
-                setattr(view, name, [np.broadcast_to(b, self.grid.shape)[inside] for b in a])
+                setattr(view, name, [np.broadcast_to(b, keep.shape)[keep] for b in a])
+        if "grad" not in vars(view):
+            view.grad = spectral_gradient(self.field, inside)
+        view.at = inside
         return view
 
     def integral(self, values) -> float:

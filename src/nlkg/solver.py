@@ -11,8 +11,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CorruptionError, DomainError
-from .grid import (Field, GridSpec, State, _forward_array, _inverse_array, _magnitude,
-                   _pad2x_power, axis_coordinates, bessel_symbol, radial_distance)
+from .grid import (Field, GridSpec, State, _forward_array, _forward_into, _inverse_array,
+                   _inverse_into, _magnitude, _pad2x_power, axis_coordinates, bessel_symbol,
+                   radial_distance)
 from .norms import _Pieces, _even_integer, energy
 
 __all__ = [
@@ -157,11 +158,11 @@ def _check_dealias(dealias_pad: str, p: float) -> None:
         raise DomainError(f"dealias_pad='pad2x' needs an even integer p, got p={p}")
 
 
-def _nonlinear_source(u: np.ndarray, p: float, dealias_pad: str) -> np.ndarray:
+def _nonlinear_source(u: np.ndarray, p: float, dealias_pad: str, out=None, square=None):
     """|u|^p u, optionally through a 2x zero-padded product for even integer p.
 
-    For even integer p the source is a product of copies of u; overflow
-    raises CorruptionError.
+    "none" writes `out` (and u * u to `square` at even p) when given them.  For
+    even integer p it is a product of copies of u; overflow raises CorruptionError.
     """
     _check_dealias(dealias_pad, p)
     if dealias_pad == "pad2x":
@@ -169,11 +170,14 @@ def _nonlinear_source(u: np.ndarray, p: float, dealias_pad: str) -> np.ndarray:
     with np.errstate(over="raise"):
         try:
             if not _even_integer(p):
-                return np.abs(u) ** p * u
-            u2, src = u * u, u
-            for _ in range(int(p) // 2):
-                src = src * u2
-            return src
+                out = np.abs(u, out=out)
+                out **= p
+                return np.multiply(out, u, out=out)
+            u2 = np.multiply(u, u, out=square)
+            out = np.multiply(u, u2, out=out)
+            for _ in range(int(p) // 2 - 1):
+                out *= u2
+            return out
         except FloatingPointError as exc:
             raise CorruptionError("overflow while evaluating |u|^p u") from exc
 
@@ -197,12 +201,12 @@ class SpectralStepper:
         V += dt/2 nl S;  (U, V) <- exact linear flow over dt;
         u = irfftn(U);  S = rfftn(|u|^p u);  V += dt/2 nl S,
 
-    two real transforms.  The trailing S is the next step's leading kick
-    (first same as last); v is inverted only by :meth:`state`.  This is
-    Strang splitting with an exact linear flow in its trigonometric form
-    (Hairer, Lubich & Wanner, Geometric Numerical Integration, XIII).
-    The propagator tables of the current dt are held and rebuilt whenever
-    dt changes, so nothing keyed by dt outlives the stepper.
+    two real transforms into an owned spare set, swapped in once the source has
+    succeeded: at a held dt a step allocates nothing.  The trailing S is the next
+    step's leading kick (first same as last); v is inverted only by :meth:`state`.
+    This is Strang splitting with an exact linear flow in its trigonometric form
+    (Hairer, Lubich & Wanner, Geometric Numerical Integration, XIII).  The tables
+    of the current dt are rebuilt whenever dt changes: none outlives the stepper.
     """
 
     def __init__(self, state: State, nl_coeff: float = 1.0, dealias_pad: str = "none"):
@@ -210,11 +214,13 @@ class SpectralStepper:
         self.m, self.p = state.mass_param, state.exponent
         self.nl, self.dealias_pad = nl_coeff, dealias_pad
         self.time = state.time
-        self.u = state.u.values
+        self.u = state.u.values.copy()
         self.U = _forward_array(self.u)
         self.V = _forward_array(state.v.values)
         self.S = None
         self.dt = self.tables = None
+        self._spare = [*(np.empty_like(self.U) for _ in "UVS"), np.empty_like(self.u)]
+        self._work = np.empty_like(self.U)  # the inverse's passes, then the physical source
 
     def step(self, dt: float) -> None:
         """Advance by dt.  No validation: :func:`evolve` inspects u and V
@@ -224,21 +230,28 @@ class SpectralStepper:
             self.tables, self.dt = _propagator_tables(self.grid, self.m, dt), dt
         c, sinc, wsin = self.tables
         kick = 0.5 * dt * self.nl
-        U, V, S = self.U, self.V, self.S
+        (U, V, S, u), (U1, V1, S1, u1) = (self.U, self.V, self.S, self.u), self._spare
+        work, kicked = self._work, V
         if self.nl != 0.0:
             if S is None:
-                S = self._source(self.u)
-            V = V + kick * S
-        U, V = c * U + sinc * V, c * V - wsin * U
-        u = _inverse_array(U, self.grid.shape)
+                S = self._source(u, np.empty_like(U))
+            kicked = np.add(V, np.multiply(kick, S, out=V1), out=V1)  # V + kick*S
+        np.add(np.multiply(c, U, out=U1), np.multiply(sinc, kicked, out=work), out=U1)
+        np.subtract(np.multiply(c, kicked, out=V1), np.multiply(wsin, U, out=work), out=V1)
+        _inverse_into(U1, work, u1)
         if self.nl != 0.0:
-            S = self._source(u)
-            V = V + kick * S
-        self.U, self.V, self.S, self.u = U, V, S, u
+            self._source(u1, S1)
+            V1 += np.multiply(kick, S1, out=work)
+            S, S1 = S1, S
+        self._spare = [U, V, S1, u]
+        self.U, self.V, self.S, self.u = U1, V1, S, u1
         self.time += dt
 
-    def _source(self, u: np.ndarray) -> np.ndarray:
-        return _forward_array(_nonlinear_source(u, self.p, self.dealias_pad))
+    def _source(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # F(|u|^p u) into `out`, formed in the first n^d floats of work (u * u in out's)
+        work, square = (a.view(np.float64).ravel()[:u.size].reshape(u.shape)
+                        for a in (self._work, out))
+        return _forward_into(_nonlinear_source(u, self.p, self.dealias_pad, work, square), out)
 
     def state(self) -> State:
         """The current (u, u_t) in physical space, as arrays of its own."""

@@ -55,12 +55,13 @@ def cosine_field(grid: GridSpec, k_int) -> Field:
 
 
 def count_gradients(monkeypatch) -> list:
-    """Wrap spectral_gradient in every nlkg module that binds it; returns the call log."""
+    """Wrap spectral_gradient in every nlkg module that binds it; returns the
+    call log.  A call on a ball's points alone (`inside` given) counts too."""
     calls, real = [], grid_mod.spectral_gradient
 
-    def counting(f):
+    def counting(f, inside=None):
         calls.append(f)
-        return real(f)
+        return real(f, inside)
 
     for name, mod in list(sys.modules.items()):
         if (name == "nlkg" or name.startswith("nlkg.")) and hasattr(mod, "spectral_gradient"):

@@ -8,7 +8,8 @@ The distance table it reads is held against the distance to the nearest
 periodic image, computed here.  About a lattice centre the reference ball
 is exact: integer offsets to the nearest image, compared with R/h in
 rational arithmetic.  The ball is open, and the cached tables are
-read-only.
+read-only.  A view takes its gradient at its own points, and a ball of a
+view is a ball of the whole snapshot.
 """
 
 from fractions import Fraction
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nlkg.grid as grid_mod
+from nlkg.errors import CorruptionError, DomainError
 from nlkg.grid import Field, GridSpec, State, axis_coordinates, displacement, radial_distance
 from nlkg.norms import _Pieces
 
@@ -141,3 +143,44 @@ def test_transient_distance_matches_the_cached_table_outside_the_cache():
     r = grid_mod._transient_distance(g, (1.0, 2.0, 7.5))
     assert grid_mod._distance_table.cache_info().currsize == 0
     assert np.array_equal(r, radial_distance(g, (1.0, 2.0, 7.5)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_an_empty_ball_integrates_to_zero(d):
+    # about an apex off the lattice, a radius below the nearest lattice
+    # distance holds no point: every field of the view is empty, its gradient
+    # too, and every integral is 0.0
+    g = GridSpec(d, 16, 8.0)
+    apex = tuple(4.0 + 0.3 * g.spacing for _ in range(d))
+    R = 0.25 * g.spacing
+    assert np.min(radial_distance(g, apex)) > R
+    f = np.random.default_rng(d).standard_normal(g.shape)
+    state = State(Field(g, f), Field(g, f[::-1].copy()), 0.3, 0.5, 2.0)
+    view = _Pieces(state, 1.0, apex).ball(R)
+    assert all(a.shape == (0,) for a in (view.u, view.v, view.dist, *view.grad, *view.x))
+    for values in (view.u, view.grad_sq, view.energy_density, view.S, view.u_r,
+                   view.lagrangian_density, view.charge_source):
+        assert view.integral(values) == 0.0
+    assert view.ball(0.5 * R).integral(view.u) == 0.0
+
+
+def test_a_non_finite_gradient_in_the_ball_raises():
+    # the transform of 1e308 overflows, so the gradient is NaN in the ball
+    g = GridSpec(2, 16, 8.0)
+    with np.errstate(all="ignore"), pytest.raises(CorruptionError, match="non-finite"):
+        ball(np.full(g.shape, 1e308), g, (4.0, 4.0), 1.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_a_ball_of_a_view_is_the_ball_of_the_snapshot(d):
+    g = GridSpec(d, 16, 8.0)
+    f = np.random.default_rng(11).standard_normal(g.shape)
+    apex = (4.0 + 0.17,) * d
+    outer = ball(f, g, apex, 2.0)
+    for inner, ref in ((outer.ball(1.1), ball(f, g, apex, 1.1)),
+                       (outer.ball(2.0), ball(f, g, apex, 2.0))):
+        for got, want in ((inner.u, ref.u), (inner.dist, ref.dist),
+                          (inner.grad_sq, ref.grad_sq), *zip(inner.grad, ref.grad)):
+            assert got.tobytes() == want.tobytes()
+    with pytest.raises(DomainError, match="inside this ball view"):
+        outer.ball(2.5)

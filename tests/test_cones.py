@@ -269,6 +269,25 @@ class TestConeMonitor:
             assert wf(np.array([t]))[0] == 0.0
 
 
+def assert_ball_view_is_the_whole_view(s: State, nl_coeff: float, vertex, which: str) -> None:
+    """The slice's view and its t/2 ball, taken before the whole view's
+    gradient (so each takes its own at the ball's points), hold the whole
+    view's values at the ball's points, bit for bit."""
+    pc = _Pieces(s, nl_coeff, vertex)
+    ins = pc.ball(s.time)
+    half = ins.ball(0.5 * s.time)
+    assert "grad" not in vars(pc)  # the view did not take the whole gradient
+    kind = tensor_kind("combined", s) if which == "Z" else TensorKind("mod_dilation")
+    for view, radius in ((ins, s.time), (half, 0.5 * s.time)):
+        inside = _inside(s.grid, vertex, radius)
+        pairs = [(_density(view, kind), _density(pc, kind)),
+                 (view.energy_density, pc.energy_density), (view.u_r, pc.u_r),
+                 (view.dist, pc.dist), (view.grad_sq, pc.grad_sq),
+                 *zip(view.angular, pc.angular), *zip(view.grad, pc.grad)]
+        for got, whole in pairs:
+            assert got.tobytes() == whole[inside].tobytes()
+
+
 # (grid, p, data, cone, functional): conformal (d = 2, p = 4, L), super-conformal
 # (d = 2, p = 6, L; the weighted, t-integrated gradient monitor) and
 # sub-conformal (d = 3, p = 1.8, Z)
@@ -339,17 +358,19 @@ class TestConeAudit:
 
     def test_ball_integrands_equal_the_whole_field_values(self, audit_case):
         # _slice builds each integrand from norms._Pieces.ball, at the ball's
-        # points only: every value must be the whole field's value there, bit for bit
+        # points only: every value must be the whole field's value there, bit
+        # for bit, about the cone's lattice vertex and about an apex off the lattice
         traj, cone, which = audit_case
         s = [s for s in traj.snapshots if 0.0 < s.time <= cone.top_time][-1]
-        pc = _Pieces(s, traj.nl_coeff, cone.vertex)
-        ins = pc.ball(s.time)
-        inside = _inside(s.grid, cone.vertex, s.time)
-        kind = tensor_kind("combined", s) if which == "Z" else TensorKind("mod_dilation")
-        pairs = [(_density(ins, kind), _density(pc, kind)), (ins.energy_density, pc.energy_density),
-                 (ins.u_r, pc.u_r), (ins.dist, pc.dist), *zip(ins.angular, pc.angular)]
-        for got, whole in pairs:
-            assert np.array_equal(got, whole[inside])
+        for shift in (0.0, 0.137):
+            assert_ball_view_is_the_whole_view(s, traj.nl_coeff,
+                                               tuple(c + shift for c in cone.vertex), which)
+
+    @pytest.mark.parametrize("vertex", [(4.0,), (3.91,)], ids=["lattice_apex", "off_lattice_apex"])
+    def test_ball_integrands_equal_the_whole_field_values_in_1d(self, vertex):
+        st = initial_data(GridSpec(1, 64, 8.0), "gaussian", m=0.5, p=4.0, A=0.8, w=0.6)
+        traj = evolve(st, SolverConfig(dt_init=1e-2, t_max=0.5, adapt_theta=None))
+        assert_ball_view_is_the_whole_view(traj.snapshots[-1], traj.nl_coeff, vertex, "L")
 
     @pytest.mark.parametrize("d, p, regime", [(2, 4.0, "conformal"), (3, 1.8, "sub_conformal")])
     def test_finish_with_no_state_gives_empty_series_of_the_regime(self, d, p, regime):

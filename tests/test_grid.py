@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlkg.errors import CorruptionError, DomainError
 from nlkg.grid import (
@@ -15,6 +16,7 @@ from nlkg.grid import (
     inverse_transform,
     lp_bump,
     lp_project,
+    radial_distance,
     spectral_gradient,
 )
 
@@ -277,3 +279,68 @@ def test_spectral_gradient_matches_eigenmode(grid2d):
     gx, gy = spectral_gradient(f)
     assert np.allclose(gx.values, -k[0] * np.sin(phase), atol=1e-10)
     assert np.allclose(gy.values, -k[1] * np.sin(phase), atol=1e-10)
+
+
+def masks(grid: GridSpec, kind: str, rng) -> np.ndarray:
+    if kind == "empty":
+        return np.zeros(grid.shape, dtype=bool)
+    if kind == "full":
+        return np.ones(grid.shape, dtype=bool)
+    if kind == "random":
+        return rng.random(grid.shape) < rng.random()
+    # a ball about an apex off the lattice
+    apex = rng.random(grid.d) * grid.box_length + 0.5 * grid.spacing * rng.random()
+    return radial_distance(grid, apex) < rng.random() * grid.max_fit_radius
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]), n=st.sampled_from([8, 16, 32]),
+       kind=st.sampled_from(["empty", "full", "random", "ball"]), seed=st.integers(0, 2**32 - 1))
+def test_masked_gradient_is_the_whole_gradient_there_bit_for_bit(d, n, kind, seed):
+    rng = np.random.default_rng(seed)
+    grid = GridSpec(d, n, 8.0)
+    f = Field(grid, rng.standard_normal(grid.shape))
+    inside = masks(grid, kind, rng)
+    got = spectral_gradient(f, inside)
+    assert len(got) == d
+    for part, whole in zip(got, spectral_gradient(f)):
+        assert part.shape == (np.count_nonzero(inside),)
+        assert part.tobytes() == whole.values[inside].tobytes()
+
+
+def test_masked_gradient_inverts_only_the_lines_through_the_mask(monkeypatch):
+    # d = 3: the first pass runs on every line, the second on the slabs that
+    # hold a masked point, the last on the lines that hold one
+    grid = GridSpec(3, 16, 8.0)
+    inside = np.zeros(grid.shape, dtype=bool)
+    inside[2, 3, 4] = inside[2, 5, 4] = inside[9, 3, 0] = True
+    lines, real_ifft, real_irfft = [], np.fft.ifft, np.fft.irfft
+
+    def ifft(a, *args, axis=-1, **kwargs):
+        lines.append(a.size // a.shape[axis])
+        return real_ifft(a, *args, axis=axis, **kwargs)
+
+    def irfft(a, *args, axis=-1, **kwargs):
+        lines.append(a.size // a.shape[axis])
+        return real_irfft(a, *args, axis=axis, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", ifft)
+    monkeypatch.setattr(np.fft, "irfft", irfft)
+    f = Field(grid, np.random.default_rng(3).standard_normal(grid.shape))
+    spectral_gradient(f, inside)
+    half = grid.n // 2 + 1
+    # per component: 16 * 9 lines, then 2 slabs of 9, then 3 lines
+    assert lines == [3 * 16 * half, 3 * 2 * half, 3 * 3]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_masked_gradient_checks_the_values_it_computes():
+    # the transform of 1e308 overflows: the gradient is NaN everywhere
+    grid = GridSpec(2, 16, 8.0)
+    f = Field(grid, np.full(grid.shape, 1e308))
+    inside = np.zeros(grid.shape, dtype=bool)
+    inside[3, 4] = True
+    with pytest.raises(CorruptionError, match="Field contains non-finite values"):
+        spectral_gradient(f)
+    with pytest.raises(CorruptionError, match="Field contains non-finite values"):
+        spectral_gradient(f, inside)

@@ -6,6 +6,7 @@ from nlkg.grid import Field, GridSpec, State, axis_coordinates, radial_distance,
 from nlkg.norms import (
     CriticalParams,
     _Pieces,
+    _power_sum,
     critical_exponent,
     energy,
     gn_ratio,
@@ -95,6 +96,22 @@ class TestLebesgueNorm:
         expected = 2.0 * np.pi * (R**2 / 8.0 - 2.0 * R**2 / 24.0 + R**2 / 64.0)
         weighted = ins.integral(np.abs(ins.u) * (1.0 - ins.dist / R) ** 2.0)
         assert weighted == pytest.approx(expected, rel=0.05)
+
+    @pytest.mark.parametrize("q", [2, 4, 6, 8, 10, 12, 14])
+    def test_power_sum_is_the_repeated_squaring_sequence(self, q, rng):
+        # the sequence before v * v was formed once: out = v*v and square =
+        # v*v, then per binary digit of q/2 after the first, out *= out and,
+        # for a 1, out *= square
+        for shape in ((256,), (32, 48), (8, 8, 16)):
+            values = rng.standard_normal(shape) * rng.uniform(0.1, 3.0)
+            out = values * values
+            for bit in bin(q // 2)[3:]:
+                out *= out
+                if bit == "1":
+                    out *= values * values
+            want = float(np.sum(out))
+            assert _power_sum(values.copy(), q) == want
+            assert _power_sum(values.copy(), q, out=np.empty(shape)) == want
 
     def test_holder_monotonicity(self, grid2d, rng):
         # volume-normalized q-norms are nondecreasing in q

@@ -288,6 +288,50 @@ class TestEvolve:
         assert traj.series("sup_norm")[0][-1] == last.time
         with pytest.raises(CorruptionError):
             strang_step(last, cfg.dt_init)
+        # the stepper's own state is untouched by the failed step, byte for byte
+        stepper = SpectralStepper(st)
+        while True:
+            before = [a.tobytes() for a in (stepper.U, stepper.V, stepper.u)]
+            source, time = stepper.S, stepper.time
+            source = None if source is None else source.tobytes()
+            try:
+                stepper.step(cfg.dt_init)
+            except CorruptionError:
+                break
+        assert source is not None and time == last.time
+        assert [a.tobytes() for a in (stepper.U, stepper.V, stepper.u)] == before
+        assert (stepper.S.tobytes(), stepper.time) == (source, time)
+
+    def test_the_callers_initial_data_are_left_untouched(self, grid2d):
+        st = initial_data(grid2d, "gaussian", m=0.5, p=2.0, A=2.0, w=0.8)
+        st = State(st.u, st.u * 0.5, 0.0, 0.5, 2.0)
+        kept = (st.u.values.tobytes(), st.v.values.tobytes())
+        evolve(st, SolverConfig(dt_init=1e-2, t_max=0.1, snapshot_stride=3))
+        stepper = SpectralStepper(st)
+        for _ in range(4):
+            stepper.step(1e-2)
+        assert stepper.u is not st.u.values
+        assert (st.u.values.tobytes(), st.v.values.tobytes()) == kept
+
+    @pytest.mark.parametrize("p, dealias_pad", [(2.0, "none"), (1.8, "none"), (2.0, "pad2x")])
+    def test_held_dt_steps_allocate_no_field(self, p, dealias_pad):
+        # after warm-up (the first source, the tables of dt), a step writes
+        # only buffers the stepper owns; the padded product allocates by design
+        st = initial_data(GridSpec(3, 32, 8.0), "gaussian", m=0.5, p=p, A=1.0, w=0.8)
+        stepper = SpectralStepper(st, 1.0, dealias_pad)
+        for _ in range(2):
+            stepper.step(1e-3)
+        tracemalloc.start()
+        try:
+            for _ in range(50 if dealias_pad == "none" else 1):
+                stepper.step(1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if dealias_pad == "none":
+            assert peak < stepper.U.nbytes, peak
+        else:
+            assert peak > stepper.U.nbytes
 
     def test_adaptive_run_leaves_no_propagator_tables_behind(self):
         # dt changes at every step of this run; after a warm-up run has

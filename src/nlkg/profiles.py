@@ -11,13 +11,13 @@ it is the central documented proxy of this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, StagnationError
 from .grid import (Field, GridSpec, _band_multipliers, _forward_array, _project_into,
-                   _transient_distance, dyadic_range, lp_bump)
+                   dyadic_range, lp_bump)
 from .norms import CriticalParams, _power_sum, _spectral_sobolev_norm, lebesgue_norm
 
 __all__ = [
@@ -63,10 +63,20 @@ class ExtractionResult:
     stats: dict
 
 
-def _sobolev_bound(grid: GridSpec, spectra, params: CriticalParams) -> float:
-    """max_n sqrt(||f||_{H^sc}^2 + ||f||_{H^1}^2), the family's M, from the half-spectra."""
-    return float(np.sqrt(max(_spectral_sobolev_norm(F, grid, params.s_c) ** 2
-                             + _spectral_sobolev_norm(F, grid, 1.0) ** 2 for F in spectra)))
+_PHI_KEYS = ("phi_h1_sq", "phi_hsc_sq", "phi_p2_pow")
+
+
+def _norm_triple(F, grid: GridSpec, params: CriticalParams, lp_norm: float) -> np.ndarray:
+    """(||f||^2 in H^1-dot, ||f||^2 in H^sc-dot, ||f||_{p+2}^{p+2}) of the field f
+    with half-spectrum F and L^{p+2} norm `lp_norm`."""
+    return np.array([_spectral_sobolev_norm(F, grid, 1.0) ** 2,
+                     _spectral_sobolev_norm(F, grid, params.s_c) ** 2,
+                     lp_norm ** (params.p + 2.0)])
+
+
+def _sobolev_bound(triples) -> float:
+    """max_n sqrt(||f||_{H^sc}^2 + ||f||_{H^1}^2), the family's M, from the norm triples."""
+    return float(np.sqrt(max(t[1] + t[0] for t in triples)))
 
 
 def _roll_to_center(values: np.ndarray, idx: tuple, grid: GridSpec) -> np.ndarray:
@@ -94,6 +104,21 @@ def _window_radius(grid: GridSpec, known_centers: np.ndarray | None) -> float:
     return min(r, 0.45 * grid.box_length / 1.1)
 
 
+def _apply_window(values: np.ndarray, grid: GridSpec, R_w: float) -> np.ndarray:
+    """values *= lp_bump(radial_distance(grid, c) / R_w) in place, bit for bit, c the
+    cell n//2 on every axis: the taper is evaluated on the box of cells within 1.1 R_w
+    of c, which holds its support, and the rest is multiplied by 0.0 (zeros keep their signs)."""
+    c, L = grid.n // 2 * grid.spacing, grid.box_length
+    reach = int(np.ceil(1.1 * R_w / grid.spacing))  # a cell past it is >= 1.1 R_w + h away
+    box = (slice(max(grid.n // 2 - reach, 0), grid.n // 2 + reach + 1),) * grid.d
+    # radial_distance's minimal-image displacements along an axis of the box, squared
+    sq = (np.mod(np.arange(grid.n)[box[0]] * grid.spacing - c + 0.5 * L, L) - 0.5 * L) ** 2
+    inner = values[box] * lp_bump(np.sqrt(sum(np.ix_(*(sq,) * grid.d))) / R_w)
+    values *= 0.0
+    values[box] = inner
+    return values
+
+
 def inverse_gn_extract(family: FunctionFamily, params: CriticalParams,
                        floor: float = 1e-10,
                        prior_centers: np.ndarray | None = None) -> ExtractionResult:
@@ -109,20 +134,28 @@ def inverse_gn_extract(family: FunctionFamily, params: CriticalParams,
     Each member is transformed once, for M and every band of the scan.
     The scan works in one workspace per call: each P_N f is inverted there
     by per-axis passes pruned to the band's nonzero columns, and its mass
-    and the argmax of |P_N f| are both taken from it, so the centres come
-    from the scan and no band is inverted twice.
+    and the argmax of |P_N f| are both taken from it (its scratch field is
+    a float view of the half-spectrum), so no band is inverted twice.
     """
+    p2 = params.p + 2.0
+    return _extract(family, params, [lebesgue_norm(f, p2) for f in family.members],
+                    floor, prior_centers)
+
+
+def _extract(family: FunctionFamily, params: CriticalParams, lp_norms: list, floor: float,
+             prior_centers: np.ndarray | None) -> ExtractionResult:
+    """:func:`inverse_gn_extract` given the members' L^{p+2} norms."""
     g = family.grid
     p, s_c = params.p, params.s_c
     if not s_c < 1.0:
         raise DomainError("extraction requires s_c < 1")
     p2 = p + 2.0
 
-    eps = min(lebesgue_norm(f, p2) for f in family.members)
+    eps = min(lp_norms)
     if eps <= floor:
         return ExtractionResult("exhausted", None, None, {"epsilon": eps})
     spectra = [_forward_array(f.values) for f in family.members]
-    M = _sobolev_bound(g, spectra, params)
+    M = _sobolev_bound([_norm_triple(F, g, params, e) for F, e in zip(spectra, lp_norms)])
 
     K = max((M / eps) ** (p2 / (2.0 * p * (1.0 - s_c))), 1.0 + 1e-9)
     band = dyadic_range(g, lo=K**-p, hi=K**2)
@@ -131,8 +164,8 @@ def inverse_gn_extract(family: FunctionFamily, params: CriticalParams,
 
     # the L^{p+2} mass and the argmax of |P_N f| of each member (columns) in
     # each band (rows), all in one workspace
-    work = np.empty_like(spectra[0])
-    proj, scratch = np.empty(g.shape), np.empty(g.shape)
+    work, proj = np.empty_like(spectra[0]), np.empty(g.shape)
+    scratch = work.view(np.float64).reshape(-1)[:g.num_points].reshape(g.shape)
     mass = np.empty((band.size, len(spectra)))
     peak = np.empty((band.size, len(spectra)), dtype=np.intp)
     weights = _band_multipliers(g, band)
@@ -160,32 +193,25 @@ def inverse_gn_extract(family: FunctionFamily, params: CriticalParams,
     for f, i in zip(family.members[1:], idx[1:]):
         avg += _roll_to_center(f.values, i, g)
     avg /= family.n_count
-    avg *= lp_bump(_transient_distance(g, np.full(g.d, g.n // 2) * g.spacing) / R_w)
-    profile = Field(g, avg)
+    profile = Field(g, _apply_window(avg, g, R_w))
 
-    F = _forward_array(profile.values)
-    stats = {
-        "epsilon": eps,
-        "M": M,
-        "K": K,
-        "N": N_sel,
-        "window_radius": R_w,
-        "phi_h1_sq": _spectral_sobolev_norm(F, g, 1.0) ** 2,
-        "phi_hsc_sq": _spectral_sobolev_norm(F, g, s_c) ** 2,
-        "phi_p2_pow": lebesgue_norm(profile, p2) ** p2,
-    }
+    phi = _norm_triple(_forward_array(profile.values), g, params, lebesgue_norm(profile, p2))
+    stats = {"epsilon": eps, "M": M, "K": K, "N": N_sel, "window_radius": R_w,
+             **dict(zip(_PHI_KEYS, phi.tolist()))}
     return ExtractionResult("ok", profile, centers, stats)
 
 
 @dataclass
 class Decomposition:
     """Bubbles (profile, per-member centers), final residuals, and the
-    per-level residual histories."""
+    per-level residual histories; `triples` pairs each profile and final
+    residual whose norms were taken with its :func:`_norm_triple`."""
 
     bubbles: list  # list of (Field, centers array)
     residuals: list  # per-member Field at the final level
     eps_history: list  # max_n ||r^J||_{p+2} per level, level 0 first
     sobolev_history: list  # max_n sqrt(H^1^2 + H^sc^2) per level
+    triples: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def n_bubbles(self) -> int:
@@ -207,36 +233,43 @@ def bubble_decompose(family: FunctionFamily, params: CriticalParams,
     a non-decrease signals failure of the averaging proxy and raises
     StagnationError.  Residuals are defined by subtraction, so the
     reconstruction identity is exact by construction.
-    A level's Sobolev bound is its extraction's M (one transform per member).
+    A level's Sobolev bound is its extraction's M (one transform per member),
+    and each residual's L^{p+2} norm is taken once, for the history and the
+    next extraction; the profiles' and final residuals' norm triples are kept.
     """
     g = family.grid
     p2 = params.p + 2.0
     residuals = [Field(g, f.values.copy()) for f in family.members]
     bubbles: list = []
-    eps_hist = [max(lebesgue_norm(r, p2) for r in residuals)]
+    lp_norms = [lebesgue_norm(r, p2) for r in residuals]
+    eps_hist = [max(lp_norms)]
     sob_hist: list = []
+    triples: list = []
 
     while len(bubbles) < j_max and eps_hist[-1] > tol:
         prior = np.array([b[1][-1] for b in bubbles]) if bubbles else None
-        res = inverse_gn_extract(FunctionFamily(tuple(residuals)), params, floor=tol,
-                                 prior_centers=prior)
+        res = _extract(FunctionFamily(tuple(residuals)), params, lp_norms, tol, prior)
         if res.status == "exhausted":
             break
         sob_hist.append(res.stats["M"])
         new_residuals = [Field(g, r.values - _shift_profile(res.profile, c, g))
                          for r, c in zip(residuals, res.centers)]
-        eps_new = max(lebesgue_norm(r, p2) for r in new_residuals)
+        new_norms = [lebesgue_norm(r, p2) for r in new_residuals]
+        eps_new = max(new_norms)
         if eps_new >= eps_hist[-1]:
             raise StagnationError(
                 f"residual L^{p2:g} norm did not decrease "
                 f"({eps_hist[-1]:.6g} -> {eps_new:.6g}) at level {len(bubbles) + 1}"
             )
-        residuals = new_residuals
+        residuals, lp_norms = new_residuals, new_norms
         bubbles.append((res.profile, res.centers))
+        triples.append((res.profile, np.array([res.stats[k] for k in _PHI_KEYS])))
         eps_hist.append(eps_new)
-    sob_hist.append(_sobolev_bound(g, (_forward_array(r.values) for r in residuals), params))
-    return Decomposition(bubbles=bubbles, residuals=residuals,
-                         eps_history=eps_hist, sobolev_history=sob_hist)
+    final = [_norm_triple(_forward_array(r.values), g, params, e)
+             for r, e in zip(residuals, lp_norms)]
+    sob_hist.append(_sobolev_bound(final))
+    return Decomposition(bubbles=bubbles, residuals=residuals, eps_history=eps_hist,
+                         sobolev_history=sob_hist, triples=triples + list(zip(residuals, final)))
 
 
 def decoupling_audit(dec: Decomposition, family: FunctionFamily,
@@ -245,18 +278,16 @@ def decoupling_audit(dec: Decomposition, family: FunctionFamily,
     per-member minimum pairwise center separation.
 
     Gaps compare ||f||^2 (H^1-dot and H^sc-dot) and ||f||^{p+2} (L^{p+2})
-    against the sum over bubbles plus the residual.
+    against the sum over bubbles plus the residual.  A field's norm triple
+    is taken from one transform, unless the decomposition recorded it.
     """
     g = family.grid
-    p2 = params.p + 2.0
     f, r = family.members[-1], dec.residuals[-1]
+    held = {id(x): t for x, t in dec.triples}
 
     def norms(x) -> np.ndarray:
-        """||x||^2 in H^1-dot and H^sc-dot, from one transform, and ||x||_{p+2}^{p+2}."""
-        F = _forward_array(x.values)
-        return np.array([_spectral_sobolev_norm(F, g, 1.0) ** 2,
-                         _spectral_sobolev_norm(F, g, params.s_c) ** 2,
-                         lebesgue_norm(x, p2) ** p2])
+        return held[id(x)] if id(x) in held else _norm_triple(
+            _forward_array(x.values), g, params, lebesgue_norm(x, params.p + 2.0))
 
     whole = norms(f)
     parts = sum(norms(b[0]) for b in dec.bubbles) + norms(r)

@@ -283,6 +283,12 @@ def _choose_dt(config: SolverConfig, amp: float, h: float, p: float, t_left: flo
     return min(dt, config.cfl_safety * h, t_left)
 
 
+def _sup(u: np.ndarray) -> float:
+    """max|u| without a field-size temporary; NaN stays NaN, and + 0.0 turns numpy's
+    -0.0 for an all-zero u into the 0.0 of np.max(np.abs(u))."""
+    return float(np.maximum(u.max(), -u.min()) + 0.0)
+
+
 def evolve(state: State, config: SolverConfig, monitors: dict | None = None,
            on_record=None) -> Trajectory:
     """Step until t_max, a blowup-threshold crossing, or dt underflow.
@@ -312,7 +318,7 @@ def evolve(state: State, config: SolverConfig, monitors: dict | None = None,
         snapshots.append(st)
         ts, vals = series["sup_norm"]
         ts.append(st.time)
-        vals.append(float(np.max(np.abs(st.u.values))))
+        vals.append(_sup(st.u.values))
         for name, fn in monitors.items():
             ts, vals = series[name]
             ts.append(st.time)
@@ -323,7 +329,7 @@ def evolve(state: State, config: SolverConfig, monitors: dict | None = None,
     record()
     termination = "reached_t_max"
     steps = 0
-    amp = float(np.max(np.abs(stepper.u)))
+    amp = _sup(stepper.u)
     while True:
         if amp > config.blowup_threshold:
             termination = "blowup_detected"
@@ -344,7 +350,7 @@ def evolve(state: State, config: SolverConfig, monitors: dict | None = None,
             termination = "blowup_detected"
             break
         # max|u| is finite exactly when every entry of u is
-        amp = float(np.max(np.abs(stepper.u)))
+        amp = _sup(stepper.u)
         if not (np.isfinite(amp) and np.all(np.isfinite(stepper.V))):
             termination = "corruption"
             break

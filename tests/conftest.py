@@ -99,6 +99,30 @@ def count_transforms(monkeypatch) -> dict:
     return calls
 
 
+def count_norms(monkeypatch) -> dict:
+    """Wrap lebesgue_norm and _spectral_sobolev_norm in every nlkg module that
+    binds them; returns the call logs {"lebesgue": [...], "sobolev": [...]}."""
+    import nlkg.norms as norms_mod
+
+    calls = {"lebesgue": [], "sobolev": []}
+    real_lebesgue, real_sobolev = norms_mod.lebesgue_norm, norms_mod._spectral_sobolev_norm
+
+    def lebesgue(f, q):
+        calls["lebesgue"].append(q)
+        return real_lebesgue(f, q)
+
+    def sobolev(F, g, s, *args, **kwargs):
+        calls["sobolev"].append(s)
+        return real_sobolev(F, g, s, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "nlkg" or name.startswith("nlkg."):
+            for attr, wrapper in (("lebesgue_norm", lebesgue), ("_spectral_sobolev_norm", sobolev)):
+                if hasattr(mod, attr):
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return calls
+
+
 def named_calls(tree: ast.AST, name: str) -> list:
     """(line, enclosing class/function path) of each call of `name`, by bare
     name or as an attribute."""

@@ -196,17 +196,28 @@ class TestTransformCounts:
         assert len(calls["project"]) == n * len(scan_band(family.grid, res.stats["K"]))
         assert len(calls["inverse"]) == 0
 
-    def test_decomposition_and_audit(self, family, monkeypatch):
-        from conftest import count_transforms
+    def test_extraction_norms(self, family, monkeypatch):
+        from conftest import count_norms
 
-        calls = count_transforms(monkeypatch)
-        extractions, real = [], profiles_mod.inverse_gn_extract
+        norms = count_norms(monkeypatch)
+        inverse_gn_extract(family, PARAMS)
+        n = family.n_count
+        # the members' and the profile's L^{p+2} norms; both Sobolev norms of
+        # each member (M) and of the profile
+        assert len(norms["lebesgue"]) == n + 1
+        assert len(norms["sobolev"]) == 2 * (n + 1)
+
+    def test_decomposition_and_audit(self, family, monkeypatch):
+        from conftest import count_norms, count_transforms
+
+        calls, norms = count_transforms(monkeypatch), count_norms(monkeypatch)
+        extractions, real = [], profiles_mod._extract
 
         def recording(*args, **kwargs):
             extractions.append(real(*args, **kwargs))
             return extractions[-1]
 
-        monkeypatch.setattr(profiles_mod, "inverse_gn_extract", recording)
+        monkeypatch.setattr(profiles_mod, "_extract", recording)
         dec = bubble_decompose(family, PARAMS, j_max=3, tol=1e-2)
         n = family.n_count
         assert dec.n_bubbles >= 2
@@ -217,17 +228,25 @@ class TestTransformCounts:
         assert len(calls["project"]) == sum(n * len(scan_band(family.grid, r.stats["K"]))
                                             for r in extractions[:dec.n_bubbles])
         assert len(calls["inverse"]) == 0
-        for log in calls.values():
+        # each residual set's L^{p+2} norms once (level 0, then n per level,
+        # which the next extraction reuses), plus each profile's; both Sobolev
+        # norms of each member per level and of each profile, then the last bound's
+        assert len(norms["lebesgue"]) == n + dec.n_bubbles * (n + 1)
+        assert len(norms["sobolev"]) == dec.n_bubbles * 2 * (n + 1) + 2 * n
+        for log in (*calls.values(), *norms.values()):
             log.clear()
         decoupling_audit(dec, family, PARAMS)
-        # one per field: the last member, each bubble and the residual
-        assert [len(log) for log in calls.values()] == [dec.n_bubbles + 2, 0, 0]
+        # the bubbles' and the residual's norms are recorded: only the last
+        # member is transformed and normed
+        assert [len(log) for log in calls.values()] == [1, 0, 0]
+        assert [len(log) for log in norms.values()] == [1, 2]
 
 
 def test_extraction_traced_peak_in_fields(rng):
     # the members' values are the caller's; the spectra, the scan's one
-    # workspace (a half-spectrum and two fields), a band's weights, and later
-    # the running sum of the recentered members are the extraction's own
+    # workspace (a half-spectrum, whose float view is its scratch, and one
+    # field), a band's weights, and later the running sum of the recentered
+    # members are the extraction's own
     g = GridSpec(2, 256, 16.0)
     family = make_family(g, {"bubbles": [(1.0, 2.5), (0.7, 2.0), (0.5, 1.5)], "base_sep": 20},
                          3, rng)
@@ -238,7 +257,7 @@ def test_extraction_traced_peak_in_fields(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 7.9 * g.num_points * 8
+    assert peak < 6.9 * g.num_points * 8
 
 
 class TestDecouplingAudit:
@@ -280,3 +299,34 @@ class TestDecouplingAudit:
             return  # proxy failure is an acceptable negative-control outcome
         gaps = decoupling_audit(dec, family, PARAMS)
         assert max(gaps["h1"], gaps["hsc"], gaps["p_plus_2"]) >= 0.20
+
+    @pytest.mark.parametrize("j_max", [1, 3])  # one bubble left in the residual, or none
+    def test_recorded_norms_give_the_gaps_of_a_hand_built_copy(self, rng, j_max):
+        g = GridSpec(2, 128, 16.0)
+        layout = {"bubbles": [(1.0, 2.5), (0.6, 1.8)], "base_sep": 20}
+        family = make_family(g, layout, 3, rng)
+        dec = bubble_decompose(family, PARAMS, j_max=j_max, tol=1e-2)
+        assert len(dec.triples) == dec.n_bubbles + family.n_count
+        bare = Decomposition(bubbles=dec.bubbles, residuals=dec.residuals,
+                             eps_history=dec.eps_history, sobolev_history=dec.sobolev_history)
+        assert bare.triples == []
+        assert repr(decoupling_audit(dec, family, PARAMS)) == \
+            repr(decoupling_audit(bare, family, PARAMS))
+
+
+@pytest.mark.parametrize("d, n", [(1, 256), (2, 64), (3, 32)])
+@pytest.mark.parametrize("radius", ["floor", "cap"])
+def test_support_box_taper_is_the_whole_grid_taper_bit_for_bit(d, n, radius, rng):
+    from nlkg.grid import _transient_distance, lp_bump
+    from nlkg.profiles import WINDOW_FLOOR_CELLS, _apply_window
+
+    g = GridSpec(d, n, 8.0)
+    floor, cap = WINDOW_FLOOR_CELLS * g.spacing, 0.45 * g.box_length / 1.1
+    assert floor < cap
+    R_w = floor if radius == "floor" else cap
+    values = rng.standard_normal(g.shape)
+    values.flat[::7] = 0.0
+    whole = values * lp_bump(_transient_distance(g, np.full(d, n // 2) * g.spacing) / R_w)
+    boxed = _apply_window(values.copy(), g, R_w)
+    assert boxed.tobytes() == whole.tobytes()
+    assert np.any(np.signbit(boxed) & (boxed == 0.0))  # -0.0 where a negative value is cut

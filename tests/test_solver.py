@@ -333,6 +333,37 @@ class TestEvolve:
         else:
             assert peak > stepper.U.nbytes
 
+    def test_held_dt_loop_allocates_no_field_between_records(self, monkeypatch):
+        # the traced peak above what is live at one record's end, up to the
+        # next record's state: the steps, the amplitude and the finite checks
+        st = initial_data(GridSpec(3, 32, 8.0), "gaussian", m=0.5, p=2.0, A=1.0, w=0.8)
+        cfg = SolverConfig(dt_init=1e-3, t_max=0.1, adapt_theta=None, snapshot_stride=20)
+        base, peaks, real_state = [], [], SpectralStepper.state
+
+        def state(self):
+            if base:
+                peaks.append(tracemalloc.get_traced_memory()[1] - base[-1])
+            return real_state(self)
+
+        def on_record(_):
+            base.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+
+        monkeypatch.setattr(SpectralStepper, "state", state)
+        tracemalloc.start()
+        try:
+            traj = evolve(st, cfg, on_record=on_record)
+        finally:
+            tracemalloc.stop()
+        assert traj.termination == "reached_t_max" and len(peaks) >= 4
+        # the first interval builds the tables of dt and the first source, and
+        # the last may end on a shorter dt
+        assert max(peaks[1:-1]) < st.u.values.nbytes, peaks
+
+    def test_sup_norm_of_a_zero_field_is_positive_zero(self):
+        traj = evolve(zero_state(GridSpec(2, 16, 8.0)), SolverConfig(dt_init=1e-2, t_max=0.02))
+        assert not np.signbit(traj.scalar_series["sup_norm"][1]).any()
+
     def test_adaptive_run_leaves_no_propagator_tables_behind(self):
         # dt changes at every step of this run; after a warm-up run has
         # filled the per-grid tables, a second run, once dropped, may leave

@@ -160,16 +160,12 @@ def energy_flux_check(traj: Trajectory, cone: ConeSpec, t0: float, t1: float):
     """
     if not (t0 >= 0.0 and t1 <= cone.top_time):
         raise DomainError(f"window t0={t0}, t1={t1} outside the cone's [0, {cone.top_time}]")
-    sel = traj.window(t0, t1)
-    times = traj.times[sel]
-    if len(sel) < 3:
-        raise DomainError("need at least 3 snapshots between t0 and t1")
-    if abs(times[0] - t0) > 1e-9 or abs(times[-1] - t1) > 1e-9:
-        raise DomainError("t0 and t1 must be snapshot times")
+    sel = traj.slab(t0, t1)
     cone.validate_against(traj.grid, t1)
     ends = (sel[0], sel[-1])
-    return _flux(times, [_slice(traj.snapshots[i], cone, traj.nl_coeff,
-                                {"bulk", "boundary"} if i in ends else {"bulk"}) for i in sel])
+    return _flux(traj.times[sel], [_slice(traj.snapshots[i], cone, traj.nl_coeff,
+                                          {"bulk", "boundary"} if i in ends else {"bulk"})
+                                   for i in sel])
 
 
 def _flux(times, rows) -> tuple:

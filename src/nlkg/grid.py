@@ -29,7 +29,6 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "bessel_symbol",
-    "apply_multiplier",
     "lp_bump",
     "lp_project",
     "dyadic_range",
@@ -163,17 +162,19 @@ class State:
             raise DomainError("u and v must share one grid")
         if not (0.0 <= self.mass_param <= 1.0):
             raise DomainError(f"mass parameter must lie in [0, 1], got {self.mass_param}")
-        if self.exponent <= 0.0:
-            raise DomainError(f"nonlinearity exponent must be positive, got {self.exponent}")
-        d = self.u.grid.d
-        if d >= 3 and self.exponent >= 4.0 / (d - 2):
-            raise DomainError(
-                f"exponent p={self.exponent} outside admissible range (0, {4.0 / (d - 2)}) for d={d}"
-            )
+        _check_exponent(self.u.grid.d, self.exponent)
 
     @property
     def grid(self) -> GridSpec:
         return self.u.grid
+
+
+def _check_exponent(d: int, p: float) -> None:
+    """DomainError unless p lies in the admissible range: p > 0, and p < 4/(d-2) for d >= 3."""
+    if p <= 0.0:
+        raise DomainError(f"nonlinearity exponent p must be positive, got {p}")
+    if d >= 3 and p >= 4.0 / (d - 2):
+        raise DomainError(f"exponent p={p} outside admissible range (0, {4.0 / (d - 2)}) for d={d}")
 
 
 @lru_cache(maxsize=32)
@@ -297,31 +298,19 @@ def bessel_symbol(xi_mag, m: float):
     return np.hypot(np.asarray(xi_mag, dtype=np.float64), m)
 
 
-def _symbol_weights(mag: np.ndarray, symbol, zero_mode: float | None) -> np.ndarray:
-    """Real weights symbol(|xi|), with `zero_mode` standing in at xi = 0
-    when the symbol is not finite there."""
+def _radial_weights(grid: GridSpec, s: float, m: float | None = None) -> np.ndarray:
+    """Half-spectrum weights |xi|^s (m None) or (m^2 + |xi|^2)^{s/2}, with 0 at
+    xi = 0 where the symbol is not finite there; a non-finite value at any
+    other grid wavenumber is a DomainError.  Not cached: a held table raises the
+    peak memory of a decomposition more than rebuilding it costs."""
+    mag = _magnitude(grid)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        weights = np.asarray(symbol(mag), dtype=np.float64)
-    zero_idx = (0,) * mag.ndim
-    if not np.isfinite(weights[zero_idx]):
-        if zero_mode is None:
-            raise DomainError("symbol is singular at xi=0 and no zero_mode value was supplied")
-        weights = weights.copy()
-        weights[zero_idx] = zero_mode
+        weights = (mag if m is None else bessel_symbol(mag, m)) ** s
+    if not np.isfinite(weights.flat[0]):
+        weights.flat[0] = 0.0
     if not np.all(np.isfinite(weights)):
         raise DomainError("symbol is not finite at a nonzero grid wavenumber")
     return weights
-
-
-def apply_multiplier(F: SpectralField, symbol, zero_mode: float | None = None) -> SpectralField:
-    """Multiply coefficients by a radial real symbol evaluated at |xi|.
-
-    `symbol` maps an array of |xi| to real weights.  If it is not finite at
-    xi = 0 the caller must pass `zero_mode` with the value to use there; a
-    non-finite value at any nonzero grid mode is an error.
-    """
-    weights = _symbol_weights(_magnitude(F.grid), symbol, zero_mode)
-    return SpectralField(F.grid, F.coefficients * weights)
 
 
 def lp_bump(r):
@@ -389,11 +378,8 @@ def dyadic_range(grid: GridSpec, lo: float | None = None, hi: float | None = Non
 
 
 def fractional_derivative(f: Field, s: float) -> Field:
-    """|nabla|^s via the multiplier |xi|^s; the zero mode is annihilated for s <= 0."""
-    if s == 0.0:
-        return f
-    return inverse_transform(apply_multiplier(forward_transform(f), lambda mag: mag**s,
-                                              zero_mode=0.0))
+    """|nabla|^s via the multiplier |xi|^s; the zero mode is annihilated for s < 0."""
+    return _radial_filter(f, s, None)
 
 
 def bessel_derivative(f: Field, s: float, m: float = 1.0) -> Field:
@@ -402,11 +388,15 @@ def bessel_derivative(f: Field, s: float, m: float = 1.0) -> Field:
     For m = 0 and s < 0 the zero mode is annihilated (homogeneous
     convention: negative-order operators ignore the mean).
     """
+    return _radial_filter(f, s, m)
+
+
+def _radial_filter(f: Field, s: float, m: float | None) -> Field:
+    """f filtered by :func:`_radial_weights` (f itself at s = 0)."""
     if s == 0.0:
         return f
-    return inverse_transform(apply_multiplier(forward_transform(f),
-                                              lambda mag: bessel_symbol(mag, m) ** s,
-                                              zero_mode=0.0))
+    F = _forward_array(f.values) * _radial_weights(f.grid, s, m)
+    return Field(f.grid, _inverse_array(F, f.grid.shape))
 
 
 def spectral_gradient(f: Field, inside: np.ndarray | None = None) -> list:
@@ -492,7 +482,7 @@ def radial_distance(grid: GridSpec, center) -> np.ndarray:
 
 def _transient_distance(grid: GridSpec, center) -> np.ndarray:
     """:func:`radial_distance` outside the cache, for a one-off centre."""
-    return _distance_table.__wrapped__(grid, _center_key(grid, center))[1]
+    return _distances(grid, _center_key(grid, center))[1]
 
 
 def _center_key(grid: GridSpec, center) -> tuple:
@@ -502,13 +492,24 @@ def _center_key(grid: GridSpec, center) -> tuple:
     return tuple(center.tolist())
 
 
+def _distances(grid: GridSpec, center: tuple, cells=slice(None)) -> tuple:
+    """The minimal-image displacements x - center per axis (each in [-L/2, L/2),
+    broadcastable as ``np.ix_`` makes them) and the distance |x - center|, on
+    the cells `cells` of every axis (all of them by default); not cached."""
+    x = np.arange(grid.n)[cells] * grid.spacing
+    disp = np.ix_(*(_min_image(x - c, grid.box_length) for c in center))
+    return disp, np.sqrt(sum(dx**2 for dx in disp))
+
+
+def _min_image(delta, L: float):
+    """The minimal image of the displacement `delta` on a period L, in [-L/2, L/2)."""
+    return np.mod(delta + 0.5 * L, L) - 0.5 * L
+
+
 @lru_cache(maxsize=4)
 def _distance_table(grid: GridSpec, center: tuple) -> tuple:
-    """The displacement and distance arrays of one (grid, center), built once."""
-    L = grid.box_length
-    disp = tuple(np.mod(x - c + 0.5 * L, L) - 0.5 * L
-                 for x, c in zip(axis_coordinates(grid), center))
-    dist = np.sqrt(sum(dx**2 for dx in disp))
+    """:func:`_distances` of one (grid, center), built once; read-only."""
+    disp, dist = _distances(grid, center)
     for a in (*disp, dist):
         a.flags.writeable = False
     return disp, dist

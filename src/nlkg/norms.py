@@ -17,12 +17,11 @@ from .grid import (
     GridSpec,
     State,
     _center_key,
+    _check_exponent,
     _forward_array,
     _half_multiplicity,
     _lattice_offsets,
-    _magnitude,
-    _symbol_weights,
-    bessel_symbol,
+    _radial_weights,
     displacement,
     radial_distance,
     spectral_gradient,
@@ -82,10 +81,7 @@ class CriticalParams:
 
 def critical_exponent(d: int, p: float) -> CriticalParams:
     """s_c = d/2 - 2/p plus the conformal-regime tag."""
-    if p <= 0.0:
-        raise DomainError(f"exponent p must be positive, got {p}")
-    if d >= 3 and p >= 4.0 / (d - 2):
-        raise DomainError(f"p={p} outside admissible range (0, {4.0 / (d - 2)}) for d={d}")
+    _check_exponent(d, p)
     return CriticalParams(d=d, p=p)
 
 
@@ -94,8 +90,14 @@ def lebesgue_norm(f: Field, q: float) -> float:
     if q < 1.0:
         raise DomainError(f"Lebesgue exponent must be >= 1, got {q}")
     if np.isinf(q):
-        return float(np.max(np.abs(f.values)))
+        return _sup(f.values)
     return (_power_sum(f.values, q) * f.grid.cell_volume) ** (1.0 / q)
+
+
+def _sup(values: np.ndarray) -> float:
+    """max|v| without a temporary of values' size; NaN stays NaN, and + 0.0 turns
+    numpy's -0.0 for all-zero values into the 0.0 of np.max(np.abs(values))."""
+    return float(np.maximum(values.max(), -values.min()) + 0.0)
 
 
 def _even_integer(q: float) -> bool:
@@ -126,7 +128,7 @@ def _power_sum(values: np.ndarray, q: float, out: np.ndarray | None = None) -> f
 def sobolev_norm(f: Field, s: float, homogeneous: bool = True, m: float = 1.0) -> float:
     """Fractional Sobolev norm by Fourier multiplier.
 
-    Homogeneous uses |xi|^s (the zero mode is dropped for s <= 0);
+    Homogeneous uses |xi|^s (the zero mode is dropped for s < 0);
     inhomogeneous uses (m^2 + |xi|^2)^{s/2} with m = 1 by default.
     It keeps each axis's Nyquist wavenumber, which `spectral_gradient` (and
     so `energy`) drops: for (-1)^j = cos(pi x / h) along one axis on n = 32,
@@ -137,8 +139,7 @@ def sobolev_norm(f: Field, s: float, homogeneous: bool = True, m: float = 1.0) -
 
 def _spectral_sobolev_norm(F, g: GridSpec, s: float, homogeneous=True, m=1.0) -> float:
     """`sobolev_norm` of the field whose half-spectrum is F."""
-    symbol = (lambda mag: mag**s) if homogeneous else (lambda mag: bessel_symbol(mag, m) ** s)
-    weights = _symbol_weights(_magnitude(g), symbol, zero_mode=0.0)
+    weights = _radial_weights(g, s, None if homogeneous else m)
     # discrete Plancherel: sum |f|^2 h^d = sum over the full spectrum of |F|^2 h^d / n^d,
     # each half-spectrum coefficient standing for _half_multiplicity full modes
     modes = _half_multiplicity(g) * (weights * np.abs(F)) ** 2

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, StagnationError
-from .grid import (Field, GridSpec, _band_multipliers, _forward_array, _project_into,
-                   dyadic_range, lp_bump)
+from .grid import (Field, GridSpec, _band_multipliers, _distances, _forward_array,
+                   _min_image, _project_into, dyadic_range, lp_bump)
 from .norms import CriticalParams, _power_sum, _spectral_sobolev_norm, lebesgue_norm
 
 __all__ = [
@@ -88,8 +88,7 @@ def _min_pairwise_distance(points: np.ndarray, L: float) -> float:
     best = np.inf
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            delta = np.mod(points[i] - points[j] + 0.5 * L, L) - 0.5 * L
-            best = min(best, float(np.linalg.norm(delta)))
+            best = min(best, float(np.linalg.norm(_min_image(points[i] - points[j], L))))
     return best
 
 
@@ -108,12 +107,10 @@ def _apply_window(values: np.ndarray, grid: GridSpec, R_w: float) -> np.ndarray:
     """values *= lp_bump(radial_distance(grid, c) / R_w) in place, bit for bit, c the
     cell n//2 on every axis: the taper is evaluated on the box of cells within 1.1 R_w
     of c, which holds its support, and the rest is multiplied by 0.0 (zeros keep their signs)."""
-    c, L = grid.n // 2 * grid.spacing, grid.box_length
     reach = int(np.ceil(1.1 * R_w / grid.spacing))  # a cell past it is >= 1.1 R_w + h away
-    box = (slice(max(grid.n // 2 - reach, 0), grid.n // 2 + reach + 1),) * grid.d
-    # radial_distance's minimal-image displacements along an axis of the box, squared
-    sq = (np.mod(np.arange(grid.n)[box[0]] * grid.spacing - c + 0.5 * L, L) - 0.5 * L) ** 2
-    inner = values[box] * lp_bump(np.sqrt(sum(np.ix_(*(sq,) * grid.d))) / R_w)
+    cells = slice(max(grid.n // 2 - reach, 0), grid.n // 2 + reach + 1)
+    box, center = (cells,) * grid.d, (grid.n // 2 * grid.spacing,) * grid.d
+    inner = values[box] * lp_bump(_distances(grid, center, cells)[1] / R_w)
     values *= 0.0
     values[box] = inner
     return values

@@ -14,7 +14,7 @@ from .errors import CorruptionError, DomainError
 from .grid import (Field, GridSpec, State, _forward_array, _forward_into, _inverse_array,
                    _inverse_into, _magnitude, _pad2x_power, axis_coordinates, bessel_symbol,
                    radial_distance)
-from .norms import _Pieces, _even_integer, energy
+from .norms import _Pieces, _even_integer, _sup, energy
 
 __all__ = [
     "SolverConfig",
@@ -113,6 +113,17 @@ class Trajectory:
     def window(self, t0: float, t1: float) -> np.ndarray:
         """Indices of the states with t0 - 1e-12 <= t <= t1 + 1e-12."""
         return np.flatnonzero((self.times >= t0 - 1e-12) & (self.times <= t1 + 1e-12))
+
+    def slab(self, t0: float, t1: float) -> np.ndarray:
+        """The :meth:`window` of an identity integrated over the slab [t0, t1]:
+        DomainError unless it holds at least 3 states, the first and last at
+        t0 and t1 within 1e-9."""
+        sel = self.window(t0, t1)
+        if len(sel) < 3:
+            raise DomainError(f"need at least 3 snapshots in [{t0}, {t1}], found {len(sel)}")
+        if abs(self.times[sel[0]] - t0) > 1e-9 or abs(self.times[sel[-1]] - t1) > 1e-9:
+            raise DomainError("t0 and t1 must be snapshot times")
+        return sel
 
     def series(self, name: str):
         t, vals = self.scalar_series[name]
@@ -281,12 +292,6 @@ def _choose_dt(config: SolverConfig, amp: float, h: float, p: float, t_left: flo
     if config.adapt_theta is not None and amp > 0.0:
         dt *= min(1.0, config.adapt_theta / amp ** (0.5 * p))
     return min(dt, config.cfl_safety * h, t_left)
-
-
-def _sup(u: np.ndarray) -> float:
-    """max|u| without a field-size temporary; NaN stays NaN, and + 0.0 turns numpy's
-    -0.0 for an all-zero u into the 0.0 of np.max(np.abs(u))."""
-    return float(np.maximum(u.max(), -u.min()) + 0.0)
 
 
 def evolve(state: State, config: SolverConfig, monitors: dict | None = None,

@@ -18,10 +18,8 @@ from nlkg.grid import (
     Field,
     GridSpec,
     State,
-    apply_multiplier,
     displacement,
-    forward_transform,
-    inverse_transform,
+    fractional_derivative,
     radial_distance,
     spectral_divergence,
     spectral_gradient,
@@ -134,8 +132,7 @@ class TestMultiplierDefectStructure:
         s = window[1]
         u, v = s.u.values, s.v.values
         utt = -1.69 * np.sin(1.3 * t0 + 0.4) * prof1 - 0.49 * np.cos(0.7 * t0) * prof2
-        lap = inverse_transform(
-            apply_multiplier(forward_transform(s.u), lambda k: -(k**2))).values
+        lap = -fractional_derivative(s.u, 2.0).values
         defect = utt - lap + m**2 * u - nl * np.abs(u) ** p * u
 
         apex = (cc, cc)

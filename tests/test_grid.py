@@ -7,7 +7,7 @@ from nlkg.grid import (
     Field,
     GridSpec,
     SpectralField,
-    apply_multiplier,
+    _radial_weights,
     bessel_derivative,
     bessel_symbol,
     dyadic_range,
@@ -19,6 +19,7 @@ from nlkg.grid import (
     radial_distance,
     spectral_gradient,
 )
+from nlkg.norms import lebesgue_norm, sobolev_norm
 
 from conftest import cosine_field, full_magnitude, random_field
 
@@ -117,42 +118,6 @@ class TestBesselSymbol:
         assert bessel_symbol(1.0, 0.9) > bessel_symbol(1.0, 0.3)
 
 
-class TestApplyMultiplier:
-    def test_identity_symbol(self, grid2d, rng):
-        F = forward_transform(random_field(grid2d, rng))
-        out = apply_multiplier(F, lambda mag: np.ones_like(mag))
-        assert np.array_equal(out.coefficients, F.coefficients)
-
-    def test_laplacian_on_eigenfunction(self, grid2d):
-        f = cosine_field(grid2d, (2, 1))
-        k_sq = (2.0 * np.pi / grid2d.box_length) ** 2 * 5.0
-        out = inverse_transform(apply_multiplier(forward_transform(f), lambda mag: mag**2))
-        assert np.allclose(out.values, k_sq * f.values, atol=1e-10)
-
-    def test_half_derivative_eigenfunction(self, grid2d):
-        f = cosine_field(grid2d, (0, 3))
-        k = 2.0 * np.pi / grid2d.box_length * 3.0
-        out = inverse_transform(apply_multiplier(forward_transform(f), lambda mag: mag**0.5,
-                                                 zero_mode=0.0))
-        assert np.allclose(out.values, np.sqrt(k) * f.values, atol=1e-10)
-
-    def test_singular_symbol_needs_zero_mode(self, grid2d, rng):
-        F = forward_transform(random_field(grid2d, rng))
-        with pytest.raises(DomainError):
-            apply_multiplier(F, lambda mag: 1.0 / mag)
-        out = apply_multiplier(F, lambda mag: 1.0 / mag, zero_mode=0.0)
-        assert np.all(np.isfinite(out.coefficients.view(np.float64)))
-
-    def test_hermitian_preserved(self, grid2d, rng):
-        # the same radial multiplier on the full numpy.fft spectrum leaves it
-        # Hermitian, and the half-spectrum chain gives that real field
-        f = random_field(grid2d, rng)
-        out = inverse_transform(apply_multiplier(forward_transform(f), lambda mag: np.exp(-mag)))
-        back = np.fft.ifftn(np.fft.fftn(f.values) * np.exp(-full_magnitude(grid2d)))
-        assert np.max(np.abs(back.imag)) < 1e-12 * np.max(np.abs(back.real))
-        assert np.max(np.abs(out.values - back.real)) < 1e-12 * np.max(np.abs(back.real))
-
-
 class TestLittlewoodPaley:
     def test_bump_shape(self):
         assert lp_bump(0.0) == 1.0
@@ -227,6 +192,43 @@ class TestFractionalDerivatives:
     def test_s_zero_is_identity(self, grid2d, rng):
         f = random_field(grid2d, rng)
         assert np.array_equal(fractional_derivative(f, 0.0).values, f.values)
+
+    def test_zero_order_weights_are_identity(self, grid2d, rng):
+        F = forward_transform(random_field(grid2d, rng)).coefficients
+        for m in (None, 0.0, 1.0):
+            assert np.array_equal(F * _radial_weights(grid2d, 0.0, m), F)
+
+    def test_laplacian_on_eigenfunction(self, grid2d):
+        f = cosine_field(grid2d, (2, 1))
+        k_sq = (2.0 * np.pi / grid2d.box_length) ** 2 * 5.0
+        out = fractional_derivative(f, 2.0)
+        assert np.allclose(out.values, k_sq * f.values, atol=1e-10)
+
+    def test_half_derivative_eigenfunction(self, grid2d):
+        f = cosine_field(grid2d, (0, 3))
+        k = 2.0 * np.pi / grid2d.box_length * 3.0
+        out = fractional_derivative(f, 0.5)
+        assert np.allclose(out.values, np.sqrt(k) * f.values, atol=1e-10)
+
+    def test_weights_not_finite_off_the_zero_mode_are_rejected(self, grid2d):
+        # |xi|^s is singular only at xi = 0, where the weight is 0; an overflow
+        # at a nonzero wavenumber is an error, not a silent inf
+        assert _radial_weights(grid2d, -1.0).flat[0] == 0.0
+        with pytest.raises(DomainError, match="nonzero grid wavenumber"):
+            _radial_weights(grid2d, 1000.0)
+
+    @pytest.mark.parametrize("s", [0.0, -0.5, -1.0])
+    def test_zero_mode_is_kept_at_s_zero_and_dropped_below(self, s):
+        # a constant carries only the zero mode: s = 0 is the identity (the
+        # L^2 norm), every s < 0 annihilates it
+        g = GridSpec(2, 16, 8.0)
+        f = Field(g, np.full(g.shape, 2.0))
+        keep = s == 0.0
+        assert sobolev_norm(f, s) == (16.0 if keep else 0.0)
+        if keep:
+            assert sobolev_norm(f, s) == lebesgue_norm(f, 2.0)
+        assert np.array_equal(fractional_derivative(f, s).values,
+                              f.values if keep else np.zeros(g.shape))
 
     def test_half_power_eigenfunction(self, grid2d):
         f = cosine_field(grid2d, (5, 0))

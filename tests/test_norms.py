@@ -57,6 +57,17 @@ class TestCriticalExponent:
         with pytest.raises(DomainError):
             critical_exponent(2, -1.0)
 
+    @pytest.mark.parametrize("d, p", [(3, 4.0), (3, 5.0), (2, -1.0), (1, 0.0)])
+    def test_state_and_critical_exponent_reject_alike(self, d, p):
+        # one admissible-exponent rule: the same error from both
+        g = GridSpec(d, 8, 4.0)
+        z = Field(g, np.zeros(g.shape))
+        with pytest.raises(DomainError) as from_params:
+            critical_exponent(d, p)
+        with pytest.raises(DomainError) as from_state:
+            State(z, z, 0.0, 0.5, p)
+        assert str(from_params.value) == str(from_state.value)
+
 
 class TestLebesgueNorm:
     def test_zero_field(self, grid2d):

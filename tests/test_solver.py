@@ -394,6 +394,17 @@ class TestEvolve:
         with pytest.raises(DomainError, match="at least one snapshot"):
             Trajectory(snapshots=[], termination="reached_t_max", scalar_series={})
 
+    def test_slab_needs_three_states_with_ends_at_snapshot_times(self, grid1d):
+        z = Field(grid1d, np.zeros(grid1d.shape))
+        traj = Trajectory([State(z, z, t, 0.5, 2.0) for t in (0.0, 0.1, 0.2, 0.3, 0.4)],
+                          "reached_t_max", {})
+        assert traj.slab(0.1, 0.4).tolist() == [1, 2, 3, 4]
+        assert traj.slab(0.1 + 1e-13, 0.3).tolist() == traj.window(0.1, 0.3).tolist()
+        with pytest.raises(DomainError, match="at least 3 snapshots in \\[0.1, 0.2\\], found 2"):
+            traj.slab(0.1, 0.2)
+        with pytest.raises(DomainError, match="must be snapshot times"):
+            traj.slab(0.05, 0.4)
+
 
 class TestOdeOracle:
     def test_tracks_exact_blowup_solution(self):

@@ -267,10 +267,10 @@ def charge_slab_identity(traj: Trajectory, t0: float, t1: float) -> SlabIdentity
         if i in (sel[0], sel[-1]):  # int u u_t dx at the two ends
             q0.append(float(np.sum(s.u.values * s.v.values)) * cell)
     lhs = float(np.trapezoid(integrand, ts))
-    kin_avg = float(np.trapezoid(kinetic, ts)) / (t1 - t0)
+    kin_avg = float(np.trapezoid(kinetic, ts)) / (ts[-1] - ts[0])  # the span integrated
     rhs = q0[-1] - q0[0]
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     # virial reading: time-average of u_t^2 vs |grad u|^2 + m^2 u^2 - |u|^{p+2}
-    pot_avg = kin_avg - lhs / (t1 - t0)
+    pot_avg = kin_avg - lhs / (ts[-1] - ts[0])
     return SlabIdentityResult(lhs=lhs, rhs=rhs, gap=gap,
                               avg_kinetic=kin_avg, avg_potential=pot_avg)

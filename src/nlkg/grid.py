@@ -265,16 +265,18 @@ def _inverse_at(spectra: np.ndarray, inside: np.ndarray) -> np.ndarray:
 
 def _project_into(coefficients: np.ndarray, weights: np.ndarray, work: np.ndarray,
                   out: np.ndarray) -> np.ndarray:
-    """``_inverse_array(coefficients * weights, out.shape)`` bit for bit, in
-    buffers the caller owns: the product goes to `work` (a half-spectrum
-    array, which may be `coefficients` itself), the passes over every axis
-    but the last run there in place, and the last axis's pass writes `out`.
-    Those passes cover only the last-axis columns up to the last one where
-    `weights` is nonzero: past it the product is zero, and so is its
-    transform (a pruned FFT).  All-zero `weights` are not pruned, so that
-    the signs of the zeros agree too.  `weights` is left untouched."""
-    np.multiply(coefficients, weights, out=work)
-    live = np.flatnonzero(weights.reshape(-1, weights.shape[-1]).any(axis=0))
+    """``_inverse_array(coefficients * W, out.shape)`` bit for bit, in buffers the caller
+    owns; W is `weights` on the first ``weights.shape[-1]`` last-axis columns and zero past
+    them, where the coefficients times the scalar 0.0 give a dense zero weight's signed zeros.
+    The product goes to `work` (a half-spectrum array, which may be `coefficients` itself),
+    the passes over every axis but the last run there in place on the columns up to the last
+    one where `weights` is nonzero (a pruned FFT: past it the product and its transform are
+    zero; all-zero `weights` are not pruned, so that the signs of the zeros agree too), and
+    the last axis's pass writes `out`.  `weights` is left untouched."""
+    cols = weights.shape[-1]
+    np.multiply(coefficients[..., :cols], weights, out=work[..., :cols])
+    np.multiply(coefficients[..., cols:], 0.0, out=work[..., cols:])
+    live = np.flatnonzero(weights.reshape(-1, cols).any(axis=0))
     head = work[..., :live[-1] + 1 if live.size else None]
     for ax in range(work.ndim - 1):
         np.fft.ifft(head, axis=ax, out=head)
@@ -344,13 +346,17 @@ def _lp_multiplier(grid: GridSpec, n_dyadic: float, mode: str) -> np.ndarray:
 
 
 def _band_multipliers(grid: GridSpec, band: np.ndarray):
-    """_lp_multiplier(grid, N, "band") bit for bit for each N of a `dyadic_range`,
-    adjacent bands sharing one lp_bump: 2 |xi| / N == |xi| / (N/2) exactly."""
+    """_lp_multiplier(grid, N, "band") bit for bit for each N of a `dyadic_range`, on the last-axis
+    columns whose least |xi| is below 1.1 N (+0.0 past them), adjacent bands sharing one lp_bump."""
     mag = _magnitude(grid)
-    inner = lp_bump(2.0 * mag / band[0])
-    for N in band:
-        outer = lp_bump(mag / N)
-        yield outer - inner
+    least = mag[(0,) * (grid.d - 1)]  # at xi = 0 on all but the last axis
+    bumps = (lp_bump(mag[..., :np.count_nonzero(least / N < 1.1)] / N)
+             for N in (0.5 * band[0], *band))  # |xi| / (N/2) == 2 |xi| / N exactly
+    inner = next(bumps)
+    for outer in bumps:
+        weight = outer.copy()
+        weight[..., :inner.shape[-1]] -= inner
+        yield weight
         inner = outer
 
 

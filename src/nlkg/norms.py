@@ -134,15 +134,17 @@ def sobolev_norm(f: Field, s: float, homogeneous: bool = True, m: float = 1.0) -
     so `energy`) drops: for (-1)^j = cos(pi x / h) along one axis on n = 32,
     L = 8, sobolev_norm(f, 1) is 100.53 and the gradient is zero.
     """
-    return _spectral_sobolev_norm(_forward_array(f.values), f.grid, s, homogeneous, m)
+    return _spectral_sobolev_norm(np.abs(_forward_array(f.values)), f.grid, s, homogeneous, m)
 
 
-def _spectral_sobolev_norm(F, g: GridSpec, s: float, homogeneous=True, m=1.0) -> float:
-    """`sobolev_norm` of the field whose half-spectrum is F."""
-    weights = _radial_weights(g, s, None if homogeneous else m)
+def _spectral_sobolev_norm(modulus, g: GridSpec, s: float, homogeneous=True, m=1.0) -> float:
+    """`sobolev_norm` of the field whose half-spectrum has the moduli `modulus`."""
     # discrete Plancherel: sum |f|^2 h^d = sum over the full spectrum of |F|^2 h^d / n^d,
-    # each half-spectrum coefficient standing for _half_multiplicity full modes
-    modes = _half_multiplicity(g) * (weights * np.abs(F)) ** 2
+    # each half-spectrum coefficient standing for _half_multiplicity full modes (in place)
+    modes = _radial_weights(g, s, None if homogeneous else m)
+    modes *= modulus
+    modes *= modes
+    modes *= _half_multiplicity(g)
     return float(np.sqrt(np.sum(modes) * (g.cell_volume / g.num_points)))
 
 

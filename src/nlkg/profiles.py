@@ -69,14 +69,22 @@ _PHI_KEYS = ("phi_h1_sq", "phi_hsc_sq", "phi_p2_pow")
 def _norm_triple(F, grid: GridSpec, params: CriticalParams, lp_norm: float) -> np.ndarray:
     """(||f||^2 in H^1-dot, ||f||^2 in H^sc-dot, ||f||_{p+2}^{p+2}) of the field f
     with half-spectrum F and L^{p+2} norm `lp_norm`."""
-    return np.array([_spectral_sobolev_norm(F, grid, 1.0) ** 2,
-                     _spectral_sobolev_norm(F, grid, params.s_c) ** 2,
+    modulus = np.abs(F)
+    return np.array([_spectral_sobolev_norm(modulus, grid, 1.0) ** 2,
+                     _spectral_sobolev_norm(modulus, grid, params.s_c) ** 2,
                      lp_norm ** (params.p + 2.0)])
 
 
 def _sobolev_bound(triples) -> float:
     """max_n sqrt(||f||_{H^sc}^2 + ||f||_{H^1}^2), the family's M, from the norm triples."""
     return float(np.sqrt(max(t[1] + t[0] for t in triples)))
+
+
+def _abs_argmax(x: np.ndarray) -> int:
+    """``np.argmax(np.abs(x))`` without forming |x|; a tie of +M and -M goes to the lower index."""
+    hi, lo = np.argmax(x), np.argmin(x)
+    top, bottom = x.flat[hi], -x.flat[lo]
+    return int(hi if top > bottom else lo if bottom > top else min(hi, lo))
 
 
 def _roll_to_center(values: np.ndarray, idx: tuple, grid: GridSpec) -> np.ndarray:
@@ -130,9 +138,9 @@ def inverse_gn_extract(family: FunctionFamily, params: CriticalParams,
     the family's minimum L^{p+2} norm is at or below the floor.
     Each member is transformed once, for M and every band of the scan.
     The scan works in one workspace per call: each P_N f is inverted there
-    by per-axis passes pruned to the band's nonzero columns, and its mass
-    and the argmax of |P_N f| are both taken from it (its scratch field is
-    a float view of the half-spectrum), so no band is inverted twice.
+    by per-axis passes pruned to the band's nonzero columns (its weights are
+    built on those alone), and its mass and the argmax of |P_N f| (with no
+    |.| pass) are both taken from it, so no band is inverted twice.
     """
     p2 = params.p + 2.0
     return _extract(family, params, [lebesgue_norm(f, p2) for f in family.members],
@@ -170,7 +178,7 @@ def _extract(family: FunctionFamily, params: CriticalParams, lp_norms: list, flo
         weight = next(weights)
         for m, F in enumerate(spectra):
             _project_into(F, weight, work, proj)
-            peak[b, m] = np.argmax(np.abs(proj, out=scratch))
+            peak[b, m] = _abs_argmax(proj)
             mass[b, m] = _power_sum(proj, p2, out=scratch) * g.cell_volume
         del weight  # not held while the next band's weights are built
     del spectra, work, proj, scratch

@@ -11,9 +11,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CorruptionError, DomainError
-from .grid import (Field, GridSpec, State, _forward_array, _forward_into, _inverse_array,
-                   _inverse_into, _magnitude, _pad2x_power, axis_coordinates, bessel_symbol,
-                   radial_distance)
+from .grid import (Field, GridSpec, State, _forward_array, _forward_into, _inverse_into,
+                   _magnitude, _pad2x_power, axis_coordinates, bessel_symbol, radial_distance)
 from .norms import _Pieces, _even_integer, _sup, energy
 
 __all__ = [
@@ -115,10 +114,10 @@ class Trajectory:
         return np.flatnonzero((self.times >= t0 - 1e-12) & (self.times <= t1 + 1e-12))
 
     def slab(self, t0: float, t1: float) -> np.ndarray:
-        """The :meth:`window` of an identity integrated over the slab [t0, t1]:
-        DomainError unless it holds at least 3 states, the first and last at
-        t0 and t1 within 1e-9."""
-        sel = self.window(t0, t1)
+        """Indices of the states within 1e-9 of [t0, t1], over which an identity
+        is integrated: DomainError unless there are at least 3, the first and
+        last at t0 and t1 within 1e-9."""
+        sel = np.flatnonzero((self.times >= t0 - 1e-9) & (self.times <= t1 + 1e-9))
         if len(sel) < 3:
             raise DomainError(f"need at least 3 snapshots in [{t0}, {t1}], found {len(sel)}")
         if abs(self.times[sel[0]] - t0) > 1e-9 or abs(self.times[sel[-1]] - t1) > 1e-9:
@@ -266,8 +265,8 @@ class SpectralStepper:
 
     def state(self) -> State:
         """The current (u, u_t) in physical space, as arrays of its own."""
-        return State(Field(self.grid, self.u.copy()),
-                     Field(self.grid, _inverse_array(self.V, self.grid.shape)),
+        v = _inverse_into(self.V, self._work, np.empty(self.grid.shape))  # free between steps
+        return State(Field(self.grid, self.u.copy()), Field(self.grid, v),
                      self.time, self.m, self.p)
 
 

@@ -245,8 +245,8 @@ class TestTransformCounts:
 def test_extraction_traced_peak_in_fields(rng):
     # the members' values are the caller's; the spectra, the scan's one
     # workspace (a half-spectrum, whose float view is its scratch, and one
-    # field), a band's weights, and later the running sum of the recentered
-    # members are the extraction's own
+    # field), a band's weights on its columns, and later the running sum of
+    # the recentered members are the extraction's own
     g = GridSpec(2, 256, 16.0)
     family = make_family(g, {"bubbles": [(1.0, 2.5), (0.7, 2.0), (0.5, 1.5)], "base_sep": 20},
                          3, rng)
@@ -257,7 +257,7 @@ def test_extraction_traced_peak_in_fields(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6.9 * g.num_points * 8
+    assert peak < 6.75 * g.num_points * 8
 
 
 class TestDecouplingAudit:

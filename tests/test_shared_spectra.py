@@ -5,13 +5,13 @@ public `lp_project`."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nlkg.grid import (Field, GridSpec, _band_multipliers, _forward_array, _inverse_array,
                        _lp_multiplier, _project_into, dyadic_range, lp_project,
                        radial_distance)
 from nlkg.norms import critical_exponent, lebesgue_norm, sobolev_norm
-from nlkg.profiles import FunctionFamily, inverse_gn_extract
+from nlkg.profiles import FunctionFamily, _abs_argmax, inverse_gn_extract
 
 seeds = st.integers(0, 2**32 - 1)
 dims = st.sampled_from([1, 2, 3])
@@ -60,7 +60,13 @@ def test_band_weights_are_the_projection_weights_bit_for_bit(grid, lo, hi):
         weights = list(_band_multipliers(grid, band)) if band.size else []
         assert len(weights) == band.size
         for N, w in zip(band, weights):
-            assert w.tobytes() == _lp_multiplier(grid, N, "band").tobytes()
+            # the weights cover the dense ones' leading columns; past them the
+            # dense weights are +0.0, no sign bit set
+            dense = _lp_multiplier(grid, N, "band")
+            cols = w.shape[-1]
+            assert w.tobytes() == np.ascontiguousarray(dense[..., :cols]).tobytes()
+            tail = dense[..., cols:]
+            assert not tail.any() and not np.signbit(tail).any()
 
 
 @examples
@@ -77,14 +83,19 @@ def test_projection_kernel_is_the_inverse_of_the_product_bit_for_bit(d, n, L, se
         weights.append(w)
     kept_F = F.copy()
     work, out = np.empty_like(F), np.empty(grid.shape)
-    for w in weights:
-        kept_w = w.copy()
-        expected = _inverse_array(F * w, grid.shape).tobytes()
-        assert _project_into(F, w, work, out) is out
-        assert out.tobytes() == expected
-        assert F.tobytes() == kept_F.tobytes() and w.tobytes() == kept_w.tobytes()
-        in_place = F.copy()  # the work array may be the coefficients themselves
-        assert _project_into(in_place, w, in_place, np.empty(grid.shape)).tobytes() == expected
+    for dense in weights:
+        expected = _inverse_array(F * dense, grid.shape).tobytes()
+        # weights on the first J columns stand for zeros past them: every J from
+        # the last nonzero column on
+        live = np.flatnonzero(dense.reshape(-1, dense.shape[-1]).any(axis=0))
+        for J in range(live[-1] + 1 if live.size else 1, n // 2 + 2):
+            w = np.ascontiguousarray(dense[..., :J])
+            kept_w = w.copy()
+            assert _project_into(F, w, work, out) is out
+            assert out.tobytes() == expected
+            assert F.tobytes() == kept_F.tobytes() and w.tobytes() == kept_w.tobytes()
+            in_place = F.copy()  # the work array may be the coefficients themselves
+            assert _project_into(in_place, w, in_place, np.empty(grid.shape)).tobytes() == expected
 
 
 def reference_scan(family: FunctionFamily, params) -> tuple:
@@ -135,3 +146,22 @@ def test_scan_picks_the_reference_band_and_centres(case, seed):
     N_sel, centers = reference_scan(family, params)
     assert res.stats["N"] == N_sel
     assert np.array_equal(res.centers, centers)
+
+
+edge_values = st.sampled_from([0.0, -0.0, 1.5, -1.5, 3.0, -3.0, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(edge_values | st.floats(allow_nan=True, allow_infinity=True),
+                min_size=1, max_size=24), st.booleans())
+@example([1.5, -3.0, 3.0], False)
+@example([-3.0, 1.5, 3.0, 0.0], True)
+@example([-0.0, 0.0, -0.0, 0.0], True)
+@example([-np.inf, 2.0, np.inf], False)
+@example([1.0, -np.inf, np.nan, -np.nan, 5.0], False)
+def test_peak_rule_is_the_argmax_of_the_modulus(values, square):
+    # +-M ties, signed zeros, all-zero input, +-inf and NaN, each also pinned above
+    x = np.array(values)
+    if square and x.size % 2 == 0:
+        x = x.reshape(2, -1)
+    assert _abs_argmax(x) == np.argmax(np.abs(x))

@@ -1,9 +1,11 @@
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 import nlkg.solver as solver_mod
+from nlkg.conslaws import charge_slab_identity
 from nlkg.errors import CorruptionError, DomainError
 from nlkg.grid import Field, GridSpec, State, radial_distance
 from nlkg.norms import energy, lebesgue_norm
@@ -333,6 +335,19 @@ class TestEvolve:
         else:
             assert peak > stepper.U.nbytes
 
+    def test_state_allocates_its_two_fields_only(self):
+        # v is inverted through the stepper's own work array
+        st = initial_data(GridSpec(3, 32, 8.0), "gaussian", m=0.5, p=2.0, A=1.0, w=0.8)
+        stepper = SpectralStepper(st)
+        stepper.step(1e-3)
+        tracemalloc.start()
+        try:
+            stepper.state()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * st.u.values.nbytes, peak
+
     def test_held_dt_loop_allocates_no_field_between_records(self, monkeypatch):
         # the traced peak above what is live at one record's end, up to the
         # next record's state: the steps, the amplitude and the finite checks
@@ -404,6 +419,18 @@ class TestEvolve:
             traj.slab(0.1, 0.2)
         with pytest.raises(DomainError, match="must be snapshot times"):
             traj.slab(0.05, 0.4)
+
+    def test_slab_ends_within_1e9_of_snapshot_times_select_the_same_states(self, grid1d, rng):
+        states = [State(Field(grid1d, rng.standard_normal(grid1d.shape)),
+                        Field(grid1d, rng.standard_normal(grid1d.shape)), t, 0.5, 2.0)
+                  for t in (0.0, 0.1, 0.2, 0.3, 0.4)]
+        traj = Trajectory(states, "reached_t_max", {})
+        exact = np.array(astuple(charge_slab_identity(traj, 0.1, 0.4))).tobytes()
+        for t0, t1 in ((0.1 - 5e-10, 0.4), (0.1, 0.4 + 5e-10),
+                       (0.1 + 5e-10, 0.4), (0.1, 0.4 - 5e-10)):
+            assert traj.slab(t0, t1).tolist() == [1, 2, 3, 4]
+            # the averages divide by the span integrated, not by t1 - t0
+            assert np.array(astuple(charge_slab_identity(traj, t0, t1))).tobytes() == exact
 
 
 class TestOdeOracle:

@@ -58,7 +58,7 @@ _SCHEMA = {
     "data": {"kind": str, "params": dict},
     "solver": {"dt_init": float, "t_max": float, "dt_min": float, "cfl_safety": float,
                "adapt_theta": float | None, "blowup_threshold": float,
-               "snapshot_stride": int, "dealias_pad": str, "nonlinearity": float},
+               "snapshot_stride": int, "nonlinearity": float},
     "output": {"directory": str},
     "audits": {
         "tensors": {"levels": int, "apex": [float]},
@@ -129,9 +129,11 @@ class ScenarioConfig:
         self.m, self.p = cfg["physics"]["m"], cfg["physics"]["p"]
         if not (0.0 <= self.m <= 1.0):
             raise DomainError("config precondition violated: physics.m must lie in [0, 1]")
-        critical_exponent(self.grid.d, self.p)  # range check, names p on failure
+        try:
+            critical_exponent(self.grid.d, self.p)  # the range check
+        except DomainError as exc:
+            raise DomainError(f"config precondition violated: physics.p: {exc}") from None
         self.solver = SolverConfig(**cfg["solver"])
-        self.solver.check_exponent(self.p)
         self.data_kind = cfg["data"]["kind"]
         params = cfg["data"].get("params", {})
         kinds = _check_data_params(self.data_kind, params, "data.params.")
@@ -391,17 +393,20 @@ def run(cfg: ScenarioConfig, command: str, **options) -> int:
     return 0
 
 
+def _failed(case: dict, code: int, exc: BaseException) -> dict:
+    case.update(exit=code, error=repr(exc))
+    print(f"sweep case{case['index']:03d} failed: {case['error']}", file=sys.stderr)
+    return case
+
+
 def _sweep_one(args) -> dict:
-    """Simulate one sweep case, recording a failure (exit 2 for DomainError, else 1)."""
-    raw, index = args
-    cfg = ScenarioConfig(raw)
-    case = {"index": index, "exit": 0, "regime": critical_exponent(cfg.grid.d, cfg.p).regime,
-            "error": None}
+    """Simulate one sweep case into its record, a failure with exit 2 for a
+    DomainError, else 1."""
+    raw, case = args
     try:
-        run(cfg, "simulate")
+        run(ScenarioConfig(raw), "simulate")
     except Exception as exc:
-        case.update(exit=2 if isinstance(exc, DomainError) else 1, error=repr(exc))
-        print(f"sweep case{index:03d} failed: {case['error']}", file=sys.stderr)
+        return _failed(case, 2 if isinstance(exc, DomainError) else 1, exc)
     return case
 
 
@@ -422,12 +427,20 @@ def cmd_sweep(cfg_path) -> int:
                                else vals)
         base_dir = merged.get("output", {}).get("directory", "nlkg_out")
         merged["output"] = {"directory": str(Path(base_dir) / f"case{i:03d}")}
-        ScenarioConfig(merged)  # validate before any compute
-        jobs.append((merged, i))
+        cfg = ScenarioConfig(merged)  # validate before any compute
+        jobs.append((merged, {"index": i, "exit": 0, "error": None,
+                              "regime": critical_exponent(cfg.grid.d, cfg.p).regime}))
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # deferred: sweep alone uses it
+        from concurrent.futures.process import BrokenProcessPool
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cases = list(pool.map(_sweep_one, jobs))
+            futures = [pool.submit(_sweep_one, job) for job in jobs]
+        cases = []
+        for job, future in zip(jobs, futures):
+            try:
+                cases.append(future.result())
+            except BrokenProcessPool as exc:  # a worker died and the pool lost this case
+                cases.append(_failed(job[1], 1, exc))
     else:
         cases = [_sweep_one(j) for j in jobs]
     root = Path(read.get("output", {}).get("directory", "nlkg_out"))

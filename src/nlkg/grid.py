@@ -170,10 +170,11 @@ class State:
 
 
 def _check_exponent(d: int, p: float) -> None:
-    """DomainError unless p lies in the admissible range: p > 0, and p < 4/(d-2) for d >= 3."""
-    if p <= 0.0:
-        raise DomainError(f"nonlinearity exponent p must be positive, got {p}")
-    if d >= 3 and p >= 4.0 / (d - 2):
+    """DomainError unless p lies in the admissible range: 0 < p < inf, and
+    p < 4/(d-2) for d >= 3 (checked as `not p < bound`, so NaN fails)."""
+    if not 0.0 < p < np.inf:
+        raise DomainError(f"nonlinearity exponent p must be positive and finite, got {p}")
+    if d >= 3 and not p < 4.0 / (d - 2):
         raise DomainError(f"exponent p={p} outside admissible range (0, {4.0 / (d - 2)}) for d={d}")
 
 
@@ -429,42 +430,6 @@ def spectral_divergence(components: list[Field]) -> Field:
     acc = sum(_forward_array(comp.values) * ik
               for comp, ik in zip(components, _derivative_symbols(grid)))
     return Field(grid, _inverse_array(acc, grid.shape))
-
-
-def _pad2x_power(u: np.ndarray, q: int) -> np.ndarray:
-    """u**q evaluated on the grid refined 2x by zero padding, then truncated
-    back to the modes of u.
-
-    This is the full-layout recipe (pad the n^d coefficients into a (2n)^d
-    array, keep the real part of each inverse) on the half-spectrum.  That
-    real part splits the Nyquist coefficient between -n/2 and +n/2: a mode
-    whose Nyquist components all sit at -n/2, or all at +n/2, carries half
-    of it, and a mixed one none.  `neg` and `pos` index those two copies.
-    """
-    n, d = u.shape[0], u.ndim
-    h = n // 2
-    neg = np.r_[0:h, 2 * n - h : 2 * n]  # small index -> big index, Nyquist at -n/2
-    pos = neg.copy()
-    pos[h] = h  # Nyquist at +n/2
-    last = np.arange(h + 1)
-    at_neg = np.ix_(*[neg] * (d - 1), last)
-    at_pos = np.ix_(*[pos] * (d - 1), last)
-    # the half layout has no -n/2 slot on the last axis: weight 0 on the
-    # -n/2 copy there; irfftn takes the Hermitian part of that plane, so
-    # doubling the +n/2 copy on the way back stands for the pair
-    no_last_nyquist = np.ones(h + 1)
-    no_last_nyquist[h] = 0.0
-    twice_last_nyquist = np.ones(h + 1)
-    twice_last_nyquist[h] = 2.0
-
-    U = _forward_array(u)
-    big = np.zeros((2 * n,) * (d - 1) + (n + 1,), dtype=np.complex128)
-    big[at_neg] += 0.5 * no_last_nyquist * U
-    big[at_pos] += 0.5 * U
-    u_big = _inverse_array(big, (2 * n,) * d) * (2**d)
-    W = _forward_array(u_big**q)
-    small = (W[at_neg] * no_last_nyquist + W[at_pos] * twice_last_nyquist) / 2 ** (d + 1)
-    return _inverse_array(small, u.shape)
 
 
 @lru_cache(maxsize=32)

@@ -201,14 +201,24 @@ class StoredStates(Sequence):
 def read_trajectory(directory):
     """The stored trajectory, its states a :class:`StoredStates`: every
     frame header is checked now, each state's payload when it is read.  A
-    meta.json without a "config" key (an older store) reads with config None."""
+    meta.json without a "config" key (an older store) reads with config None;
+    a config "dealias_pad": "none" (older stores, which stepped the one
+    product there is) is dropped; any config SolverConfig rejects is a
+    CorruptionError naming meta.json."""
     from .solver import SolverConfig, Trajectory
 
     directory, meta = Path(directory), read_meta(directory)
     series = {k: (np.array(t), np.array(v)) for k, (t, v) in meta["scalar_series"].items()}
     config = meta.get("config")
+    if config is not None:
+        if isinstance(config, dict) and config.get("dealias_pad") == "none":
+            config = {k: v for k, v in config.items() if k != "dealias_pad"}
+        try:
+            config = SolverConfig(**config)
+        except (TypeError, DomainError) as exc:
+            raise CorruptionError(f"{directory / 'meta.json'}: config: {exc}") from None
     return Trajectory(StoredStates(directory / "states.bin", meta["count"]), meta["termination"],
-                      series, meta["nl_coeff"], None if config is None else SolverConfig(**config))
+                      series, meta["nl_coeff"], config)
 
 
 def write_series_csv(path, columns: dict, sidecar: dict | None = None) -> None:

@@ -1,6 +1,6 @@
 """Time evolution by Strang splitting around the exact linear Klein-Gordon
-propagator, a high-accuracy spatially-constant ODE oracle, and the
-initial-data library."""
+propagator, the lifespan quadrature of constant data, and the initial-data
+library."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import CorruptionError, DomainError
 from .grid import (Field, GridSpec, State, _forward_array, _forward_into, _inverse_into,
-                   _magnitude, _pad2x_power, axis_coordinates, bessel_symbol, radial_distance)
+                   _magnitude, axis_coordinates, bessel_symbol, radial_distance)
 from .norms import _Pieces, _even_integer, _sup, energy
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "strang_step",
     "SpectralStepper",
     "evolve",
-    "ode_oracle",
     "lifespan_upper",
     "initial_data",
 ]
@@ -40,7 +39,7 @@ class SolverConfig:
     cfl_safety * h.  A sup-norm crossing of blowup_threshold terminates
     with 'blowup_detected'; a step below dt_min terminates with
     'dt_underflow'.  `nonlinearity` scales the source |u|^p u; 0 gives the
-    pure linear flow.
+    pure linear flow.  Each bound is checked as `not x > bound`, so NaN fails it.
     """
 
     dt_init: float
@@ -50,25 +49,22 @@ class SolverConfig:
     adapt_theta: float | None = 1.0
     blowup_threshold: float = 1e8
     snapshot_stride: int = 1
-    dealias_pad: str = "none"
     nonlinearity: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.dt_min < self.dt_init):
             raise DomainError("need 0 < dt_min < dt_init")
-        if self.blowup_threshold <= 1.0:
-            raise DomainError("blowup_threshold must exceed 1")
-        if self.dealias_pad not in ("none", "pad2x"):
-            raise DomainError(f"unknown dealias_pad {self.dealias_pad!r}")
-        if self.snapshot_stride < 1:
+        if not self.blowup_threshold > 1.0:
+            raise DomainError(f"blowup_threshold must exceed 1, got {self.blowup_threshold}")
+        if not self.snapshot_stride >= 1:
             raise DomainError("snapshot_stride must be >= 1")
+        if not np.isfinite(self.nonlinearity):
+            raise DomainError(f"nonlinearity must be finite, got {self.nonlinearity}")
+        if not self.t_max < np.inf:  # an infinite end time would stop at once, at t = 0
+            raise DomainError(f"t_max must be finite, got {self.t_max}")
         for name in ("t_max", "cfl_safety", "adapt_theta"):
             if getattr(self, name) is not None and not getattr(self, name) > 0.0:
                 raise DomainError(f"{name} must be positive")
-
-    def check_exponent(self, p: float) -> None:
-        """Raise DomainError if this config cannot step exponent p."""
-        _check_dealias(self.dealias_pad, p)
 
 
 @dataclass
@@ -161,22 +157,11 @@ def linear_propagator(state: State, dt: float) -> State:
     return strang_step(state, dt, 0.0)
 
 
-def _check_dealias(dealias_pad: str, p: float) -> None:
-    """The padded product is exact only when |u|^p u is a polynomial, so
-    "pad2x" with any other p is an error rather than an aliased fallback."""
-    if dealias_pad == "pad2x" and not _even_integer(p):
-        raise DomainError(f"dealias_pad='pad2x' needs an even integer p, got p={p}")
-
-
-def _nonlinear_source(u: np.ndarray, p: float, dealias_pad: str, out=None, square=None):
-    """|u|^p u, optionally through a 2x zero-padded product for even integer p.
-
-    "none" writes `out` (and u * u to `square` at even p) when given them.  For
-    even integer p it is a product of copies of u; overflow raises CorruptionError.
+def _nonlinear_source(u: np.ndarray, p: float, out=None, square=None):
+    """|u|^p u pointwise, into `out` (and u * u into `square` at even p) when
+    given them.  For even integer p it is a product of copies of u; overflow
+    raises CorruptionError.
     """
-    _check_dealias(dealias_pad, p)
-    if dealias_pad == "pad2x":
-        return _pad2x_power(u, int(p) + 1)
     with np.errstate(over="raise"):
         try:
             if not _even_integer(p):
@@ -192,12 +177,11 @@ def _nonlinear_source(u: np.ndarray, p: float, dealias_pad: str, out=None, squar
             raise CorruptionError("overflow while evaluating |u|^p u") from exc
 
 
-def nonlinear_kick(state: State, dt: float, nl_coeff: float = 1.0,
-                   dealias_pad: str = "none") -> State:
+def nonlinear_kick(state: State, dt: float, nl_coeff: float = 1.0) -> State:
     """Momentum kick v <- v + dt * nl * |u|^p u; u is unchanged."""
     if nl_coeff == 0.0:
         return State(state.u, state.v, state.time, state.mass_param, state.exponent)
-    src = _nonlinear_source(state.u.values, state.exponent, dealias_pad)
+    src = _nonlinear_source(state.u.values, state.exponent)
     v = state.v.values + dt * nl_coeff * src
     return State(state.u, Field(state.grid, v), state.time, state.mass_param, state.exponent)
 
@@ -219,10 +203,10 @@ class SpectralStepper:
     of the current dt are rebuilt whenever dt changes: none outlives the stepper.
     """
 
-    def __init__(self, state: State, nl_coeff: float = 1.0, dealias_pad: str = "none"):
+    def __init__(self, state: State, nl_coeff: float = 1.0):
         self.grid = state.grid
         self.m, self.p = state.mass_param, state.exponent
-        self.nl, self.dealias_pad = nl_coeff, dealias_pad
+        self.nl = nl_coeff
         self.time = state.time
         self.u = state.u.values.copy()
         self.U = _forward_array(self.u)
@@ -261,7 +245,7 @@ class SpectralStepper:
         # F(|u|^p u) into `out`, formed in the first n^d floats of work (u * u in out's)
         work, square = (a.view(np.float64).ravel()[:u.size].reshape(u.shape)
                         for a in (self._work, out))
-        return _forward_into(_nonlinear_source(u, self.p, self.dealias_pad, work, square), out)
+        return _forward_into(_nonlinear_source(u, self.p, work, square), out)
 
     def state(self) -> State:
         """The current (u, u_t) in physical space, as arrays of its own."""
@@ -270,8 +254,7 @@ class SpectralStepper:
                      self.time, self.m, self.p)
 
 
-def strang_step(state: State, dt: float, nl_coeff: float = 1.0,
-                dealias_pad: str = "none") -> State:
+def strang_step(state: State, dt: float, nl_coeff: float = 1.0) -> State:
     """Second-order split step: half kick, exact linear flow, half kick.
 
     One :class:`SpectralStepper` step from physical (u, v) and back: the
@@ -281,7 +264,7 @@ def strang_step(state: State, dt: float, nl_coeff: float = 1.0,
     """
     if not np.isfinite(dt):
         raise DomainError("dt must be finite")
-    stepper = SpectralStepper(state, nl_coeff, dealias_pad)
+    stepper = SpectralStepper(state, nl_coeff)
     stepper.step(dt)
     return stepper.state()
 
@@ -307,7 +290,7 @@ def evolve(state: State, config: SolverConfig, monitors: dict | None = None,
     p, h = state.exponent, state.grid.spacing
     nl = config.nonlinearity
     t_end = state.time + config.t_max
-    stepper = SpectralStepper(state, nl, config.dealias_pad)
+    stepper = SpectralStepper(state, nl)
     del state  # the stepper has taken its spectra: u0, v0 need not live to the end
 
     snapshots: list[State] = []
@@ -368,36 +351,6 @@ def evolve(state: State, config: SolverConfig, monitors: dict | None = None,
                       scalar_series=frozen, nl_coeff=nl, config=config)
 
 
-def ode_oracle(A: float, B: float, m: float, p: float, t_grid,
-               stop_amplitude: float | None = None):
-    """Integrate v'' + m^2 v = |v|^p v from (A, B) with an order-8 adaptive RK.
-
-    Returns (times, v, v') at the points of t_grid that were reached; the
-    integration stops early at |v| = stop_amplitude when given.
-    """
-    t_grid = np.asarray(t_grid, dtype=np.float64)
-
-    def rhs(_t, y):
-        vv, vd = y
-        return [vd, np.abs(vv) ** p * vv - m**2 * vv]
-
-    events = None
-    if stop_amplitude is not None:
-        def hit(_t, y):
-            return abs(y[0]) - stop_amplitude
-        hit.terminal = True
-        events = hit
-
-    from scipy import integrate  # deferred: it is slow to import, and no CLI path uses it
-    sol = integrate.solve_ivp(
-        rhs, (t_grid[0], t_grid[-1]), [A, B], method="DOP853",
-        t_eval=t_grid, rtol=1e-12, atol=1e-12, events=events,
-    )
-    if sol.status < 0:
-        raise RuntimeError(f"ODE oracle failed: {sol.message}")
-    return sol.t, sol.y[0], sol.y[1]
-
-
 def lifespan_upper(A: float, p: float) -> float:
     """Blowup time of v'' = |v|^p v from rest at amplitude A, by quadrature.
 
@@ -415,7 +368,7 @@ def lifespan_upper(A: float, p: float) -> float:
     def integrand(sigma):
         return 1.0 / np.sqrt(1.0 - sigma**expo)
 
-    from scipy import integrate
+    from scipy import integrate  # deferred: it is slow to import, and no CLI path uses it
     value, err = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200)
     if not np.isfinite(value) or err > 1e-8 * max(1.0, abs(value)):
         raise RuntimeError(f"lifespan quadrature did not converge (estimate {value}, error {err})")

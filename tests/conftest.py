@@ -54,6 +54,37 @@ def cosine_field(grid: GridSpec, k_int) -> Field:
     return Field(grid, np.cos(phase))
 
 
+def ode_oracle(A: float, B: float, m: float, p: float, t_grid,
+               stop_amplitude: float | None = None):
+    """The constant-data reference: integrate v'' + m^2 v = |v|^p v from (A, B)
+    with an order-8 adaptive RK.
+
+    Returns (times, v, v') at the points of t_grid that were reached; the
+    integration stops early at |v| = stop_amplitude when given.
+    """
+    t_grid = np.asarray(t_grid, dtype=np.float64)
+
+    def rhs(_t, y):
+        vv, vd = y
+        return [vd, np.abs(vv) ** p * vv - m**2 * vv]
+
+    events = None
+    if stop_amplitude is not None:
+        def hit(_t, y):
+            return abs(y[0]) - stop_amplitude
+        hit.terminal = True
+        events = hit
+
+    from scipy import integrate
+    sol = integrate.solve_ivp(
+        rhs, (t_grid[0], t_grid[-1]), [A, B], method="DOP853",
+        t_eval=t_grid, rtol=1e-12, atol=1e-12, events=events,
+    )
+    if sol.status < 0:
+        raise RuntimeError(f"ODE oracle failed: {sol.message}")
+    return sol.t, sol.y[0], sol.y[1]
+
+
 def count_gradients(monkeypatch) -> list:
     """Wrap spectral_gradient in every nlkg module that binds it; returns the
     call log.  A call on a ball's points alone (`inside` given) counts too."""

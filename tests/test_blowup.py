@@ -15,9 +15,9 @@ from nlkg.conslaws import charge_slab_identity
 from nlkg.errors import DomainError
 from nlkg.grid import Field, GridSpec, State, radial_distance
 from nlkg.norms import energy, lebesgue_norm, sobolev_norm
-from nlkg.solver import SolverConfig, Trajectory, evolve, initial_data, lifespan_upper, ode_oracle
+from nlkg.solver import SolverConfig, Trajectory, evolve, initial_data
 
-from conftest import count_gradients
+from conftest import count_gradients, ode_oracle
 
 LIFESPAN_A1_P2 = 1.854074677301368
 

@@ -1,11 +1,14 @@
 import dataclasses
 import json
+import multiprocessing
+import os
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlkg.cli as cli_mod
 import nlkg.grid as grid_mod
 from nlkg.cli import _SCHEMA, ScenarioConfig, _synthetic_family, main
 from nlkg.errors import DomainError
@@ -75,13 +78,33 @@ class TestValidation:
         assert code == 2
         assert "physics.p" in capsys.readouterr().err
 
-    def test_pad2x_needs_even_p_before_any_output(self, tmp_path, capsys):
+    @pytest.mark.parametrize("value", ["none", "pad2x"])
+    def test_dealias_pad_is_an_unknown_key_before_any_output(self, tmp_path, capsys, value):
+        # the option is gone: setting it fails, never falls back
         out = tmp_path / "out"
-        cfg = base_config(out, physics={"p": 1.8}, solver={"dealias_pad": "pad2x"})
+        cfg = base_config(out, solver={"dealias_pad": value})
         code = main(["simulate", str(write_cfg(tmp_path, cfg))])
         assert code == 2
-        assert "pad2x" in capsys.readouterr().err
-        assert not (out / "MANIFEST.json").exists()
+        assert "unknown solver keys ['dealias_pad']" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,over", [
+        ("physics.p", {"physics": {"m": 0.0, "p": float("nan")}}),
+        ("physics.p", {"physics": {"m": 0.0, "p": float("inf")}}),
+        ("blowup_threshold", {"solver": {"blowup_threshold": float("nan")}}),
+        ("nonlinearity", {"solver": {"nonlinearity": float("nan")}}),
+        ("nonlinearity", {"solver": {"nonlinearity": float("inf")}}),
+        ("t_max", {"solver": {"t_max": float("inf")}}),
+    ], ids=["p-nan", "p-inf", "blowup_threshold-nan", "nonlinearity-nan", "nonlinearity-inf",
+            "t_max-inf"])
+    def test_non_finite_value_fails_before_any_output(self, tmp_path, capsys, key, over):
+        # json reads NaN and Infinity; each of these used to run to exit 0 (an
+        # infinite t_max stopped at once, reached_t_max at t = 0)
+        out = tmp_path / "out"
+        code = main(["simulate", str(write_cfg(tmp_path, base_config(out, **over)))])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("solver", [
         {"adapt_theta": 0.0}, {"adapt_theta": -1.0}, {"cfl_safety": 0.0},
@@ -443,6 +466,34 @@ class TestSweep:
         status = [json.loads((out / f"case{i:03d}" / "MANIFEST.json").read_text())["status"]
                   for i in range(3)]
         assert status == ["complete", "failed", "complete"]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the dying command reaches the workers by fork")
+    def test_case_whose_worker_dies_is_reported(self, tmp_path, monkeypatch):
+        # a worker that exits takes the pool down: each case it lost is
+        # failed with exit 1 and the error named, and the report is written
+        monkeypatch.setenv("NLKG_WORKERS", "2")
+        simulate = cli_mod.COMMANDS["simulate"]
+
+        def dying(cfg):
+            if cfg.out_dir.name == "case001":
+                os._exit(7)
+            return simulate(cfg)
+
+        monkeypatch.setitem(cli_mod.COMMANDS, "simulate", dying)
+        out = tmp_path / "sweep"
+        cfg = base_config(out, grid={"d": 1, "n": 32, "box_length": 8.0},
+                          solver={"dt_init": 5e-3, "t_max": 0.02, "adapt_theta": None,
+                                  "snapshot_stride": 1})
+        cfg["sweep"] = [{}, {}, {}]
+        assert main(["sweep", str(write_cfg(tmp_path, cfg))]) == 1
+        cases = json.loads((out / "sweep_report.json").read_text())["cases"]
+        assert [c["index"] for c in cases] == [0, 1, 2]
+        assert cases[1]["exit"] == 1 and "BrokenProcessPool" in cases[1]["error"]
+        for case in cases:
+            assert {"regime": "sub_conformal"}.items() <= case.items()
+            assert (case["exit"], case["error"]) == (0, None) or (
+                case["exit"] == 1 and "BrokenProcessPool" in case["error"])
 
     @pytest.mark.parametrize("key,over", [
         ("output", {"output": "here"}),

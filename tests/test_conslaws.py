@@ -25,9 +25,9 @@ from nlkg.grid import (
     spectral_gradient,
 )
 from nlkg.norms import critical_exponent, energy
-from nlkg.solver import SolverConfig, Trajectory, evolve, initial_data, ode_oracle
+from nlkg.solver import SolverConfig, Trajectory, evolve, initial_data
 
-from conftest import random_field
+from conftest import ode_oracle, random_field
 
 
 def zero_state(grid, t=1.0, m=0.5, p=2.0):

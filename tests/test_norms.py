@@ -57,7 +57,8 @@ class TestCriticalExponent:
         with pytest.raises(DomainError):
             critical_exponent(2, -1.0)
 
-    @pytest.mark.parametrize("d, p", [(3, 4.0), (3, 5.0), (2, -1.0), (1, 0.0)])
+    @pytest.mark.parametrize("d, p", [(3, 4.0), (3, 5.0), (2, -1.0), (1, 0.0),
+                                      (2, float("nan")), (2, float("inf")), (3, float("nan"))])
     def test_state_and_critical_exponent_reject_alike(self, d, p):
         # one admissible-exponent rule: the same error from both
         g = GridSpec(d, 8, 4.0)

@@ -85,6 +85,31 @@ class TestTrajectoryStore:
         write_trajectory(tmp_path / "bare", traj)
         assert read_trajectory(tmp_path / "bare").config is None
 
+    @pytest.mark.parametrize("edit, key", [
+        ({"dealias_pad": "none"}, None),
+        ({"dealias_pad": "pad2x"}, "'dealias_pad'"),
+        ({"snapshot_strides": 2}, "'snapshot_strides'"),
+        ({"blowup_threshold": float("nan")}, "blowup_threshold"),
+    ], ids=["older-store", "pad2x", "unknown-key", "bad-value"])
+    def test_stored_config_reads_or_names_meta(self, tmp_path, edit, key):
+        # stores written while SolverConfig had a dealias_pad option hold
+        # "dealias_pad": "none", and those runs stepped the product there is now
+        cfg = SolverConfig(dt_init=1e-2, t_max=0.02, adapt_theta=None)
+        traj = evolve(initial_data(GridSpec(1, 16, 4.0), "gaussian", m=0.2, p=2.0, A=0.4, w=0.4),
+                      cfg)
+        write_trajectory(tmp_path, traj)
+        path = tmp_path / "meta.json"
+        meta = json.loads(path.read_text())
+        meta["config"].update(edit)
+        path.write_text(json.dumps(meta))
+        if key is None:
+            back = read_trajectory(tmp_path)
+            assert back.config == cfg
+            assert back.snapshots[-1].u.values.tobytes() == traj.snapshots[-1].u.values.tobytes()
+        else:
+            with pytest.raises(CorruptionError, match=f"meta.json: config: .*{key}"):
+                read_trajectory(tmp_path)
+
     def test_zero_count_is_domain_error(self, tmp_path):
         g = GridSpec(1, 16, 4.0)
         traj = evolve(initial_data(g, "gaussian", m=0.0, p=2.0, A=0.4, w=0.4),

@@ -18,11 +18,10 @@ from nlkg.solver import (
     lifespan_upper,
     linear_propagator,
     nonlinear_kick,
-    ode_oracle,
     strang_step,
 )
 
-from conftest import cosine_field, random_field
+from conftest import cosine_field, ode_oracle, random_field
 
 # frozen by the adaptive quadrature oracle; closed form is
 # sqrt(2) Gamma(1/4) Gamma(1/2) / (4 Gamma(3/4))
@@ -97,14 +96,6 @@ class TestNonlinearKick:
         whole = nonlinear_kick(st, 0.3)
         assert np.allclose(halves.v.values, whole.v.values, atol=1e-14)
 
-    def test_pad2x_matches_pointwise_for_resolved_field(self, grid2d, rng):
-        # cubing a well band-limited field is alias-free either way
-        f = random_field(grid2d, rng, band_limit_frac=0.2)
-        st = State(f, Field(grid2d, np.zeros(grid2d.shape)), 0.0, 0.0, 2.0)
-        a = nonlinear_kick(st, 1.0, dealias_pad="none")
-        b = nonlinear_kick(st, 1.0, dealias_pad="pad2x")
-        assert np.max(np.abs(a.v.values - b.v.values)) < 1e-11
-
     @pytest.mark.parametrize("p", [2.0, 4.0, 6.0])
     def test_even_p_source_by_products(self, grid2d, rng, p):
         st = State(random_field(grid2d, rng), Field(grid2d, np.zeros(grid2d.shape)), 0.0, 0.0, p)
@@ -118,16 +109,6 @@ class TestNonlinearKick:
                    Field(grid2d, np.zeros(grid2d.shape)), 0.0, 0.0, p)
         with pytest.raises(CorruptionError):
             nonlinear_kick(st, 1.0)
-
-    @pytest.mark.parametrize("p", [1.8, 3.0])
-    def test_pad2x_rejects_non_even_integer_p(self, grid2d, rng, p):
-        f = random_field(grid2d, rng, band_limit_frac=0.2)
-        st = State(f, Field(grid2d, np.zeros(grid2d.shape)), 0.0, 0.0, p)
-        with pytest.raises(DomainError):
-            nonlinear_kick(st, 1.0, dealias_pad="pad2x")
-        cfg = SolverConfig(dt_init=1e-3, t_max=1e-2, dealias_pad="pad2x")
-        with pytest.raises(DomainError):
-            evolve(st, cfg)
 
 
 class TestStrangStep:
@@ -315,25 +296,22 @@ class TestEvolve:
         assert stepper.u is not st.u.values
         assert (st.u.values.tobytes(), st.v.values.tobytes()) == kept
 
-    @pytest.mark.parametrize("p, dealias_pad", [(2.0, "none"), (1.8, "none"), (2.0, "pad2x")])
-    def test_held_dt_steps_allocate_no_field(self, p, dealias_pad):
+    @pytest.mark.parametrize("p", [2.0, 1.8])
+    def test_held_dt_steps_allocate_no_field(self, p):
         # after warm-up (the first source, the tables of dt), a step writes
-        # only buffers the stepper owns; the padded product allocates by design
+        # only buffers the stepper owns
         st = initial_data(GridSpec(3, 32, 8.0), "gaussian", m=0.5, p=p, A=1.0, w=0.8)
-        stepper = SpectralStepper(st, 1.0, dealias_pad)
+        stepper = SpectralStepper(st, 1.0)
         for _ in range(2):
             stepper.step(1e-3)
         tracemalloc.start()
         try:
-            for _ in range(50 if dealias_pad == "none" else 1):
+            for _ in range(50):
                 stepper.step(1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        if dealias_pad == "none":
-            assert peak < stepper.U.nbytes, peak
-        else:
-            assert peak > stepper.U.nbytes
+        assert peak < stepper.U.nbytes, peak
 
     def test_state_allocates_its_two_fields_only(self):
         # v is inverted through the stepper's own work array

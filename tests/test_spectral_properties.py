@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nlkg.grid import (Field, GridSpec, State, _pad2x_power, bessel_derivative,
-                       bessel_symbol, forward_transform, fractional_derivative,
-                       inverse_transform, lp_bump, lp_project, spectral_divergence,
-                       spectral_gradient)
+from nlkg.grid import (Field, GridSpec, State, bessel_derivative, bessel_symbol,
+                       forward_transform, fractional_derivative, inverse_transform, lp_bump,
+                       lp_project, spectral_divergence, spectral_gradient)
 from nlkg.solver import SpectralStepper, _propagator_tables, linear_propagator
 
 from conftest import full_magnitude, full_mesh
@@ -39,16 +38,6 @@ def full_filter(values: np.ndarray, weights) -> np.ndarray:
 
 def rel_err(got: np.ndarray, ref: np.ndarray) -> float:
     return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
-
-
-def full_pad2x_power(u: np.ndarray, q: int) -> np.ndarray:
-    """u**q through a zero-padded (2n)^d grid on full complex coefficients."""
-    n, d = u.shape[0], u.ndim
-    low = np.ix_(*[np.r_[0 : n // 2, 2 * n - n // 2 : 2 * n]] * d)  # wavenumbers -n/2..n/2-1
-    big = np.zeros((2 * n,) * d, dtype=np.complex128)
-    big[low] = np.fft.fftn(u)
-    W = np.fft.fftn((np.fft.ifftn(big).real * 2**d) ** q)
-    return np.fft.ifftn(W[low] / 2**d).real
 
 
 @examples
@@ -148,13 +137,6 @@ def test_stepper_step_matches_full_spectrum_strang_step(grid, seed, m, dt, p, nl
     assert out.time == dt
     assert rel_err(out.u.values, u_ref) < RTOL
     assert rel_err(out.v.values, v_ref) < RTOL
-
-
-@examples
-@given(grids, seeds, st.sampled_from([3, 5]))
-def test_pad2x_matches_full_spectrum(grid, seed, q):
-    (u,) = noise(grid, seed)
-    assert rel_err(_pad2x_power(u, q), full_pad2x_power(u, q)) < RTOL
 
 
 def _state(grid, seed, m):
